@@ -15,6 +15,10 @@ cover:
   lagged redistribution share and the remainder goes through the recursive
   claim settlement.
 
+`simulate` runs all regimes on one vectorized kernel over (columns, paths)
+arrays; `step` and `run_path`, with the exact `settle`, are its reference and
+give per-member step logs.  Members 0..n-1 match ledger ids by `str(id)`.
+
 The coverage indicator collapses to a threshold on the net return (`z_star`),
 which drives the fixed-point search for a common near-optimal boundary and the
 best-response improvement bound.
@@ -92,7 +96,8 @@ class PoolConfig:
     pi_ind may be a scalar (homogeneous premia) or one value per individual;
     pi_all defaults to their sum.  k_vec overrides the policy boundary per
     individual.  index_source must be a recorded ledger when the regime is
-    IndexCappedHelp.
+    IndexCappedHelp, and at least one member id 0..n-1 must appear in it
+    (compared as strings, so a JSON ledger's "0" is member 0).
     """
 
     n: int
@@ -128,8 +133,11 @@ class PoolConfig:
                 want = self.n * float(self.pi_ind)
                 if abs(self.pi_all - want) > 1e-9 * max(1.0, want):
                     raise ValueError("pi_all must equal n * pi_ind for homogeneous premia")
-        if self.regime == INDEX_CAPPED_HELP and self.index_source is None:
-            raise ValueError("IndexCappedHelp needs an index_source ledger")
+        if self.regime == INDEX_CAPPED_HELP:
+            if self.index_source is None:
+                raise ValueError("IndexCappedHelp needs an index_source ledger")
+            if not {str(j) for j in self.index_source.ids} & {str(i) for i in range(self.n)}:
+                raise ValueError("no pool member (ids 0..n-1) appears in the index_source ledger")
 
     @property
     def premiums(self) -> tuple:
@@ -303,8 +311,8 @@ def step(pool: PoolState, gross_return: float, config: PoolConfig):
         paid = [0.0] * config.n
         claimants = [i for i, c in enumerate(claims) if c > 0]
         if claimants and theta_prev > 0:
-            lagged = index_for_pool(config.index_source, t_new)
-            weights = [lagged.get(pool.accounts[i].owner_id, 0.0) for i in claimants]
+            owners = [pool.accounts[i].owner_id for i in claimants]
+            weights = _lagged_shares(config.index_source, t_new, owners)
             total_w = sum(weights)
             if total_w > 0:
                 batch = ClaimBatch(
@@ -325,7 +333,7 @@ def step(pool: PoolState, gross_return: float, config: PoolConfig):
     deficit_after = max(0.0, -theta)
     support_added = max(0.0, deficit_after - deficit_before)
     if config.regime != ALWAYS_HELP and theta < -1e-12:
-        raise AssertionError("collective went negative outside AlwaysHelp")
+        raise RuntimeError("collective went negative outside AlwaysHelp")
 
     collective = CollectiveAccount(theta, theta * price)
     accounts = tuple(
@@ -363,58 +371,90 @@ def run_path(config: PoolConfig, gross_returns: Sequence[float]):
     return pool, reports
 
 
-def _simulate_homogeneous(config: PoolConfig, returns: np.ndarray) -> SimulationResult:
-    # all agents identical: track one representative account per path
-    pol = config.policy
-    n_paths, T = returns.shape
-    k = config.boundaries[0]
-    pi = config.premiums[0]
-    pi_all = config.premium_total
-    gp = config.gamma * pi
+def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """The round rule of `claim_settlement.settle` on many batches at once.
 
+    Column b of `claims` and `weights` (members x batches; weights need not sum
+    to 1) with `pool[b]` is one batch.  Each batch ends within `members` rounds.
+    """
+    alloc = np.zeros_like(claims)
+    active = claims > 0
+    for _ in range(claims.shape[0]):
+        if not active.any():
+            break
+        total_w = np.where(active, weights, 0.0).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slices = np.where(total_w > 0, weights * pool / total_w, 0.0)
+        fits = active & (claims <= slices)
+        # a round where nothing fits pays min(claim, slice) and ends the batch
+        last = active & ~fits.any(axis=0)
+        alloc = np.where(fits, claims, np.where(last, np.minimum(claims, slices), alloc))
+        pool = pool - np.where(fits, claims, 0.0).sum(axis=0)
+        active &= ~(fits | last)
+    return alloc
+
+
+def _pool_kernel(config: PoolConfig, returns: np.ndarray) -> SimulationResult:
+    # state is (columns, paths): one column per member, or one column for all
+    # n members when they are alike and no ledger tells them apart
+    pol, n, regime = config.policy, config.n, config.regime
+    n_paths, T = returns.shape
+    ks, prem, v0 = config.boundaries, config.premiums, config.initial_values
+    if regime != INDEX_CAPPED_HELP and len(set(zip(ks, prem, v0))) == 1:
+        ks, prem, v0 = ks[:1], prem[:1], v0[:1]
+    if len(ks) == 1:
+        total, mean = (lambda x: n * x[0]), (lambda x: x[0])
+    else:
+        total, mean = (lambda x: x.sum(axis=0)), (lambda x: x.sum(axis=0) / n)
+    k = np.array(ks)[:, None]
+    gp = config.gamma * np.array(prem)[:, None]
+    theta_inflow = (1.0 - config.gamma) * config.premium_total
     price = np.full(n_paths, config.h0)
-    v = np.full(n_paths, config.initial_values[0])
+    v = np.repeat(np.array(v0)[:, None], n_paths, axis=1)
     eta = v / config.h0
     theta = np.full(n_paths, config.c0 / config.h0)
-    rv = np.zeros(n_paths)
-    support = np.zeros(n_paths)
+    rv, support = np.zeros(n_paths), np.zeros(n_paths)
     shortfall_steps = 0
 
-    for t in range(T):
-        y = returns[:, t]
+    for t, y in enumerate(returns.T):
+        if eta.min() < 0:
+            raise ValueError("invalid pool state: negative unit count")
         rho = y - 1.0
         price = price * y
-        v_prev = v
-        eta_prev = eta
-        theta_prev = theta
-
+        v_prev, eta_prev, theta_prev = v, eta, theta
         eta = eta_prev + gp / price
-        theta = theta_prev + (1.0 - config.gamma) * pi_all / price
+        theta = theta_prev + theta_inflow / price
 
         give = pol.give_frac * v_prev * np.maximum(rho - k * pol.p, 0.0)
-        claim = pol.help_frac * v_prev * np.maximum(-k - rho, 0.0)
-        claims_weighted = config.n * eta_prev * np.maximum(-k - rho, 0.0)
+        short = np.maximum(-k - rho, 0.0)
+        claim = pol.help_frac * v_prev * short
+        claims_weighted = total(eta_prev * short)
         covered = (claims_weighted <= 0) | (
             theta_prev * (1.0 + rho) > pol.help_frac * claims_weighted
         )
-
-        if config.regime == ALWAYS_HELP:
-            paid = claim
-        else:
-            paid = np.where(covered, claim, 0.0)
-        shortfall_steps += int(np.count_nonzero((claim > 0) & ~covered))
+        failed = ~covered & (claim > 0).any(axis=0)
+        shortfall_steps += int(np.count_nonzero(failed))
+        paid = claim if regime == ALWAYS_HELP else np.where(covered, claim, 0.0)
+        if regime == INDEX_CAPPED_HELP:
+            # where coverage failed, the claims settle in units against the
+            # collective by the claimants' lagged ledger shares
+            paths = np.flatnonzero(failed & (theta_prev > 0))
+            if paths.size:
+                w = np.array(_lagged_shares(config.index_source, t + 1, range(n)), dtype=float)
+                units = _settle_rounds(claim[:, paths] / price[paths], w[:, None], theta_prev[paths])
+                paid[:, paths] = units * price[paths]
 
         deficit_before = np.maximum(0.0, -theta)
         net = paid - give
         eta = eta + net / price
         v = eta * price
-        theta = theta + config.n * (give - paid) / price
-        deficit_after = np.maximum(0.0, -theta)
-        support += np.maximum(0.0, deficit_after - deficit_before)
-        rv += (v - v_prev - gp) ** 2 / v_prev
+        theta = theta - total(net) / price
+        support += np.maximum(0.0, np.maximum(0.0, -theta) - deficit_before)
+        if regime != ALWAYS_HELP and theta.min() < -1e-12:
+            raise RuntimeError("collective went negative outside AlwaysHelp")
+        rv += mean((v - v_prev - gp) ** 2 / v_prev)
 
-    mean_vt = float(v.mean())
-    mean_rv = float(rv.mean())
+    mean_vt, mean_rv = float(mean(v).mean()), float(rv.mean())
     return SimulationResult(
         mean_terminal_value=mean_vt,
         penalized_objective=mean_vt - pol.alpha * mean_rv,
@@ -425,39 +465,10 @@ def _simulate_homogeneous(config: PoolConfig, returns: np.ndarray) -> Simulation
     )
 
 
-def _simulate_general(config: PoolConfig, returns: np.ndarray) -> SimulationResult:
-    pol = config.policy
-    n_paths, T = returns.shape
-    gp = [config.gamma * p for p in config.premiums]
-    terminal = np.empty(n_paths)
-    rv = np.zeros(n_paths)
-    support = np.zeros(n_paths)
-    shortfall_steps = 0
-    for p in range(n_paths):
-        pool = init_pool(config)
-        path_rv = 0.0
-        for t in range(T):
-            v_prev = [a.value for a in pool.accounts]
-            pool, rep = step(pool, float(returns[p, t]), config)
-            path_rv += sum(
-                (a.value - vp - g) ** 2 / vp
-                for a, vp, g in zip(pool.accounts, v_prev, gp)
-            ) / config.n
-            if rep.claims_total > 0 and not rep.covered:
-                shortfall_steps += 1
-        terminal[p] = sum(a.value for a in pool.accounts) / config.n
-        rv[p] = path_rv
-        support[p] = pool.external_support
-    mean_vt = float(terminal.mean())
-    mean_rv = float(rv.mean())
-    return SimulationResult(
-        mean_terminal_value=mean_vt,
-        penalized_objective=mean_vt - pol.alpha * mean_rv,
-        realized_variation=mean_rv,
-        shortfall_freq=shortfall_steps / (n_paths * T),
-        external_support=float(support.mean()),
-        n_paths=n_paths,
-    )
+def _lagged_shares(ledger: Ledger, t, owner_ids) -> list:
+    """Ledger shares before t of each owner, matched by str(id) as in `Ledger.to_json`."""
+    shares = {str(j): s for j, s in index_for_pool(ledger, t).items()}
+    return [shares.get(str(i), 0.0) for i in owner_ids]
 
 
 def simulate(
@@ -465,22 +476,12 @@ def simulate(
 ) -> SimulationResult:
     """Monte Carlo wealth statistics over n_paths independent trajectories.
 
-    Homogeneous AlwaysHelp / NoHelpIfInsufficient pools run on a vectorized
-    engine; anything else steps each path through the full pool.  Deterministic
-    for a fixed seed.
+    Every regime runs on one vectorized kernel; it agrees with stepping each
+    path through `run_path` up to rounding.  Deterministic for a fixed seed.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    returns = sample_return_matrix(params, config.T, n_paths, seed)
-    homogeneous = (
-        config.regime != INDEX_CAPPED_HELP
-        and len(set(config.boundaries)) == 1
-        and len(set(config.premiums)) == 1
-        and len(set(config.initial_values)) == 1
-    )
-    if homogeneous:
-        return _simulate_homogeneous(config, returns)
-    return _simulate_general(config, returns)
+    return _pool_kernel(config, sample_return_matrix(params, config.T, n_paths, seed))
 
 
 def fixed_point_barriers(

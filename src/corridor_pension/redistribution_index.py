@@ -217,11 +217,8 @@ def update_proportional(ledger: Ledger, t, contributions: dict, c_pre) -> dict:
             for j in indices
         }
         for j in indices:
-            a_, b_ = shares[j], direct[j]
-            if isinstance(a_, Rational) and isinstance(b_, Rational):
-                assert a_ == b_, f"dual share recursions disagree at {j}"
-            else:
-                assert abs(a_ - b_) <= 1e-12, f"dual share recursions disagree at {j}"
+            if not _close(shares[j], direct[j], 1e-12):
+                raise RuntimeError(f"dual share recursions disagree at {j}")
 
     ledger.events.append(EventRecord(t, c_pre, dict(contributions), None, indices, shares))
     return shares

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from corridor_pension import cli
+from corridor_pension import CorridorPolicy, GbmParams, Ledger, PoolConfig, cli, simulate
 from corridor_pension.pool_simulator import FixedPointResult
 
 
@@ -92,6 +92,40 @@ def test_simulate(tmp_path, capsys):
         "--paths", "200", "--seed", "11", "--out", str(tmp_path),
     )
     assert out2["mean_terminal_value"] == out["mean_terminal_value"]
+
+
+def test_simulate_index_capped_from_json_ledger(tmp_path, capsys):
+    # the ledger written by `index update` holds string ids "0".."3"
+    led = tmp_path / "led.json"
+    python_ledger = Ledger(mode="proportional")
+    c_pre = 0.0
+    for t in range(6):
+        contrib = {j: 1.0 + j + 0.25 * t for j in range(4)}
+        code, _ = run(capsys, "index", "update", str(led), "--mode", "proportional",
+                      "--t", str(t), "--c-pre", repr(c_pre),
+                      *[f"--contribution={j}={v!r}" for j, v in contrib.items()])
+        assert code == 0
+        python_ledger.record(t, contrib, c_pre)
+        c_pre = 1.1 * (c_pre + sum(contrib.values()))
+    pool = ["--mu", "0.045", "--sigma", "0.15", "--k", "0.05", "--n", "4", "--gamma", "0.8",
+            "--pi-ind", "0.1", "--T", "6", "--c0", "0.05", "--paths", "300", "--seed", "3",
+            "--out", str(tmp_path)]
+    code, capped = run(capsys, "simulate", *pool, "--regime", "IndexCappedHelp",
+                       "--ledger", str(led))
+    assert code == 0
+    code, strict = run(capsys, "simulate", *pool, "--regime", "NoHelpIfInsufficient")
+    assert code == 0
+    assert capped["shortfall_freq"] > 0
+    assert capped["mean_terminal_value"] != strict["mean_terminal_value"]
+    # the same ledger built in Python with integer ids gives the same run
+    want = simulate(
+        PoolConfig(n=4, gamma=0.8, pi_ind=0.1, T=6, regime="IndexCappedHelp",
+                   policy=CorridorPolicy(k=0.05), c0=0.05, index_source=python_ledger),
+        GbmParams(0.045, 0.15), 300, 3,
+    )
+    for field in ("mean_terminal_value", "penalized_objective", "realized_variation",
+                  "shortfall_freq", "external_support"):
+        assert capped[field] == pytest.approx(getattr(want, field), rel=1e-12), field
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

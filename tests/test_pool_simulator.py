@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,9 +14,9 @@ from corridor_pension.pool_simulator import (
     INDEX_CAPPED_HELP,
     NO_HELP_IF_INSUFFICIENT,
     PoolConfig,
+    SimulationResult,
     _coverage_ok,
-    _simulate_general,
-    _simulate_homogeneous,
+    _settle_rounds,
     best_response_gain,
     dp_check,
     fixed_point_barriers,
@@ -26,9 +27,38 @@ from corridor_pension.pool_simulator import (
     step,
     z_star,
 )
+from corridor_pension.claim_settlement import ClaimBatch, settle
+from corridor_pension.market_model import sample_return_matrix
 from corridor_pension.redistribution_index import Ledger
 
 A = GbmParams(0.045, 0.06)
+
+
+def replay(config, returns) -> SimulationResult:
+    """The statistics of `simulate`, from each sampled path stepped through `run_path`."""
+    n_paths, T = returns.shape
+    gp = [config.gamma * p for p in config.premiums]
+    terminal, rv, support, shortfall_steps = [], [], [], 0
+    for row in returns:
+        final, reports = run_path(config, row)
+        v_prev, path_rv = config.initial_values, 0.0
+        for rep in reports:
+            v = [r["V"] for r in rep.rows]
+            path_rv += sum((vi - vp - g) ** 2 / vp for vi, vp, g in zip(v, v_prev, gp)) / config.n
+            v_prev = v
+            shortfall_steps += rep.claims_total > 0 and not rep.covered
+        terminal.append(sum(a.value for a in final.accounts) / config.n)
+        rv.append(path_rv)
+        support.append(final.external_support)
+    mean_vt, mean_rv = float(np.mean(terminal)), float(np.mean(rv))
+    return SimulationResult(
+        mean_terminal_value=mean_vt,
+        penalized_objective=mean_vt - config.policy.alpha * mean_rv,
+        realized_variation=mean_rv,
+        shortfall_freq=shortfall_steps / (n_paths * T),
+        external_support=float(np.mean(support)),
+        n_paths=n_paths,
+    )
 
 
 def base_config(**kw):
@@ -227,16 +257,146 @@ def test_simulate_deterministic_and_engines_agree():
     r1 = simulate(cfg, A, 400, seed=9)
     r2 = simulate(cfg, A, 400, seed=9)
     assert r1 == r2
-    # force the general engine on an equivalent pool
-    from corridor_pension.market_model import sample_return_matrix
-
+    # the vectorized kernel against every path stepped through the scalar reference
     returns = sample_return_matrix(A, cfg.T, 400, 9)
-    fast = _simulate_homogeneous(cfg, returns)
-    slow = _simulate_general(cfg, returns)
+    fast = r1
+    slow = replay(cfg, returns)
     assert fast.mean_terminal_value == pytest.approx(slow.mean_terminal_value, rel=1e-10)
     assert fast.realized_variation == pytest.approx(slow.realized_variation, rel=1e-10)
     assert fast.shortfall_freq == slow.shortfall_freq
     assert fast.external_support == pytest.approx(slow.external_support, abs=1e-12)
+
+
+def capped_ledger(ids, T=12):
+    # the i-th id pays 1 + i each period into a pot that neither grows nor shrinks
+    led = Ledger(mode="proportional")
+    c_post = 0.0
+    for t in range(T):
+        contrib = {j: 1.0 + i for i, j in enumerate(ids)}
+        led.record(t, contrib, c_post)
+        c_post += sum(contrib.values())
+    return led
+
+
+KERNEL_POOL = dict(n=5, gamma=0.8, pi_ind=0.1, T=12)
+STRESSED = GbmParams(0.045, 0.15)
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("heterogeneous AlwaysHelp", PoolConfig(
+            regime=ALWAYS_HELP, policy=CorridorPolicy(alpha=2.0),
+            k_vec=(0.02, 0.05, 0.1, 0.2, 0.3), c0=0.05, **KERNEL_POOL)),
+        ("heterogeneous NoHelpIfInsufficient", PoolConfig(
+            regime=NO_HELP_IF_INSUFFICIENT, policy=CorridorPolicy(alpha=2.0),
+            k_vec=(0.02, 0.05, 0.1, 0.2, 0.3), c0=0.05, v0_ind=(1.0, 2.0, 0.5, 1.0, 1.5),
+            **KERNEL_POOL)),
+        ("IndexCappedHelp, integer ids", PoolConfig(
+            regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05,
+            index_source=capped_ledger(range(5)), **KERNEL_POOL)),
+        ("IndexCappedHelp, JSON round trip", PoolConfig(
+            regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05,
+            index_source=Ledger.from_json(capped_ledger(range(5)).to_json()), **KERNEL_POOL)),
+    ],
+)
+def test_kernel_matches_run_path_replay(name, config):
+    n_paths, seed = 80, 5
+    got = simulate(config, STRESSED, n_paths, seed)
+    want = replay(config, sample_return_matrix(STRESSED, config.T, n_paths, seed))
+    assert got.shortfall_freq == want.shortfall_freq > 0
+    for field in ("mean_terminal_value", "penalized_objective", "realized_variation"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12), field
+    assert got.external_support == pytest.approx(want.external_support, rel=1e-12, abs=1e-15)
+    if config.regime == INDEX_CAPPED_HELP:
+        # settlement paid something: the capped pool is not the strict one
+        strict = replace(config, regime=NO_HELP_IF_INSUFFICIENT, index_source=None)
+        assert got.mean_terminal_value != simulate(strict, STRESSED, n_paths, seed).mean_terminal_value
+
+
+def test_json_ledger_acts_like_python_ledger():
+    led = capped_ledger(range(5))
+    as_python = PoolConfig(regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05,
+                           index_source=led, **KERNEL_POOL)
+    as_json = replace(as_python, index_source=Ledger.from_json(led.to_json()))
+    assert simulate(as_json, STRESSED, 60, 2) == simulate(as_python, STRESSED, 60, 2)
+    # one period through the scalar step pays the same under both ledgers
+    pool = init_pool(as_python)
+    assert step(pool, 0.7, as_json)[1].rows == step(pool, 0.7, as_python)[1].rows
+
+
+def test_index_capped_needs_a_member_in_the_ledger():
+    with pytest.raises(ValueError, match="no pool member"):
+        base_config(regime=INDEX_CAPPED_HELP, index_source=capped_ledger(["a", "b"]))
+    # a ledger that holds some of the members is enough
+    base_config(regime=INDEX_CAPPED_HELP, index_source=capped_ledger(["2", "x"]))
+
+
+def test_invariants_raise_real_exceptions():
+    # a collective below zero outside AlwaysHelp, reached only by bypassing validation
+    cfg = base_config(regime=NO_HELP_IF_INSUFFICIENT)
+    object.__setattr__(cfg, "c0", -0.5)
+    with pytest.raises(RuntimeError, match="collective went negative"):
+        step(init_pool(cfg), 1.0, cfg)
+    with pytest.raises(RuntimeError, match="collective went negative"):
+        simulate(cfg, A, 10, seed=1)
+    # negative unit counts
+    cfg = base_config(v0_ind=(1.0, -0.5, 1.0))
+    with pytest.raises(ValueError):
+        step(init_pool(cfg), 1.0, cfg)
+    with pytest.raises(ValueError, match="negative unit count"):
+        simulate(cfg, A, 10, seed=1)
+
+
+def settle_columns(claims, weights, pools):
+    """`settle` on each column of (claims, weights), with weights normalized over the column."""
+    out = np.zeros_like(claims)
+    for b in range(claims.shape[1]):
+        total = weights[:, b].sum()
+        batch = ClaimBatch(claims[:, b], weights[:, b] / total, pools[b])
+        out[:, b] = settle(batch).allocations
+    return out
+
+
+def test_settle_rounds_named_cases():
+    # columns: README batch (three rounds), all fit in one round, terminal
+    # pro rata, zero claims and zero weights mixed in
+    claims = np.array([[4.0, 1.0, 10.0, 0.0], [6.0, 2.0, 10.0, 3.0], [20.0, 0.0, 10.0, 5.0],
+                       [35.0, 0.0, 10.0, 4.0], [80.0, 0.0, 10.0, 2.0]])
+    weights = np.array([[0.2, 0.5, 0.1, 0.4], [0.2, 0.5, 0.2, 0.0], [0.2, 0.0, 0.3, 0.3],
+                        [0.2, 0.0, 0.2, 0.3], [0.2, 0.0, 0.2, 0.0]])
+    pools = np.array([100.0, 100.0, 10.0, 6.0])
+    got = _settle_rounds(claims, weights, pools)
+    assert got[:, 0].tolist() == [4.0, 6.0, 20.0, 35.0, 35.0]
+    assert got[:, 1].tolist() == [1.0, 2.0, 0.0, 0.0, 0.0]
+    assert got[:, 2] == pytest.approx([1.0, 2.0, 3.0, 2.0, 2.0], rel=1e-15)
+    assert got[:, 3] == pytest.approx([0.0, 0.0, 3.0, 3.0, 0.0], rel=1e-15)  # weight 0: nothing
+    assert np.array_equal(got, settle_columns(claims, weights, pools))
+
+
+@given(
+    members=st.integers(1, 6),
+    batches=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_settle_rounds_match_settle(members, batches, data):
+    claim = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    shape = (members, batches)
+    claims = np.array(data.draw(st.lists(claim, min_size=members * batches,
+                                         max_size=members * batches))).reshape(shape)
+    weights = np.array(data.draw(st.lists(weight, min_size=members * batches,
+                                          max_size=members * batches))).reshape(shape)
+    weights[0, weights.sum(axis=0) == 0] = 1.0  # ClaimBatch needs weights summing to 1
+    pools = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=batches,
+                                        max_size=batches)))
+    got = _settle_rounds(claims, weights, pools)
+    want = settle_columns(claims, weights, pools)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * max(pools.max(), 1e-300))
+    assert np.all((got >= 0) & (got <= claims))
+    # a subnormal pool can be overpaid by a few of the smallest subnormals
+    assert np.all(got.sum(axis=0) <= pools * (1 + 1e-12) + members * 5e-324)
 
 
 def test_simulate_heterogeneous_routes_to_general():

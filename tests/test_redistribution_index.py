@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corridor_pension import redistribution_index
 from corridor_pension.redistribution_index import (
     Ledger,
     check_add,
@@ -85,6 +88,27 @@ def test_proportional_dual_recursions_agree_floats():
     led.record(3.0, {"a": 0.0, "b": 5.0}, 200.0)
     assert sum(led.shares.values()) == pytest.approx(1.0, abs=1e-12)
     assert check_cont(led)
+
+
+def test_dual_recursion_mismatch_raises(monkeypatch):
+    led = Ledger(mode="proportional")
+    led.record(1, {"a": 1.0}, 0.0)
+    # break the index route: equal shares where the direct recursion gives 1/4 and 3/4
+    monkeypatch.setattr(redistribution_index, "_normalize", lambda idx: {j: 0.5 for j in idx})
+    with pytest.raises(RuntimeError, match="dual share recursions disagree"):
+        led.record(2, {"b": 3.0}, 1.0)
+
+
+def test_no_assert_statements_in_package():
+    # invariants must hold under python -O, which strips assert statements
+    src = Path(redistribution_index.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_first_event_rules():
