@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .corridor_math import (
     m2,
     maximize_m2,
     mp_stationary_points,
-    profitability_lhs,
+    n_func,
 )
 from .market_model import GbmParams, sample_return_matrix
 from .pool_simulator import (
@@ -43,8 +44,6 @@ from .redistribution_index import (
     check_lin,
     check_mon,
 )
-
-from dataclasses import replace
 
 
 class CliError(Exception):
@@ -129,6 +128,11 @@ def _emit(obj):
     print(json.dumps(obj, indent=2, default=str))
 
 
+def _lhs_curve(params, policy, ks):
+    # profitability_lhs at each k: the transfer-only objective without discount
+    return m1(params, replace(policy, J=0.0), ks)
+
+
 def cmd_profitability(args) -> int:
     cfg = _load_config(args.config)
     params = _market(args, cfg)
@@ -136,10 +140,8 @@ def cmd_profitability(args) -> int:
     out = _out_dir(args, cfg)
     grid = _grid(args, cfg)
     ks = np.linspace(0.0, 1.0, grid)
-    rows = []
-    for k in ks:
-        lhs = profitability_lhs(params, replace(policy, k=float(k)))
-        rows.append([f"{k:.10g}", f"{lhs:.17g}", int(lhs <= 1e-12)])
+    lhs = _lhs_curve(params, policy, ks)
+    rows = [[f"{k:.10g}", f"{v:.17g}", int(v <= 1e-12)] for k, v in zip(ks, lhs)]
     _write_csv(out / "profitability.csv", ["k", "lhs", "admissible"], rows)
     k_min = admissible_min_k(params, policy)
     stationary = mp_stationary_points(params, policy)
@@ -171,17 +173,14 @@ def cmd_optimize(args) -> int:
     include_gated = c is not None
     if include_gated:
         header.insert(3, "n_gated")
-    rows = []
-    for k in ks:
-        kf = float(k)
-        lhs = profitability_lhs(params, replace(policy, k=kf))
-        row = [f"{kf:.10g}", f"{m1(params, policy, kf):.17g}", f"{m2(params, policy, kf):.17g}"]
-        if include_gated:
-            from .corridor_math import n_func
-
-            row.append(f"{n_func(params, policy, float(c), kf):.17g}")
-        row.append(int(lhs <= 1e-12))
-        rows.append(row)
+    columns = [m1(params, policy, ks), m2(params, policy, ks)]
+    if include_gated:
+        columns.append(n_func(params, policy, float(c), ks))
+    admissible = _lhs_curve(params, policy, ks) <= 1e-12
+    rows = [
+        [f"{k:.10g}", *(f"{v:.17g}" for v in vals), int(ok)]
+        for k, *vals, ok in zip(ks, *columns, admissible)
+    ]
     _write_csv(out / "optimize_curves.csv", header, rows)
 
     summary = {

@@ -17,7 +17,11 @@ evaluates, in closed form over lognormal partial moments:
   cutoff net return c, as seen by an agent in a finite pool,
 * the auxiliary convex functional `xi` with its closed-form derivatives.
 
-Optimizers are grid scans with golden-section refinement because the
+Every one of them is a moment of one piecewise-affine payoff of the gross
+return (`_payoff`, turned into moments by `_moments`), and the functionals
+taking a boundary k accept an array of k as well, returning an array.
+
+Optimizers are grid scans with a zoomed rescan around each peak because the
 objectives can be bimodal; near-equal maxima are reported as ties and resolved
 by the slope of the transfer-only objective `m1`.
 
@@ -28,13 +32,13 @@ happens here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.special import ndtr
 
-from .market_model import GbmParams, density, partial_moment
+from .market_model import GbmParams, _cum_moment, density
 
 __all__ = [
     "CorridorPolicy",
@@ -131,41 +135,83 @@ class M1Result:
     value_at_one: float
 
 
-def _pieces(policy: CorridorPolicy, k: float):
-    # affine pieces (lo, hi, const, slope) of g(y) = (y-1) - give*(y-1-kp)+ + help*(1-k-y)+
-    L, U = 1.0 - k, 1.0 + k * policy.p
-    h, q = policy.help_frac, policy.give_frac
-    ps = []
-    if L > 0:
-        ps.append((0.0, L, h * L - 1.0, 1.0 - h))
-    ps.append((max(L, 0.0), U, -1.0, 1.0))
-    ps.append((U, math.inf, q * U - 1.0, 1.0 - q))
-    return ps
+def _payoff(k, help_frac, give_frac, p, c=-1.0, with_return=True):
+    """Affine pieces of r*(y - 1) + t(y) in the gross return y, r = 1 or 0.
+
+    The transfer t(y) is help_frac*(L - y) on (G, L] and -give_frac*(y - U) on
+    (U, inf), zero elsewhere, with L = 1 - k, U = 1 + k*p and the help gate
+    G = clip(1 + c, 0, L); c = -1 means no gate.  Returns the edges
+    0 <= G <= L <= U < inf of the four intervals and each interval's constant
+    and slope, stacked along a first axis in front of the shape of k.
+    """
+    k = np.asarray(k, dtype=float)
+    L, U = 1.0 - k, 1.0 + k * p
+    zero = np.zeros_like(k)
+    r = 1.0 if with_return else 0.0
+    edges = np.array([zero, np.minimum(max(1.0 + c, 0.0), L), L, U, zero + math.inf])
+    const = np.array([zero - r, help_frac * L - r, zero - r, give_frac * U - r])
+    slope = np.array([r, r - help_frac, r, r - give_frac]).reshape((4,) + (1,) * k.ndim)
+    return edges, const, slope
 
 
-def _moments_of_pieces(params: GbmParams, pieces) -> tuple[float, float]:
-    # first and second moment of a piecewise-affine payoff in Y
-    m1v = m2v = 0.0
-    for lo, hi, c, s in pieces:
-        if hi <= lo:
-            continue
-        p0 = partial_moment(params, 0, lo, hi)
-        p1 = partial_moment(params, 1, lo, hi)
-        m1v += c * p0 + s * p1
-        if s != 0.0 or c != 0.0:
-            p2 = partial_moment(params, 2, lo, hi)
-            m2v += c * c * p0 + 2.0 * c * s * p1 + s * s * p2
-    return m1v, m2v
+def _moments(params: GbmParams, pieces, second: bool = True):
+    """E[f(Y)] and (when `second`, else 0) E[f(Y)^2] for the pieces of `_payoff`."""
+    edges, a, b = pieces
+
+    def mass(n):
+        # E[Y^n 1{Y in interval}] for each interval between consecutive edges
+        cum = _cum_moment(params, n, edges)
+        return cum[1:] - cum[:-1]
+
+    p0, p1 = mass(0), mass(1)
+    first = (a * p0 + b * p1).sum(axis=0)
+    if not second:
+        return first, 0.0
+    return first, (a * a * p0 + 2.0 * a * b * p1 + b * b * mass(2)).sum(axis=0)
+
+
+def _transfer_slope(params: GbmParams, help_frac, give_frac, p, k):
+    """d/dk of E[t(Y)] without a gate: -help_frac P(Y <= L) + give_frac p P(Y > U).
+
+    The upper tail comes from the complementary CDF, so it does not cancel to
+    0 while the lower tail is still positive.
+    """
+    k = np.asarray(k, dtype=float)
+    below = _cum_moment(params, 0, 1.0 - k)
+    above = ndtr((params.mu - np.log(1.0 + k * p)) / params.sigma)
+    return -help_frac * below + give_frac * p * above
+
+
+def _psi(params: GbmParams, policy: CorridorPolicy, k, c=-1.0):
+    # (E[g], E[g^2]) of the relative change g(Y) = Y - 1 + t(Y), help gated at c
+    return _moments(params, _payoff(k, policy.help_frac, policy.give_frac, policy.p, c))
+
+
+def _transfer_mean(params: GbmParams, policy: CorridorPolicy, k):
+    # E[t(Y)]: the collective's expected outflow per unit of account value
+    pieces = _payoff(k, policy.help_frac, policy.give_frac, policy.p, with_return=False)
+    return _moments(params, pieces, second=False)[0]
+
+
+def _like(k, x):
+    # a Python float for a scalar k, the array for an array k
+    return float(x) if np.ndim(k) == 0 else x
+
+
+def _check_k(k):
+    k = np.asarray(k)
+    if not np.all((0.0 <= k) & (k <= 1.0)):
+        raise ValueError("k must be in [0, 1]")
 
 
 def psi1(params: GbmParams, policy: CorridorPolicy) -> float:
     """Mean of the transfer-adjusted relative account change over one period."""
-    return _moments_of_pieces(params, _pieces(policy, policy.k))[0]
+    return float(_psi(params, policy, policy.k)[0])
 
 
 def psi2(params: GbmParams, policy: CorridorPolicy) -> float:
     """Raw second moment of the transfer-adjusted relative account change."""
-    return _moments_of_pieces(params, _pieces(policy, policy.k))[1]
+    return float(_psi(params, policy, policy.k)[1])
 
 
 def profitability_lhs(params: GbmParams, policy: CorridorPolicy) -> float:
@@ -174,24 +220,19 @@ def profitability_lhs(params: GbmParams, policy: CorridorPolicy) -> float:
     help_frac * E[(1-k-Y)+] - give_frac * E[(Y-1-k*p)+]; the policy is
     admissible iff this is <= 0 (the collective does not lose in expectation).
     """
-    return _lhs(params, policy, policy.k)
+    return float(_transfer_mean(params, policy, policy.k))
 
 
-def _lhs(params: GbmParams, policy: CorridorPolicy, k: float) -> float:
-    L, U = 1.0 - k, 1.0 + k * policy.p
-    short = 0.0
-    if L > 0:
-        short = L * partial_moment(params, 0, 0.0, L) - partial_moment(params, 1, 0.0, L)
-    excess = partial_moment(params, 1, U, math.inf) - U * partial_moment(params, 0, U, math.inf)
-    return policy.help_frac * short - policy.give_frac * excess
+def _bisect(inside: Callable, lo, hi, tol: float):
+    """Halve brackets with `inside` false at lo and true at hi to width <= tol; returns hi.
 
-
-def _lhs_d(params: GbmParams, policy: CorridorPolicy, k: float) -> float:
-    # d/dk of the profitability LHS
-    L, U = 1.0 - k, 1.0 + k * policy.p
-    f0_below = partial_moment(params, 0, 0.0, L) if L > 0 else 0.0
-    f0_above = 1.0 - (partial_moment(params, 0, 0.0, U) if U > 0 else 0.0)
-    return -policy.help_frac * f0_below + policy.give_frac * policy.p * f0_above
+    lo and hi may be arrays of brackets of equal width, halved together.
+    """
+    while np.any(hi - lo > tol):
+        mid = 0.5 * (lo + hi)
+        yes = inside(mid)
+        lo, hi = np.where(yes, lo, mid), np.where(yes, mid, hi)
+    return hi
 
 
 def admissible_min_k(
@@ -203,33 +244,29 @@ def admissible_min_k(
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    n = 2001
-    ks = np.linspace(0.0, 1.0, n)
-    vals = [_lhs(params, policy, k) for k in ks]
-    for i, v in enumerate(vals):
-        if v <= LHS_TOL:
-            if i == 0:
-                return 0.0
-            lo, hi = ks[i - 1], ks[i]
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if _lhs(params, policy, mid) <= LHS_TOL:
-                    hi = mid
-                else:
-                    lo = mid
-            return float(hi)
-    return None
+
+    def admissible(k):
+        return _transfer_mean(params, policy, k) <= LHS_TOL
+
+    ks = np.linspace(0.0, 1.0, 2001)
+    ok = admissible(ks)
+    if not ok.any():
+        return None
+    i = int(np.argmax(ok))
+    if i == 0:
+        return 0.0
+    return float(_bisect(admissible, ks[i - 1], ks[i], tol))
 
 
-def m1(params: GbmParams, policy: CorridorPolicy, k: float) -> float:
+def m1(params: GbmParams, policy: CorridorPolicy, k):
     """Transfer-only objective: the discounted profitability LHS."""
-    return (1.0 - policy.J) * _lhs(params, policy, k)
+    return _like(k, (1.0 - policy.J) * _transfer_mean(params, policy, k))
 
 
-def m2(params: GbmParams, policy: CorridorPolicy, k: float) -> float:
+def m2(params: GbmParams, policy: CorridorPolicy, k):
     """Mean-minus-weighted-second-moment objective at boundary k."""
-    s1, s2 = _moments_of_pieces(params, _pieces(policy, k))
-    return s1 - policy.alpha * s2
+    s1, s2 = _psi(params, policy, k)
+    return _like(k, s1 - policy.alpha * s2)
 
 
 def horizon_objective(
@@ -252,10 +289,9 @@ def horizon_objective(
     return gain - alpha * pen
 
 
-def m2_horizon(params: GbmParams, policy: CorridorPolicy, k: float, T: int) -> float:
+def m2_horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
     """The objective of `horizon_objective` with the boundary held at k for T periods."""
-    s = _moments_of_pieces(params, _pieces(policy, k))
-    return horizon_objective([s] * T, policy.alpha)
+    return _like(k, horizon_objective([_psi(params, policy, k)] * T, policy.alpha))
 
 
 def mp_stationary_points(
@@ -263,20 +299,20 @@ def mp_stationary_points(
 ) -> list[tuple[float, str]]:
     """Interior stationary points of the unconstrained transfer-only objective.
 
-    Scans the closed-form derivative for sign changes on (0, 1) and polishes
-    each bracket with Brent's method.  Returns (k, kind) pairs with kind "max"
-    for a +/- derivative change and "min" for -/+.
+    Scans the closed-form derivative for sign changes on (0, 1) and bisects
+    each bracket to 1e-12.  Returns (k, kind) pairs with kind "max" for a
+    +/- derivative change and "min" for -/+.
     """
+
+    def slope(k):
+        return _transfer_slope(params, policy.help_frac, policy.give_frac, policy.p, k)
+
     ks = np.linspace(0.0, 1.0, grid)
-    dv = [_lhs_d(params, policy, k) for k in ks]
-    out = []
-    for i in range(1, grid):
-        a, b = dv[i - 1], dv[i]
-        if a == 0.0 or a * b >= 0.0:
-            continue
-        root = brentq(lambda k: _lhs_d(params, policy, k), ks[i - 1], ks[i], xtol=1e-12)
-        out.append((float(root), "max" if a > 0 else "min"))
-    return out
+    dv = slope(ks)
+    i = np.flatnonzero((dv[:-1] != 0.0) & (dv[:-1] * dv[1:] < 0.0))
+    up = dv[i] > 0
+    roots = _bisect(lambda k: (slope(k) > 0) != up, ks[i], ks[i + 1], 1e-12)
+    return [(float(k), "max" if u else "min") for k, u in zip(roots, up)]
 
 
 def maximize_m1(
@@ -308,63 +344,64 @@ def _m1_slope(params, policy, k, k_min, step=1e-5):
     return (m1(params, policy, hi) - m1(params, policy, lo)) / (hi - lo)
 
 
+def _zoom(f: Callable, lo: float, hi: float, tol: float, points: int = 65):
+    """Maximize f on [lo, hi] by rescanning around the best point until the bracket is <= tol."""
+    while True:
+        ks = np.linspace(lo, hi, points)
+        vs = f(ks)
+        i = int(np.argmax(vs))
+        if hi - lo <= tol:
+            return float(ks[i]), float(vs[i])
+        lo, hi = ks[max(i - 1, 0)], ks[min(i + 1, points - 1)]
+
+
 def _maximize_scalar(
-    f: Callable[[float], float],
+    f: Callable,
     k_min: float,
     grid: int,
     tol: float,
     tie_tol: float,
     slope_at: Callable[[float], float],
 ) -> OptResult:
-    """Grid scan + bounded local refinement with tie detection.
+    """Grid scan + local zoom refinement with tie detection.
 
-    Candidates are competitive grid-local maxima; two of them are distinct only
-    when the grid dips below both by more than tie_tol in between, so a
-    numerically flat plateau collapses to one candidate while genuinely
-    separated maxima survive.  Refined candidates within tie_tol of the best
-    value and separated by more than TIE_SEPARATION in k count as a tie,
+    `f` maps an array of k to an array of values.  Candidates are competitive
+    grid-local maxima; two of them are distinct only when the grid dips below
+    both by more than tie_tol in between, so a numerically flat plateau
+    collapses to one candidate while genuinely separated maxima survive.
+    Each candidate is refined by `_zoom` to max(tol, 1e-12) and keeps its grid
+    point if refinement does worse.  Refined candidates within tie_tol of the
+    best value and separated by more than TIE_SEPARATION in k count as a tie,
     resolved by the sign of `slope_at` at the smaller maximizer: negative
     slope keeps the smaller one, nonnegative the larger.
     """
     ks = np.linspace(k_min, 1.0, grid)
-    vs = np.array([f(k) for k in ks])
-    vmax = float(vs.max())
+    vs = f(ks)
     margin = max(10.0 * tie_tol, 1e-3)
-
-    peaks = [
-        i
-        for i in range(grid)
-        if (i == 0 or vs[i] >= vs[i - 1])
-        and (i == grid - 1 or vs[i] >= vs[i + 1])
-        and vs[i] >= vmax - margin
-    ]
+    rising = np.r_[True, vs[1:] >= vs[:-1]]
+    falling = np.r_[vs[:-1] >= vs[1:], True]
+    peaks = np.flatnonzero(rising & falling & (vs >= vs.max() - margin))
 
     # merge peaks with no real dip between them: one plateau, one candidate
-    merged: list[int] = [peaks[0]]
+    merged: list[int] = [int(peaks[0])]
     for i in peaks[1:]:
         j = merged[-1]
-        dip = min(vs[j], vs[i]) - float(vs[j : i + 1].min())
+        dip = min(vs[j], vs[i]) - vs[j : i + 1].min()
         if dip <= tie_tol:
             if vs[i] > vs[j]:
-                merged[-1] = i
+                merged[-1] = int(i)
         else:
-            merged.append(i)
+            merged.append(int(i))
 
     cands: list[tuple[float, float]] = []
     for best in merged:
-        lo = ks[max(best - 1, 0)]
-        hi = ks[min(best + 1, grid - 1)]
+        cand = float(ks[best]), float(vs[best])
+        lo, hi = ks[max(best - 1, 0)], ks[min(best + 1, grid - 1)]
         if hi > lo:
-            res = minimize_scalar(
-                lambda k: -f(k), bounds=(lo, hi), method="bounded",
-                options={"xatol": max(tol, 1e-12)},
-            )
-            k_ref, v_ref = float(res.x), float(-res.fun)
-            if v_ref < vs[best]:
-                k_ref, v_ref = float(ks[best]), float(vs[best])
-        else:
-            k_ref, v_ref = float(ks[best]), float(vs[best])
-        cands.append((k_ref, v_ref))
+            zoomed = _zoom(f, lo, hi, max(tol, 1e-12))
+            if zoomed[1] >= cand[1]:
+                cand = zoomed
+        cands.append(cand)
 
     cands.sort(key=lambda kv: kv[0])
     best_v = max(v for _, v in cands)
@@ -380,6 +417,19 @@ def _maximize_scalar(
     if slope_at(k_small) < 0.0:
         return OptResult(k_small, v_small, True, tuple(cands))
     return OptResult(k_large, v_large, True, tuple(cands))
+
+
+def _search_args(params, policy, k_min, grid, tol):
+    # validation shared by maximize_m2 and k_of_c; returns the resolved k_min
+    if grid < 100:
+        raise ValueError("grid must be >= 100")
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    if k_min is None:
+        k_min = admissible_min_k(params, policy)
+    if k_min is None:
+        raise ValueError("no admissible boundary in [0, 1]")
+    return float(k_min)
 
 
 def maximize_m2(
@@ -400,20 +450,13 @@ def maximize_m2(
     near-equal values (within tie_tol) set tie_flag and the slope rule of
     `_maximize_scalar` picks the winner.
     """
-    if grid < 100:
-        raise ValueError("grid must be >= 100")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     if T < 1:
         raise ValueError("T must be >= 1")
-    if k_min is None:
-        k_min = admissible_min_k(params, policy)
-    if k_min is None:
-        raise ValueError("no admissible boundary in [0, 1]")
+    k_min = _search_args(params, policy, k_min, grid, tol)
     return _maximize_scalar(
         lambda k: m2_horizon(params, policy, k, T),
-        float(k_min), grid, tol, tie_tol,
-        lambda k: _m1_slope(params, policy, k, float(k_min)),
+        k_min, grid, tol, tie_tol,
+        lambda k: _m1_slope(params, policy, k, k_min),
     )
 
 
@@ -431,34 +474,17 @@ def h_payoff(rho, c: float, k: float, policy: CorridorPolicy):
     return float(out) if np.isscalar(rho) else out
 
 
-def n_func(params: GbmParams, policy: CorridorPolicy, c: float, k: float) -> float:
+def n_func(params: GbmParams, policy: CorridorPolicy, c: float, k):
     """Closed-form E[h - alpha h^2] for the gated payoff of `h_payoff`.
 
-    The gate clips the help leg to gross returns in (1+c, 1-k); breakpoints
-    are assembled per segment so the piecewise-affine structure stays exact.
+    The gate clips the help leg to gross returns in (1+c, 1-k): the payoff of
+    `m2` with the help interval starting at G = clip(1+c, 0, 1-k).
     """
     if not -1.0 <= c <= 0.0:
         raise ValueError("c must be in [-1, 0]")
-    if not 0.0 <= k <= 1.0:
-        raise ValueError("k must be in [0, 1]")
-    L, U = 1.0 - k, 1.0 + k * policy.p
-    lo_help = 1.0 + c
-    cuts = sorted({0.0, L, U, lo_help} | {math.inf})
-    h, q = policy.help_frac, policy.give_frac
-    pieces = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo or hi <= 0:
-            continue
-        mid = lo + 0.5 * min(hi - lo, 1.0)
-        const, slope = -1.0, 1.0
-        if mid > U:
-            const, slope = q * U - 1.0, 1.0 - q
-        if lo_help < mid < L:
-            const += h * L
-            slope -= h
-        pieces.append((max(lo, 0.0), hi, const, slope))
-    s1, s2 = _moments_of_pieces(params, pieces)
-    return s1 - policy.alpha * s2
+    _check_k(k)
+    s1, s2 = _psi(params, policy, k, c)
+    return _like(k, s1 - policy.alpha * s2)
 
 
 def k_of_c(
@@ -474,40 +500,24 @@ def k_of_c(
 
     Same search machinery as `maximize_m2` applied to the gated objective.
     """
-    if grid < 100:
-        raise ValueError("grid must be >= 100")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if k_min is None:
-        k_min = admissible_min_k(params, policy)
-    if k_min is None:
-        raise ValueError("no admissible boundary in [0, 1]")
+    k_min = _search_args(params, policy, k_min, grid, tol)
     return _maximize_scalar(
         lambda k: n_func(params, policy, c, k),
-        float(k_min), grid, tol, tie_tol,
-        lambda k: _m1_slope(params, policy, k, float(k_min)),
+        k_min, grid, tol, tie_tol,
+        lambda k: _m1_slope(params, policy, k, k_min),
     )
 
 
-def xi(params: GbmParams, xp: XiParams, k: float) -> float:
+def xi(params: GbmParams, xp: XiParams, k):
     """E[rho + (1/a)(-rho-k)+ - (1/b)(rho-k)+] with symmetric boundaries."""
-    if not 0.0 <= k <= 1.0:
-        raise ValueError("k must be in [0, 1]")
-    L, U = 1.0 - k, 1.0 + k
-    mean_rho = partial_moment(params, 1, 0.0, math.inf) - 1.0
-    short = 0.0
-    if L > 0:
-        short = L * partial_moment(params, 0, 0.0, L) - partial_moment(params, 1, 0.0, L)
-    excess = partial_moment(params, 1, U, math.inf) - U * partial_moment(params, 0, U, math.inf)
-    return mean_rho + short / xp.a - excess / xp.b
+    _check_k(k)
+    pieces = _payoff(k, 1.0 / xp.a, 1.0 / xp.b, 1.0)
+    return _like(k, _moments(params, pieces, second=False)[0])
 
 
-def xi_d1(params: GbmParams, xp: XiParams, k: float) -> float:
+def xi_d1(params: GbmParams, xp: XiParams, k):
     """First derivative of `xi` in k."""
-    L, U = 1.0 - k, 1.0 + k
-    below = partial_moment(params, 0, 0.0, L) if L > 0 else 0.0
-    above = 1.0 - partial_moment(params, 0, 0.0, U)
-    return -below / xp.a + above / xp.b
+    return _like(k, _transfer_slope(params, 1.0 / xp.a, 1.0 / xp.b, 1.0, k))
 
 
 def xi_d2(params: GbmParams, xp: XiParams, k: float) -> float:

@@ -18,20 +18,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 __all__ = [
     "GbmParams",
-    "PathSample",
     "density",
     "density_peak",
     "partial_moment",
-    "sample_returns",
     "sample_return_matrix",
     "expect_quad",
     "expect_mc",
-    "worker_seeds",
 ]
 
 # lognormal mass beyond 10 sigma is below 1e-20; quadrature windows use this
@@ -56,24 +52,6 @@ class GbmParams:
     def mean_return(self) -> float:
         """E[Y] = exp(mu + sigma^2/2)."""
         return math.exp(self.mu + 0.5 * self.sigma**2)
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated path of per-period gross returns, tagged with its seed."""
-
-    gross_returns: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        gr = np.asarray(self.gross_returns, dtype=float)
-        if gr.ndim != 1 or gr.size == 0 or not np.all(gr > 0):
-            raise ValueError("gross_returns must be a nonempty 1-d array of positives")
-        object.__setattr__(self, "gross_returns", gr)
-
-    def prices(self, h0: float = 1.0) -> np.ndarray:
-        """Fund price trajectory H_0..H_T implied by the returns."""
-        return h0 * np.concatenate(([1.0], np.cumprod(self.gross_returns)))
 
 
 def density(params: GbmParams, y):
@@ -113,25 +91,16 @@ def partial_moment(params: GbmParams, order: int, lo: float, hi: float) -> float
         raise ValueError("need lo < hi")
     if lo < 0:
         raise ValueError("lo must be >= 0")
-    return _cum_moment(params, order, hi) - _cum_moment(params, order, lo)
+    return float(_cum_moment(params, order, hi) - _cum_moment(params, order, lo))
 
 
-def _cum_moment(params: GbmParams, n: int, c: float) -> float:
-    # E[Y^n 1{Y <= c}]; c <= 0 contributes nothing, c = inf gives the full moment
-    if c <= 0:
-        return 0.0
+def _cum_moment(params: GbmParams, n: int, c):
+    # E[Y^n 1{Y <= c}] elementwise over a scalar or array c: c <= 0 gives 0,
+    # c = inf the full moment exp(n mu + n^2 sigma^2 / 2)
     scale = math.exp(n * params.mu + 0.5 * n * n * params.sigma**2)
-    if math.isinf(c):
-        return scale
-    z = (math.log(c) - params.mu) / params.sigma - n * params.sigma
-    return scale * float(ndtr(z))
-
-
-def worker_seeds(seed: int, n_workers: int) -> list[np.random.SeedSequence]:
-    """Derive independent child seed sequences for partitioned sampling."""
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    return np.random.SeedSequence(seed).spawn(n_workers)
+    with np.errstate(divide="ignore"):
+        z = (np.log(np.maximum(c, 0.0)) - params.mu) / params.sigma - n * params.sigma
+    return scale * ndtr(z)
 
 
 def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -139,48 +108,16 @@ def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri(rng.random(shape))
 
 
-def sample_returns(
-    params: GbmParams,
-    T: int,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-) -> list[PathSample]:
+def sample_return_matrix(params: GbmParams, T: int, n_paths: int, seed: int) -> np.ndarray:
     """Draw `n_paths` i.i.d. paths of T per-period gross returns exp(mu + sigma Z).
 
-    Deterministic for fixed (seed, workers); paths are partitioned across
-    `workers` child streams so a partitioned run reproduces the single-stream
-    statistics contract.
+    Returns an (n_paths, T) array; deterministic for a fixed seed.  All draws
+    come from one stream, the first child of `SeedSequence(seed)`.
     """
     if T < 1 or n_paths < 1:
         raise ValueError("T and n_paths must be >= 1")
-    counts = [n_paths // workers + (1 if w < n_paths % workers else 0) for w in range(workers)]
-    out: list[PathSample] = []
-    for child, count in zip(worker_seeds(seed, workers), counts):
-        if count == 0:
-            continue
-        rng = np.random.default_rng(child)
-        z = _standard_normals(rng, (count, T))
-        y = np.exp(params.mu + params.sigma * z)
-        tag = int(child.entropy) if isinstance(child.entropy, int) else seed
-        out.extend(PathSample(gross_returns=row, seed=tag) for row in y)
-    return out
-
-
-def sample_return_matrix(
-    params: GbmParams, T: int, n_paths: int, seed: int, workers: int = 1
-) -> np.ndarray:
-    """Same draws as `sample_returns` but as one (n_paths, T) array."""
-    if T < 1 or n_paths < 1:
-        raise ValueError("T and n_paths must be >= 1")
-    counts = [n_paths // workers + (1 if w < n_paths % workers else 0) for w in range(workers)]
-    blocks = []
-    for child, count in zip(worker_seeds(seed, workers), counts):
-        if count == 0:
-            continue
-        rng = np.random.default_rng(child)
-        blocks.append(np.exp(params.mu + params.sigma * _standard_normals(rng, (count, T))))
-    return np.vstack(blocks)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return np.exp(params.mu + params.sigma * _standard_normals(rng, (n_paths, T)))
 
 
 def expect_quad(
@@ -194,7 +131,10 @@ def expect_quad(
     Substitutes y = exp(mu + sigma z) so the integral becomes one against the
     standard normal density on |z| <= 10.  `breakpoints` are y-space kinks of
     fn; they are mapped into z and handed to quad as interior points.
+    scipy's quadrature is imported here, on first use, not with the package.
     """
+    from scipy import integrate
+
     mu, sg = params.mu, params.sigma
 
     def integrand(z):

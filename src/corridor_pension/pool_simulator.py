@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,12 +36,11 @@ import numpy as np
 from .claim_settlement import ClaimBatch, settle
 from .corridor_math import (
     CorridorPolicy,
+    _psi,
     admissible_min_k,
     horizon_objective,
     k_of_c,
     n_func,
-    psi1,
-    psi2,
 )
 from .market_model import GbmParams, density_peak, sample_return_matrix
 from .redistribution_index import Ledger, index_for_pool
@@ -96,8 +95,10 @@ class PoolConfig:
     pi_ind may be a scalar (homogeneous premia) or one value per individual;
     pi_all defaults to their sum.  k_vec overrides the policy boundary per
     individual.  index_source must be a recorded ledger when the regime is
-    IndexCappedHelp, and at least one member id 0..n-1 must appear in it
-    (compared as strings, so a JSON ledger's "0" is member 0).
+    IndexCappedHelp, with an event before t = 1 (the first period reads the
+    shares before it), and at least one member id 0..n-1 must appear in it
+    (compared as strings, so a JSON ledger's "0" is member 0).  Initial
+    values must be nonnegative.
     """
 
     n: int
@@ -124,6 +125,8 @@ class PoolConfig:
             raise ValueError("h0 must be positive and c0 nonnegative")
         if any(p < 0 for p in self.premiums):
             raise ValueError("premia must be nonnegative")
+        if any(v < 0 for v in self.initial_values):
+            raise ValueError("initial values must be nonnegative")
         if self.k_vec is not None:
             if len(self.k_vec) != self.n or not all(0 <= k <= 1 for k in self.k_vec):
                 raise ValueError("k_vec needs n entries in [0, 1]")
@@ -136,6 +139,9 @@ class PoolConfig:
         if self.regime == INDEX_CAPPED_HELP:
             if self.index_source is None:
                 raise ValueError("IndexCappedHelp needs an index_source ledger")
+            events = self.index_source.events
+            if not events or not events[0].t < 1:
+                raise ValueError("the index_source ledger needs an event before t = 1")
             if not {str(j) for j in self.index_source.ids} & {str(i) for i in range(self.n)}:
                 raise ValueError("no pool member (ids 0..n-1) appears in the index_source ledger")
 
@@ -590,17 +596,20 @@ def dp_check(
 
     The expected-value recursion makes the T-period objective a closed form in
     the per-period first and second moments (`horizon_objective`), so profiles
-    on grid^T can be enumerated exactly.  Values are reported as terminal
-    values, v0 plus that objective.  Verdict is value-based: stationary means
-    no profile beats the best constant profile by more than tol.
+    on grid^T can be enumerated exactly.  The boundaries are the grid on
+    [k_min, 1], the admissible set `maximize_m2` searches; no admissible
+    boundary raises.  Values are reported as terminal values, v0 plus that
+    objective.  Verdict is value-based: stationary means no profile beats the
+    best constant profile by more than tol.
     """
     if T < 1 or T > 4:
         raise ValueError("dp_check supports 1 <= T <= 4")
-    ks = np.linspace(0.0, 1.0, grid)
-    pairs = []
-    for k in ks:
-        pol_k = replace(policy, k=float(k))
-        pairs.append((psi1(params, pol_k), psi2(params, pol_k)))
+    k_min = admissible_min_k(params, policy)
+    if k_min is None:
+        raise ValueError("no admissible boundary in [0, 1]")
+    ks = np.linspace(k_min, 1.0, grid)
+    s1, s2 = _psi(params, policy, ks)
+    pairs = list(zip(s1.tolist(), s2.tolist()))
 
     def value(profile) -> float:
         moments = [pairs[idx] for idx in profile]

@@ -27,7 +27,7 @@ from corridor_pension.corridor_math import (
     xi_d1,
     xi_d2,
 )
-from corridor_pension.market_model import GbmParams, expect_quad
+from corridor_pension.market_model import GbmParams, expect_quad, partial_moment
 
 A = GbmParams(0.045, 0.06)
 POL4 = CorridorPolicy(alpha=4.0)
@@ -135,6 +135,69 @@ def test_mp_stationary_points_asymmetric():
     assert profitability_lhs(AS, replace(ASYM, k=maxima[0])) == pytest.approx(
         1.4431714088788267e-4, rel=1e-9
     )
+
+
+def test_mp_stationary_points_upper_tail_underflow():
+    # past k = 0.5 the upper tail P(Y > 1 + kp) is below 1e-16; taken as
+    # 1 - P(Y <= 1 + kp) it cancelled to 0 and a spurious "max" at 0.5116
+    # appeared next to the real minimum
+    params = GbmParams(0.010047987343473145, 0.06523547758875652)
+    pol = CorridorPolicy(p=1.4366670521756526, give_frac=0.14065056722291297)
+    pts = mp_stationary_points(params, pol)
+    assert len(pts) == 1
+    assert pts[0][1] == "min"
+    assert pts[0][0] == pytest.approx(0.28162753943303515, abs=1e-9)
+
+
+def test_array_k_matches_scalar_calls():
+    ks = np.linspace(0.0, 1.0, 41)
+    pol = replace(POL4, p=1.5, J=0.2)
+    xp = XiParams(2.0, 4.0)
+    curves = {
+        "m1": lambda k: m1(A, pol, k),
+        "m2": lambda k: m2(A, pol, k),
+        "m2_horizon": lambda k: m2_horizon(A, pol, k, 3),
+        "n_func": lambda k: n_func(A, pol, -0.1, k),
+        "xi": lambda k: xi(A, xp, k),
+        "xi_d1": lambda k: xi_d1(A, xp, k),
+    }
+    for name, f in curves.items():
+        scalars = [f(float(k)) for k in ks]
+        assert all(type(v) is float for v in scalars), name
+        vec = f(ks)
+        assert isinstance(vec, np.ndarray) and vec.shape == ks.shape, name
+        assert vec == pytest.approx(scalars, rel=1e-14, abs=1e-17), name
+    lhs = [profitability_lhs(A, replace(pol, k=float(k))) for k in ks]
+    assert m1(A, replace(pol, J=0.0), ks) == pytest.approx(lhs, rel=1e-14, abs=1e-17)
+    assert type(psi1(A, pol)) is float and type(psi2(A, pol)) is float
+    with pytest.raises(ValueError):
+        n_func(A, pol, -0.1, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        xi(A, xp, np.array([-0.1, 0.5]))
+
+
+def test_lhs_and_xi_match_partial_moment_formulas():
+    # the shortfall and excess terms written out over partial_moment, as each
+    # functional computed them before they shared one payoff core
+    inf = math.inf
+
+    def short_excess(params, L, U):
+        short = L * partial_moment(params, 0, 0.0, L) - partial_moment(params, 1, 0.0, L) if L > 0 else 0.0
+        excess = partial_moment(params, 1, U, inf) - U * partial_moment(params, 0, U, inf)
+        return short, excess
+
+    xp = XiParams(2.0, 4.0)
+    for params in (A, B, AS, GbmParams(0.01, 0.2)):
+        mean_rho = partial_moment(params, 1, 0.0, inf) - 1.0
+        for k in np.linspace(0.0, 1.0, 51):
+            k = float(k)
+            for pol in (POL4, ASYM, CorridorPolicy(give_frac=0.1, help_frac=0.9, p=1.5)):
+                short, excess = short_excess(params, 1.0 - k, 1.0 + k * pol.p)
+                want = pol.help_frac * short - pol.give_frac * excess
+                assert profitability_lhs(params, replace(pol, k=k)) == pytest.approx(want, rel=1e-13, abs=1e-16)
+            short, excess = short_excess(params, 1.0 - k, 1.0 + k)
+            want = mean_rho + short / xp.a - excess / xp.b
+            assert xi(params, xp, k) == pytest.approx(want, rel=1e-13, abs=1e-16)
 
 
 def test_maximize_m2_frozen_anchor_a():

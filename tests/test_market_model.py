@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,15 +11,12 @@ from hypothesis import strategies as st
 
 from corridor_pension.market_model import (
     GbmParams,
-    PathSample,
     density,
     density_peak,
     expect_mc,
     expect_quad,
     partial_moment,
     sample_return_matrix,
-    sample_returns,
-    worker_seeds,
 )
 
 A = GbmParams(0.045, 0.06)
@@ -105,37 +106,14 @@ def test_sample_determinism_and_shape():
     assert np.all(a > 0)
 
 
-def test_sample_paths_match_matrix():
-    paths = sample_returns(A, 3, 7, seed=5)
+def test_sample_return_matrix_pinned_entries():
+    # one stream, the first child of SeedSequence(5); entries pinned when the
+    # samplers were merged into this one function
     mat = sample_return_matrix(A, 3, 7, seed=5)
-    assert len(paths) == 7
-    stacked = np.vstack([p.gross_returns for p in paths])
-    assert np.allclose(stacked, mat, rtol=0, atol=0)
-
-
-def test_worker_partition_covers_all_paths():
-    whole = sample_return_matrix(A, 2, 11, seed=9, workers=1)
-    parts = sample_return_matrix(A, 2, 11, seed=9, workers=3)
-    assert parts.shape == whole.shape
-    # partitioned draws are deterministic for (seed, workers)
-    again = sample_return_matrix(A, 2, 11, seed=9, workers=3)
-    assert np.array_equal(parts, again)
-
-
-def test_worker_seeds_validation():
-    with pytest.raises(ValueError):
-        worker_seeds(1, 0)
-    seeds = worker_seeds(1, 4)
-    assert len(seeds) == 4
-
-
-def test_path_sample_prices():
-    p = PathSample(np.array([1.1, 0.9, 1.05]), seed=0)
-    want = [1.0, 1.1, 0.99, 1.0395]
-    assert np.allclose(p.prices(), want, rtol=1e-12)
-    assert np.allclose(p.prices(h0=2.0), np.array(want) * 2.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        PathSample(np.array([1.0, -0.5]), seed=0)
+    assert mat.shape == (7, 3)
+    assert mat[0, 0] == 1.0307461855092546
+    assert mat[3, 1] == 1.0306548049199538
+    assert mat[6, 2] == 1.0312202081704236
 
 
 def test_expect_quad_known_mean():
@@ -155,3 +133,24 @@ def test_expect_mc_chunking_invariance():
     assert one[0] == pytest.approx(many[0], rel=1e-12)
     with pytest.raises(ValueError):
         expect_mc(A, lambda y: y, 1, seed=0)
+
+
+def test_import_leaves_scipy_optimize_and_integrate_unloaded():
+    # only the expect_quad oracle needs scipy's quadrature, and nothing needs
+    # scipy.optimize; the package and its CLI import without either
+    code = (
+        "import sys, corridor_pension, corridor_pension.cli\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
+        "from corridor_pension import GbmParams, expect_quad\n"
+        "print(expect_quad(GbmParams(0.045, 0.06), lambda y: y))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+    loaded, mean = proc.stdout.split("\n")[:2]
+    assert loaded == "[]"
+    assert float(mean) == pytest.approx(A.mean_return, abs=1e-11)
+    for path in (src / "corridor_pension").glob("*.py"):
+        text = path.read_text()
+        for name in ("scipy.optimize", "brentq", "minimize_scalar"):
+            assert name not in text, f"{path.name} mentions {name}"

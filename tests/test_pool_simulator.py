@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corridor_pension.corridor_math import CorridorPolicy, maximize_m2, n_func
+from corridor_pension.corridor_math import CorridorPolicy, admissible_min_k, maximize_m2, n_func
 from corridor_pension.market_model import GbmParams, density_peak
 from corridor_pension.pool_simulator import (
     ALWAYS_HELP,
@@ -332,6 +332,27 @@ def test_index_capped_needs_a_member_in_the_ledger():
     base_config(regime=INDEX_CAPPED_HELP, index_source=capped_ledger(["2", "x"]))
 
 
+def test_config_rejects_negative_initial_values():
+    with pytest.raises(ValueError, match="initial values"):
+        base_config(v0_ind=(1.0, -0.5, 1.0))
+    with pytest.raises(ValueError, match="initial values"):
+        base_config(v0_ind=-1.0)
+    base_config(v0_ind=(1.0, 0.0, 1.0))
+
+
+def test_index_capped_needs_an_event_before_the_first_period():
+    # the first period reads the shares before t = 1; a ledger starting at
+    # t = 5 used to fail inside simulate on some seeds and path counts only
+    late = Ledger(mode="proportional")
+    late.record(5, {0: 1.0, 1: 2.0, 2: 3.0}, 0.0)
+    with pytest.raises(ValueError, match="event before t = 1"):
+        PoolConfig(n=3, gamma=0.8, pi_ind=0.1, T=10, regime=INDEX_CAPPED_HELP,
+                   policy=CorridorPolicy(k=0.05), c0=0.05, index_source=late)
+    early = Ledger(mode="proportional")
+    early.record(0.5, {0: 1.0}, 0.0)
+    base_config(regime=INDEX_CAPPED_HELP, index_source=early)
+
+
 def test_invariants_raise_real_exceptions():
     # a collective below zero outside AlwaysHelp, reached only by bypassing validation
     cfg = base_config(regime=NO_HELP_IF_INSUFFICIENT)
@@ -340,8 +361,9 @@ def test_invariants_raise_real_exceptions():
         step(init_pool(cfg), 1.0, cfg)
     with pytest.raises(RuntimeError, match="collective went negative"):
         simulate(cfg, A, 10, seed=1)
-    # negative unit counts
-    cfg = base_config(v0_ind=(1.0, -0.5, 1.0))
+    # negative unit counts, reached the same way
+    cfg = base_config()
+    object.__setattr__(cfg, "v0_ind", (1.0, -0.5, 1.0))
     with pytest.raises(ValueError):
         step(init_pool(cfg), 1.0, cfg)
     with pytest.raises(ValueError, match="negative unit count"):
@@ -470,6 +492,18 @@ def test_dp_check_frozen_values():
     assert v3_plain.best_value == pytest.approx(1.150734000410945, rel=1e-12)
     with pytest.raises(ValueError):
         dp_check(A, pol, T=5)
+
+
+def test_dp_check_enumerates_admissible_boundaries():
+    # pure help is a net cost below k_min = 0.2784; k = 0 is not a candidate
+    pol = CorridorPolicy(give_frac=0.0, help_frac=0.5, alpha=4.0)
+    k_min = admissible_min_k(A, pol)
+    assert k_min == pytest.approx(0.2784, abs=1e-4)
+    verdict = dp_check(A, pol, T=2)
+    assert verdict.best_constant_k >= k_min
+    assert min(verdict.best_profile) >= k_min
+    res = maximize_m2(A, pol, T=2)
+    assert verdict.best_constant_value <= 1.0 + res.value + 1e-12
 
 
 def test_transfer_conservation_along_path():
