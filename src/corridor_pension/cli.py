@@ -24,7 +24,7 @@ from .corridor_math import (
     admissible_min_k,
     k_of_c,
     m1,
-    m2,
+    m2_horizon,
     maximize_m2,
     mp_stationary_points,
     n_func,
@@ -147,7 +147,7 @@ def cmd_profitability(args) -> int:
     stationary = mp_stationary_points(params, policy)
     _emit(
         {
-            "k_min": "none" if k_min is None else k_min,
+            "k_min": k_min,
             "stationary_points": [{"k": k, "kind": kind} for k, kind in stationary],
             "csv": str(out / "profitability.csv"),
         }
@@ -162,18 +162,17 @@ def cmd_optimize(args) -> int:
     out = _out_dir(args, cfg)
     grid = _grid(args, cfg)
     c = args.c if args.c is not None else cfg.get("c")
+    horizon = int(_pick(args, "horizon", cfg, "horizon", 1))
 
     k_min = admissible_min_k(params, policy)
-    if k_min is None:
-        raise CliError("no admissible boundary in [0, 1]")
-    res = maximize_m2(params, policy, k_min=k_min, grid=grid)
+    res = maximize_m2(params, policy, k_min=k_min, grid=grid, T=horizon)
 
     ks = np.linspace(0.0, 1.0, grid)
     header = ["k", "m1", "m2", "admissible"]
     include_gated = c is not None
     if include_gated:
         header.insert(3, "n_gated")
-    columns = [m1(params, policy, ks), m2(params, policy, ks)]
+    columns = [m1(params, policy, ks), m2_horizon(params, policy, ks, horizon)]
     if include_gated:
         columns.append(n_func(params, policy, float(c), ks))
     admissible = _lhs_curve(params, policy, ks) <= 1e-12
@@ -473,6 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("optimize", help="objective curves and maximizer")
     _add_common(sp)
     sp.add_argument("--c", type=float, help="help cutoff for the gated objective")
+    sp.add_argument("--horizon", type=int,
+                    help="periods to retirement; the m2 curve and k_star compound over them")
     sp.set_defaults(fn=cmd_optimize)
 
     sp = subs.add_parser("simulate", help="Monte Carlo pool simulation")

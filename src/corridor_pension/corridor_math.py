@@ -142,13 +142,17 @@ def _payoff(k, help_frac, give_frac, p, c=-1.0, with_return=True):
     (U, inf), zero elsewhere, with L = 1 - k, U = 1 + k*p and the help gate
     G = clip(1 + c, 0, L); c = -1 means no gate.  Returns the edges
     0 <= G <= L <= U < inf of the four intervals and each interval's constant
-    and slope, stacked along a first axis in front of the shape of k.
+    and slope, stacked along a first axis in front of the broadcast shape of
+    k and c.
     """
     k = np.asarray(k, dtype=float)
+    if not np.isscalar(c):
+        k, c = np.broadcast_arrays(k, np.asarray(c, dtype=float))
     L, U = 1.0 - k, 1.0 + k * p
     zero = np.zeros_like(k)
     r = 1.0 if with_return else 0.0
-    edges = np.array([zero, np.minimum(max(1.0 + c, 0.0), L), L, U, zero + math.inf])
+    # np.clip(1 + c, 0, L) costs several times as much per call
+    edges = np.array([zero, np.minimum(np.maximum(1.0 + c, 0.0), L), L, U, zero + math.inf])
     const = np.array([zero - r, help_frac * L - r, zero - r, give_frac * U - r])
     slope = np.array([r, r - help_frac, r, r - give_frac]).reshape((4,) + (1,) * k.ndim)
     return edges, const, slope
@@ -235,12 +239,12 @@ def _bisect(inside: Callable, lo, hi, tol: float):
     return hi
 
 
-def admissible_min_k(
-    params: GbmParams, policy: CorridorPolicy, tol: float = 1e-6
-) -> float | None:
-    """Smallest admissible boundary, or None when no k in [0, 1] qualifies.
+def admissible_min_k(params: GbmParams, policy: CorridorPolicy, tol: float = 1e-6) -> float:
+    """Smallest admissible boundary in [0, 1].
 
-    Coarse scan for the first sign change, then bisection to `tol`.
+    k = 1 always qualifies: its help leg is empty, so the LHS is
+    -give_frac * E[(Y-1-p)+] <= 0.  Coarse scan for the first sign change,
+    then bisection to `tol`.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -250,8 +254,6 @@ def admissible_min_k(
 
     ks = np.linspace(0.0, 1.0, 2001)
     ok = admissible(ks)
-    if not ok.any():
-        return None
     i = int(np.argmax(ok))
     if i == 0:
         return 0.0
@@ -322,12 +324,9 @@ def maximize_m1(
 
     The objective is convex-ish in the sense that its maximum over the
     admissible set sits at an endpoint, so only k_min and 1 are compared.
-    Raises when no admissible boundary exists.
     """
     if k_min is None:
         k_min = admissible_min_k(params, policy)
-    if k_min is None:
-        raise ValueError("no admissible boundary in [0, 1]")
     v_lo = m1(params, policy, k_min)
     v_hi = m1(params, policy, 1.0)
     if v_hi >= v_lo:
@@ -427,8 +426,6 @@ def _search_args(params, policy, k_min, grid, tol):
         raise ValueError("tol must be > 0")
     if k_min is None:
         k_min = admissible_min_k(params, policy)
-    if k_min is None:
-        raise ValueError("no admissible boundary in [0, 1]")
     return float(k_min)
 
 
@@ -474,17 +471,19 @@ def h_payoff(rho, c: float, k: float, policy: CorridorPolicy):
     return float(out) if np.isscalar(rho) else out
 
 
-def n_func(params: GbmParams, policy: CorridorPolicy, c: float, k):
+def n_func(params: GbmParams, policy: CorridorPolicy, c, k):
     """Closed-form E[h - alpha h^2] for the gated payoff of `h_payoff`.
 
     The gate clips the help leg to gross returns in (1+c, 1-k): the payoff of
-    `m2` with the help interval starting at G = clip(1+c, 0, 1-k).
+    `m2` with the help interval starting at G = clip(1+c, 0, 1-k).  c and k
+    may be arrays that broadcast together; the result has their shape.
     """
-    if not -1.0 <= c <= 0.0:
+    c_lo, c_hi = (c, c) if np.isscalar(c) else (np.min(c), np.max(c))
+    if not -1.0 <= c_lo <= c_hi <= 0.0:
         raise ValueError("c must be in [-1, 0]")
     _check_k(k)
     s1, s2 = _psi(params, policy, k, c)
-    return _like(k, s1 - policy.alpha * s2)
+    return _like(s1, s1 - policy.alpha * s2)
 
 
 def k_of_c(

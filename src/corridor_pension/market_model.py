@@ -114,10 +114,25 @@ def sample_return_matrix(params: GbmParams, T: int, n_paths: int, seed: int) -> 
     Returns an (n_paths, T) array; deterministic for a fixed seed.  All draws
     come from one stream, the first child of `SeedSequence(seed)`.
     """
+    (returns,) = _return_blocks(params, T, n_paths, seed, n_paths)
+    return returns
+
+
+def _return_blocks(params: GbmParams, T: int, n_paths: int, seed: int, rows: int):
+    """The rows of `sample_return_matrix(params, T, n_paths, seed)`, `rows` paths at a time.
+
+    Every double takes one draw of the stream, so drawing the rows in order
+    gives blocks that concatenate to that matrix bit for bit.
+    """
     if T < 1 or n_paths < 1:
         raise ValueError("T and n_paths must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    return np.exp(params.mu + params.sigma * _standard_normals(rng, (n_paths, T)))
+    for start in range(0, n_paths, rows):
+        z = _standard_normals(rng, (min(rows, n_paths - start), T))
+        # exp(mu + sigma z) in place: the same floats without two block-sized temporaries
+        z *= params.sigma
+        z += params.mu
+        yield np.exp(z, out=z)
 
 
 def expect_quad(

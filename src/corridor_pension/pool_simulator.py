@@ -26,6 +26,7 @@ best-response improvement bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .corridor_math import (
     k_of_c,
     n_func,
 )
-from .market_model import GbmParams, density_peak, sample_return_matrix
+from .market_model import GbmParams, _return_blocks, density_peak
 from .redistribution_index import Ledger, index_for_pool
 
 __all__ = [
@@ -377,6 +378,21 @@ def run_path(config: PoolConfig, gross_returns: Sequence[float]):
     return pool, reports
 
 
+# paths drawn and run together: memory stays flat in the path count and a
+# period's row of a block stays in cache
+_BLOCK_PATHS = 8192
+
+
+def _member_sum(x: np.ndarray) -> np.ndarray:
+    """Sum a (members, paths) array over members, adding row after row.
+
+    numpy keeps that order for two or more paths but pairwise-sums a single
+    column, so a lone path (the last of a block, or the one failing path of a
+    settlement) would round differently from the same path among others.
+    """
+    return x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
+
+
 def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray) -> np.ndarray:
     """The round rule of `claim_settlement.settle` on many batches at once.
 
@@ -388,79 +404,92 @@ def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray) ->
     for _ in range(claims.shape[0]):
         if not active.any():
             break
-        total_w = np.where(active, weights, 0.0).sum(axis=0)
+        total_w = _member_sum(np.where(active, weights, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             slices = np.where(total_w > 0, weights * pool / total_w, 0.0)
         fits = active & (claims <= slices)
         # a round where nothing fits pays min(claim, slice) and ends the batch
         last = active & ~fits.any(axis=0)
         alloc = np.where(fits, claims, np.where(last, np.minimum(claims, slices), alloc))
-        pool = pool - np.where(fits, claims, 0.0).sum(axis=0)
+        pool = pool - _member_sum(np.where(fits, claims, 0.0))
         active &= ~(fits | last)
     return alloc
 
 
-def _pool_kernel(config: PoolConfig, returns: np.ndarray) -> SimulationResult:
+def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
     # state is (columns, paths): one column per member, or one column for all
-    # n members when they are alike and no ledger tells them apart
-    pol, n, regime = config.policy, config.n, config.regime
-    n_paths, T = returns.shape
+    # n members when they are alike and no ledger tells them apart.  Each block
+    # of return paths runs through all T periods on its own; only per-path
+    # statistics are kept, and reduced over all paths at the end.
+    pol, n, regime, T = config.policy, config.n, config.regime, config.T
     ks, prem, v0 = config.boundaries, config.premiums, config.initial_values
     if regime != INDEX_CAPPED_HELP and len(set(zip(ks, prem, v0))) == 1:
         ks, prem, v0 = ks[:1], prem[:1], v0[:1]
     if len(ks) == 1:
         total, mean = (lambda x: n * x[0]), (lambda x: x[0])
     else:
-        total, mean = (lambda x: x.sum(axis=0)), (lambda x: x.sum(axis=0) / n)
+        total, mean = _member_sum, (lambda x: _member_sum(x) / n)
     k = np.array(ks)[:, None]
     gp = config.gamma * np.array(prem)[:, None]
     theta_inflow = (1.0 - config.gamma) * config.premium_total
-    price = np.full(n_paths, config.h0)
-    v = np.repeat(np.array(v0)[:, None], n_paths, axis=1)
-    eta = v / config.h0
-    theta = np.full(n_paths, config.c0 / config.h0)
-    rv, support = np.zeros(n_paths), np.zeros(n_paths)
-    shortfall_steps = 0
 
-    for t, y in enumerate(returns.T):
-        if eta.min() < 0:
-            raise ValueError("invalid pool state: negative unit count")
-        rho = y - 1.0
-        price = price * y
-        v_prev, eta_prev, theta_prev = v, eta, theta
-        eta = eta_prev + gp / price
-        theta = theta_prev + theta_inflow / price
+    @functools.cache
+    def lagged_weights(t):
+        return np.array(_lagged_shares(config.index_source, t, range(n)), dtype=float)[:, None]
 
-        give = pol.give_frac * v_prev * np.maximum(rho - k * pol.p, 0.0)
-        short = np.maximum(-k - rho, 0.0)
-        claim = pol.help_frac * v_prev * short
-        claims_weighted = total(eta_prev * short)
-        covered = (claims_weighted <= 0) | (
-            theta_prev * (1.0 + rho) > pol.help_frac * claims_weighted
-        )
-        failed = ~covered & (claim > 0).any(axis=0)
-        shortfall_steps += int(np.count_nonzero(failed))
-        paid = claim if regime == ALWAYS_HELP else np.where(covered, claim, 0.0)
-        if regime == INDEX_CAPPED_HELP:
-            # where coverage failed, the claims settle in units against the
-            # collective by the claimants' lagged ledger shares
-            paths = np.flatnonzero(failed & (theta_prev > 0))
-            if paths.size:
-                w = np.array(_lagged_shares(config.index_source, t + 1, range(n)), dtype=float)
-                units = _settle_rounds(claim[:, paths] / price[paths], w[:, None], theta_prev[paths])
-                paid[:, paths] = units * price[paths]
+    terminal, rv, support = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
+    shortfall_steps, lo = 0, 0
+    for block in blocks:
+        hi = lo + len(block)
+        price = np.full(hi - lo, config.h0)
+        v = np.repeat(np.array(v0)[:, None], hi - lo, axis=1)
+        eta = v / config.h0
+        theta = np.full(hi - lo, config.c0 / config.h0)
+        path_rv, path_support = rv[lo:hi], support[lo:hi]  # views the periods add into
 
-        deficit_before = np.maximum(0.0, -theta)
-        net = paid - give
-        eta = eta + net / price
-        v = eta * price
-        theta = theta - total(net) / price
-        support += np.maximum(0.0, np.maximum(0.0, -theta) - deficit_before)
-        if regime != ALWAYS_HELP and theta.min() < -1e-12:
-            raise RuntimeError("collective went negative outside AlwaysHelp")
-        rv += mean((v - v_prev - gp) ** 2 / v_prev)
+        # period-major, so each period's returns are contiguous
+        for t, y in enumerate(np.ascontiguousarray(block.T)):
+            if eta.min() < 0:
+                raise ValueError("invalid pool state: negative unit count")
+            rho = y - 1.0
+            price = price * y
+            v_prev, eta_prev, theta_prev = v, eta, theta
+            eta = eta_prev + gp / price
+            theta = theta_prev + theta_inflow / price
 
-    mean_vt, mean_rv = float(mean(v).mean()), float(rv.mean())
+            give = pol.give_frac * v_prev * np.maximum(rho - k * pol.p, 0.0)
+            short = np.maximum(-k - rho, 0.0)
+            claim = pol.help_frac * v_prev * short
+            claims_weighted = total(eta_prev * short)
+            covered = (claims_weighted <= 0) | (
+                theta_prev * (1.0 + rho) > pol.help_frac * claims_weighted
+            )
+            failed = ~covered & (claim > 0).any(axis=0)
+            shortfall_steps += int(np.count_nonzero(failed))
+            paid = claim if regime == ALWAYS_HELP else np.where(covered, claim, 0.0)
+            if regime == INDEX_CAPPED_HELP:
+                # where coverage failed, the claims settle in units against the
+                # collective by the claimants' lagged ledger shares
+                paths = np.flatnonzero(failed & (theta_prev > 0))
+                if paths.size:
+                    units = _settle_rounds(
+                        claim[:, paths] / price[paths], lagged_weights(t + 1), theta_prev[paths]
+                    )
+                    paid[:, paths] = units * price[paths]
+
+            deficit_before = np.maximum(0.0, -theta)
+            net = paid - give
+            eta = eta + net / price
+            v = eta * price
+            theta = theta - total(net) / price
+            path_support += np.maximum(0.0, np.maximum(0.0, -theta) - deficit_before)
+            if regime != ALWAYS_HELP and theta.min() < -1e-12:
+                raise RuntimeError("collective went negative outside AlwaysHelp")
+            path_rv += mean((v - v_prev - gp) ** 2 / v_prev)
+        terminal[lo:hi] = mean(v)
+        lo = hi
+
+    mean_vt, mean_rv = float(terminal.mean()), float(rv.mean())
     return SimulationResult(
         mean_terminal_value=mean_vt,
         penalized_objective=mean_vt - pol.alpha * mean_rv,
@@ -483,11 +512,15 @@ def simulate(
     """Monte Carlo wealth statistics over n_paths independent trajectories.
 
     Every regime runs on one vectorized kernel; it agrees with stepping each
-    path through `run_path` up to rounding.  Deterministic for a fixed seed.
+    path through `run_path` up to rounding.  Deterministic for a fixed seed:
+    the returns are those of `sample_return_matrix(params, config.T, n_paths,
+    seed)`, drawn and consumed a block of paths at a time, so memory does not
+    grow with T * n_paths.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    return _pool_kernel(config, sample_return_matrix(params, config.T, n_paths, seed))
+    blocks = _return_blocks(params, config.T, n_paths, seed, _BLOCK_PATHS)
+    return _pool_kernel(config, blocks, n_paths)
 
 
 def fixed_point_barriers(
@@ -509,8 +542,6 @@ def fixed_point_barriers(
         raise ValueError("tol must be > 0")
     n = len(eta_vec)
     k_min = admissible_min_k(params, policy)
-    if k_min is None:
-        raise ValueError("no admissible boundary in [0, 1]")
     k_bar = 1.0
     history = [k_bar]
     c = 0.0
@@ -571,16 +602,14 @@ def best_response_gain(
     Scans the agent's own boundary while everyone else stays at k_bar; the
     gated objective sees the threshold produced by the deviated pool.
     """
-    n = len(eta_vec)
-    ks = [k_bar] * n
+    ks = [k_bar] * len(eta_vec)
     common = n_func(params, policy, z_star(ks, eta_vec, theta, policy.help_frac), k_bar)
-    best = -math.inf
-    for k in np.linspace(0.0, 1.0, grid):
+    own = np.linspace(0.0, 1.0, grid)
+    cutoffs = []
+    for k in own:
         ks[j] = float(k)
-        z = z_star(ks, eta_vec, theta, policy.help_frac)
-        best = max(best, n_func(params, policy, z, float(k)))
-    ks[j] = k_bar
-    return best - common
+        cutoffs.append(z_star(ks, eta_vec, theta, policy.help_frac))
+    return float(np.max(n_func(params, policy, np.array(cutoffs), own))) - common
 
 
 def dp_check(
@@ -597,16 +626,14 @@ def dp_check(
     The expected-value recursion makes the T-period objective a closed form in
     the per-period first and second moments (`horizon_objective`), so profiles
     on grid^T can be enumerated exactly.  The boundaries are the grid on
-    [k_min, 1], the admissible set `maximize_m2` searches; no admissible
-    boundary raises.  Values are reported as terminal values, v0 plus that
+    [k_min, 1], the admissible set `maximize_m2` searches.  Values are
+    reported as terminal values, v0 plus that
     objective.  Verdict is value-based: stationary means no profile beats the
     best constant profile by more than tol.
     """
     if T < 1 or T > 4:
         raise ValueError("dp_check supports 1 <= T <= 4")
     k_min = admissible_min_k(params, policy)
-    if k_min is None:
-        raise ValueError("no admissible boundary in [0, 1]")
     ks = np.linspace(k_min, 1.0, grid)
     s1, s2 = _psi(params, policy, ks)
     pairs = list(zip(s1.tolist(), s2.tolist()))

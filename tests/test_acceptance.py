@@ -371,8 +371,6 @@ def test_acceptance_8_property_suites(capfd):
             J=float(rng.uniform(0.0, 0.9)),
         )
         k_min = admissible_min_k(params, pol)
-        if k_min is None:
-            continue
         res = maximize_m1(params, pol, k_min=k_min)
         bang_ok = bang_ok and res.k_star in (float(k_min), 1.0)
         # the endpoint value dominates every admissible boundary (the set can

@@ -34,15 +34,17 @@ def test_profitability(tmp_path, capsys):
     assert float(rows[0]["lhs"]) < 0
 
 
-def test_profitability_reports_none(tmp_path, capsys):
-    # pure help against a weak market never becomes profitable below k = 1,
-    # except trivially at the top; pick parameters with no admissible boundary
+def test_profitability_pure_help_admissible_only_near_the_top(tmp_path, capsys):
+    # pure help against a weak market costs the collective until the corridor
+    # is so wide that nobody is helped; k = 1 always qualifies
     code, out = run(
         capsys, "profitability", "--mu", "-0.4", "--sigma", "0.01",
         "--give-frac", "0", "--help-frac", "1", "--grid", "101", "--out", str(tmp_path),
     )
     assert code == 0
-    assert out["k_min"] == "none" or isinstance(out["k_min"], float)
+    assert isinstance(out["k_min"], float) and 0.3 < out["k_min"] < 0.4
+    rows = read_csv(tmp_path / "profitability.csv")
+    assert rows[0]["admissible"] == "0" and rows[-1]["admissible"] == "1"
 
 
 def test_optimize_tie_anchor(tmp_path, capsys):
@@ -58,6 +60,26 @@ def test_optimize_tie_anchor(tmp_path, capsys):
     assert set(rows[0]) == {"k", "m1", "m2", "admissible"}
     assert len(rows) == 501
     assert (tmp_path / "optimize.json").exists()
+
+
+def test_optimize_horizon(tmp_path, capsys):
+    # acceptance 2: compounded over 20 periods to retirement the maximizer is interior
+    code, out = run(
+        capsys, "optimize", "--mu", "0.045", "--sigma", "0.06", "--alpha", "4",
+        "--horizon", "20", "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert out["k_star"] == pytest.approx(0.1215, abs=2e-3)
+    # the m2 column is the compounded objective that k_star maximizes
+    rows = read_csv(tmp_path / "optimize_curves.csv")
+    best = max(rows, key=lambda r: float(r["m2"]))
+    assert float(best["k"]) == pytest.approx(out["k_star"], abs=1e-3)
+    # the default horizon is one period, where k_star = 0
+    code, one = run(capsys, "optimize", "--mu", "0.045", "--sigma", "0.06", "--alpha", "4",
+                    "--out", str(tmp_path))
+    assert code == 0 and one["k_star"] == 0.0
+    code, _ = run(capsys, "optimize", "--horizon", "0", "--out", str(tmp_path))
+    assert code == 2
 
 
 def test_optimize_with_cutoff_column(tmp_path, capsys):

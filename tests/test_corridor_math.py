@@ -121,7 +121,7 @@ def test_admissible_min_k_interior_crossing():
     # pure help (no give) is a net cost at small k, admissible only once k is large
     pol = CorridorPolicy(give_frac=0.0, help_frac=0.5)
     k_min = admissible_min_k(A, pol)
-    assert k_min is not None and k_min > 0.2
+    assert k_min > 0.2
     assert profitability_lhs(A, replace(pol, k=k_min)) <= LHS_TOL
     assert profitability_lhs(A, replace(pol, k=k_min - 0.01)) > LHS_TOL
 
@@ -174,6 +174,37 @@ def test_array_k_matches_scalar_calls():
         n_func(A, pol, -0.1, np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         xi(A, xp, np.array([-0.1, 0.5]))
+
+
+def test_n_func_array_cutoff_matches_scalar_calls():
+    # one array call over (c, k) pairs, as the best-response scan makes it
+    ks = np.linspace(0.0, 1.0, 41)
+    cs = np.linspace(-1.0, 0.0, 41)[::-1]
+    scalars = [n_func(A, POL4, float(c), float(k)) for c, k in zip(cs, ks)]
+    assert n_func(A, POL4, cs, ks) == pytest.approx(scalars, rel=1e-15, abs=1e-15)
+    # a cutoff array against one k broadcasts
+    assert n_func(A, POL4, cs, 0.1) == pytest.approx(
+        [n_func(A, POL4, float(c), 0.1) for c in cs], rel=1e-15, abs=1e-15)
+    for bad in (np.array([-0.5, 0.1]), np.array([-1.5, -0.5]), np.array([np.nan])):
+        with pytest.raises(ValueError):
+            n_func(A, POL4, bad, 0.1)
+
+
+@given(
+    mu=st.floats(-1.0, 1.0),
+    sigma=st.floats(0.005, 1.5),
+    give=st.floats(0.0, 1.0),
+    helpf=st.floats(0.0, 1.0),
+    p=st.floats(1.0, 5.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_k_one_is_always_admissible(mu, sigma, give, helpf, p):
+    # at k = 1 nobody is helped, so the LHS is -give * E[(Y-1-p)+] <= 0
+    params = GbmParams(mu, sigma)
+    pol = CorridorPolicy(k=1.0, p=p, give_frac=give, help_frac=helpf)
+    assert profitability_lhs(params, pol) <= LHS_TOL
+    k_min = admissible_min_k(params, pol)
+    assert type(k_min) is float and 0.0 <= k_min <= 1.0
 
 
 def test_lhs_and_xi_match_partial_moment_formulas():
@@ -248,11 +279,6 @@ def test_maximize_m2_validation():
     for T in (0, -1):
         with pytest.raises(ValueError):
             maximize_m2(A, POL4, T=T)
-    nohelp = CorridorPolicy(give_frac=0.0, help_frac=1.0, alpha=4.0)
-    strong = GbmParams(-0.2, 0.3)
-    if admissible_min_k(strong, nohelp) is None:
-        with pytest.raises(ValueError):
-            maximize_m2(strong, nohelp)
 
 
 def test_maximize_m2_respects_k_min():
@@ -281,10 +307,6 @@ def test_maximize_m1_bang_bang(mu, sigma, give, helpf, j_disc):
     params = GbmParams(mu, sigma)
     pol = CorridorPolicy(give_frac=give, help_frac=helpf, J=j_disc)
     k_min = admissible_min_k(params, pol)
-    if k_min is None:
-        with pytest.raises(ValueError):
-            maximize_m1(params, pol)
-        return
     res = maximize_m1(params, pol, k_min=k_min)
     assert res.k_star in (float(k_min), 1.0)
     # no admissible grid point beats the better endpoint; the admissible set

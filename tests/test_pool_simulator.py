@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -27,8 +29,9 @@ from corridor_pension.pool_simulator import (
     step,
     z_star,
 )
+from corridor_pension import pool_simulator
 from corridor_pension.claim_settlement import ClaimBatch, settle
-from corridor_pension.market_model import sample_return_matrix
+from corridor_pension.market_model import _return_blocks, sample_return_matrix
 from corridor_pension.redistribution_index import Ledger
 
 A = GbmParams(0.045, 0.06)
@@ -312,6 +315,61 @@ def test_kernel_matches_run_path_replay(name, config):
         # settlement paid something: the capped pool is not the strict one
         strict = replace(config, regime=NO_HELP_IF_INSUFFICIENT, index_source=None)
         assert got.mean_terminal_value != simulate(strict, STRESSED, n_paths, seed).mean_terminal_value
+
+
+BLOCK = 7
+# nine members, so a lone path's member sums would be pairwise in numpy
+BLOCK_POOL = dict(n=9, gamma=0.8, pi_ind=0.1, T=12)
+BLOCK_K = (0.02, 0.04, 0.05, 0.08, 0.1, 0.12, 0.2, 0.25, 0.3)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PoolConfig(regime=ALWAYS_HELP, policy=CorridorPolicy(k=0.05, alpha=2.0), **BLOCK_POOL),
+        PoolConfig(regime=NO_HELP_IF_INSUFFICIENT, policy=CorridorPolicy(k=0.05, alpha=2.0),
+                   c0=0.05, **BLOCK_POOL),
+        PoolConfig(regime=ALWAYS_HELP, policy=CorridorPolicy(alpha=2.0), k_vec=BLOCK_K,
+                   c0=0.05, **BLOCK_POOL),
+        PoolConfig(regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05, alpha=2.0), c0=0.05,
+                   index_source=Ledger.from_json(capped_ledger(range(9)).to_json()),
+                   **BLOCK_POOL),
+    ],
+    ids=["homogeneous AlwaysHelp", "NoHelpIfInsufficient", "heterogeneous k_vec",
+         "IndexCappedHelp, JSON ledger"],
+)
+def test_simulate_does_not_depend_on_the_block_size(config, monkeypatch):
+    # a lone path's rounding shows in the means of few paths on some seeds only
+    for seed, n_paths in itertools.product(range(12), (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)):
+        monkeypatch.setattr(pool_simulator, "_BLOCK_PATHS", 10**6)
+        whole = simulate(config, STRESSED, n_paths, seed)
+        monkeypatch.setattr(pool_simulator, "_BLOCK_PATHS", BLOCK)
+        assert simulate(config, STRESSED, n_paths, seed) == whole, (seed, n_paths)
+    # coverage fails on some paths, so each regime's shortfall branch runs
+    assert whole.shortfall_freq > 0
+
+
+def test_return_blocks_concatenate_to_the_matrix():
+    for n_paths in (1, BLOCK, 2 * BLOCK + 3):
+        blocks = list(_return_blocks(STRESSED, 5, n_paths, 8, BLOCK))
+        assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), sample_return_matrix(STRESSED, 5, n_paths, 8))
+
+
+def test_simulate_memory_stays_flat_in_the_path_count():
+    config = PoolConfig(regime=ALWAYS_HELP, policy=CorridorPolicy(k=0.1, alpha=2.0),
+                        n=10, gamma=0.8, pi_ind=0.1, T=40)
+    peaks = {}
+    for n_paths in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            simulate(config, GbmParams(0.045, 0.12), n_paths, 1)
+            peaks[n_paths] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    # drawing every return at once took 122 MiB at 200k paths
+    assert peaks[200_000] < 24, peaks
+    assert peaks[200_000] - peaks[20_000] < 8, peaks
 
 
 def test_json_ledger_acts_like_python_ledger():
