@@ -3,140 +3,55 @@
 Closed-form boundary functionals over a lognormal market, multi-agent pool
 simulation with three help regimes, an event-sourced redistribution ledger
 with executable fairness checks, and a recursive claim settlement rule.
+
+Public names load their submodule on first access (PEP 562), so the ledger
+and settlement code import without numpy or scipy.
 """
 
-from .claim_settlement import ClaimBatch, SettlementResult, settle
-from .corridor_math import (
-    CorridorPolicy,
-    M1Result,
-    OptResult,
-    XiParams,
-    admissible_min_k,
-    h_payoff,
-    horizon_objective,
-    k_of_c,
-    m1,
-    m2,
-    m2_horizon,
-    maximize_m1,
-    maximize_m2,
-    mp_stationary_points,
-    n_func,
-    profitability_lhs,
-    psi1,
-    psi2,
-    xi,
-    xi_d1,
-    xi_d2,
-)
-from .market_model import (
-    GbmParams,
-    density,
-    density_peak,
-    expect_mc,
-    expect_quad,
-    partial_moment,
-    sample_return_matrix,
-)
-from .pool_simulator import (
-    ALWAYS_HELP,
-    INDEX_CAPPED_HELP,
-    NO_HELP_IF_INSUFFICIENT,
-    CollectiveAccount,
-    DpVerdict,
-    FixedPointResult,
-    IndividualAccount,
-    PoolConfig,
-    PoolState,
-    SimulationResult,
-    StepReport,
-    best_response_gain,
-    dp_check,
-    fixed_point_barriers,
-    improvement_bound,
-    init_pool,
-    run_path,
-    simulate,
-    step,
-    z_star,
-)
-from .redistribution_index import (
-    CheckResult,
-    EventRecord,
-    Ledger,
-    check_add,
-    check_cont,
-    check_fix,
-    check_lin,
-    check_mon,
-    index_for_pool,
-    update_monotone,
-    update_proportional,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALWAYS_HELP",
-    "INDEX_CAPPED_HELP",
-    "NO_HELP_IF_INSUFFICIENT",
-    "CheckResult",
-    "ClaimBatch",
-    "CollectiveAccount",
-    "CorridorPolicy",
-    "DpVerdict",
-    "EventRecord",
-    "FixedPointResult",
-    "GbmParams",
-    "IndividualAccount",
-    "Ledger",
-    "M1Result",
-    "OptResult",
-    "PoolConfig",
-    "PoolState",
-    "SettlementResult",
-    "SimulationResult",
-    "StepReport",
-    "XiParams",
-    "admissible_min_k",
-    "best_response_gain",
-    "check_add",
-    "check_cont",
-    "check_fix",
-    "check_lin",
-    "check_mon",
-    "density",
-    "density_peak",
-    "dp_check",
-    "expect_mc",
-    "expect_quad",
-    "fixed_point_barriers",
-    "h_payoff",
-    "horizon_objective",
-    "improvement_bound",
-    "index_for_pool",
-    "init_pool",
-    "k_of_c",
-    "m1",
-    "m2",
-    "m2_horizon",
-    "maximize_m1",
-    "maximize_m2",
-    "mp_stationary_points",
-    "n_func",
-    "partial_moment",
-    "profitability_lhs",
-    "psi1",
-    "psi2",
-    "run_path",
-    "sample_return_matrix",
-    "settle",
-    "simulate",
-    "step",
-    "update_monotone",
-    "update_proportional",
-    "xi",
-    "xi_d1",
-    "xi_d2",
-    "z_star",
-]
+_EXPORTS = {
+    "claim_settlement": ("ClaimBatch", "SettlementResult", "settle"),
+    "corridor_math": (
+        "CorridorPolicy", "M1Result", "OptResult", "XiParams", "admissible_min_k",
+        "h_payoff", "horizon_objective", "k_of_c", "m1", "m2", "m2_horizon",
+        "maximize_m1", "maximize_m2", "mp_stationary_points", "n_func",
+        "profitability_lhs", "psi1", "psi2", "xi", "xi_d1", "xi_d2",
+    ),
+    "market_model": (
+        "GbmParams", "density", "density_peak", "expect_mc", "expect_quad",
+        "partial_moment", "sample_return_matrix",
+    ),
+    "pool_simulator": (
+        "ALWAYS_HELP", "INDEX_CAPPED_HELP", "NO_HELP_IF_INSUFFICIENT", "CollectiveAccount",
+        "DpVerdict", "FixedPointResult", "IndividualAccount", "PoolConfig", "PoolState",
+        "SimulationResult", "StepReport", "best_response_gain", "dp_check",
+        "fixed_point_barriers", "improvement_bound", "init_pool", "run_path", "simulate",
+        "step", "z_star",
+    ),
+    "redistribution_index": (
+        "CheckResult", "EventRecord", "Ledger", "check_add", "check_cont", "check_fix",
+        "check_lin", "check_mon", "index_for_pool", "update_monotone", "update_proportional",
+    ),
+    "cli": (),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

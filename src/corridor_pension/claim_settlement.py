@@ -13,6 +13,7 @@ tolerance applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Rational
 from typing import Sequence
@@ -41,6 +42,9 @@ class ClaimBatch:
             raise ValueError("batch must contain at least one claim")
         if len(claims) != len(indices):
             raise ValueError("claims and indices must have equal length")
+        if not all(isinstance(v, Rational) or math.isfinite(v)
+                   for v in (*claims, *indices, pool_shares)):
+            raise ValueError("claims, indices and pool_shares must be finite")
         if any(c < 0 for c in claims) or any(w < 0 for w in indices):
             raise ValueError("claims and indices must be nonnegative")
         if pool_shares < 0:

@@ -15,27 +15,11 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+# the ledger and settlement subcommands need only the standard library; the
+# numeric ones import numpy, scipy and the corridor modules when they run
 from .claim_settlement import ClaimBatch, settle
-from .corridor_math import (
-    CorridorPolicy,
-    admissible_min_k,
-    k_of_c,
-    m1,
-    m2_horizon,
-    maximize_m2,
-    mp_stationary_points,
-    n_func,
-)
-from .market_model import GbmParams, sample_return_matrix
-from .pool_simulator import (
-    PoolConfig,
-    fixed_point_barriers,
-    run_path,
-    simulate,
-)
 from .redistribution_index import (
     Ledger,
     check_add,
@@ -44,6 +28,11 @@ from .redistribution_index import (
     check_lin,
     check_mon,
 )
+
+if TYPE_CHECKING:
+    from .corridor_math import CorridorPolicy
+    from .market_model import GbmParams
+    from .pool_simulator import PoolConfig
 
 
 class CliError(Exception):
@@ -73,6 +62,8 @@ def _pick(args, name, cfg_section, cfg_key, default):
 
 
 def _market(args, cfg) -> GbmParams:
+    from .market_model import GbmParams
+
     sec = cfg.get("market", {})
     try:
         return GbmParams(
@@ -85,6 +76,8 @@ def _market(args, cfg) -> GbmParams:
 
 
 def _policy(args, cfg) -> CorridorPolicy:
+    from .corridor_math import CorridorPolicy
+
     sec = cfg.get("policy", {})
     try:
         return CorridorPolicy(
@@ -129,11 +122,17 @@ def _emit(obj):
 
 
 def _lhs_curve(params, policy, ks):
+    from .corridor_math import m1
+
     # profitability_lhs at each k: the transfer-only objective without discount
     return m1(params, replace(policy, J=0.0), ks)
 
 
 def cmd_profitability(args) -> int:
+    import numpy as np
+
+    from .corridor_math import admissible_min_k, mp_stationary_points
+
     cfg = _load_config(args.config)
     params = _market(args, cfg)
     policy = _policy(args, cfg)
@@ -156,6 +155,10 @@ def cmd_profitability(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    import numpy as np
+
+    from .corridor_math import admissible_min_k, k_of_c, m1, m2_horizon, maximize_m2, n_func
+
     cfg = _load_config(args.config)
     params = _market(args, cfg)
     policy = _policy(args, cfg)
@@ -205,6 +208,8 @@ def cmd_optimize(args) -> int:
 
 
 def _pool_config(args, cfg, policy) -> PoolConfig:
+    from .pool_simulator import PoolConfig
+
     sec = cfg.get("pool", {})
     ledger_path = _pick(args, "ledger", cfg, "ledger", None)
     ledger = None
@@ -228,6 +233,9 @@ def _pool_config(args, cfg, policy) -> PoolConfig:
 
 
 def cmd_simulate(args) -> int:
+    from .market_model import sample_return_matrix
+    from .pool_simulator import run_path, simulate
+
     cfg = _load_config(args.config)
     params = _market(args, cfg)
     policy = _policy(args, cfg)
@@ -281,6 +289,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fixed_point(args) -> int:
+    from .pool_simulator import fixed_point_barriers
+
     cfg = _load_config(args.config)
     params = _market(args, cfg)
     policy = _policy(args, cfg)
@@ -311,13 +321,14 @@ def cmd_fixed_point(args) -> int:
 
 
 def _batch_number(value, where):
-    # strings become exact Fractions ("1/5", "35", "0.25"); numbers pass through
+    # strings become exact Fractions ("1/5", "35", "0.25"); numbers pass through,
+    # but not JSON booleans, which Python counts as ints
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise CliError(f"bad number {value!r} in {where}")
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     raise CliError(f"bad number {value!r} in {where}")
 

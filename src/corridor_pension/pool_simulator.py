@@ -239,31 +239,37 @@ def z_star(
     eta_vec: Sequence[float],
     theta: float,
     help_frac: float = 0.5,
-) -> float:
+) -> float | np.ndarray:
     """Net-return threshold equivalent to the aggregate coverage indicator.
 
     The collective can cover the weighted claims of the period exactly when
     the net return rho is at or above the returned value.  Boundaries at 1
     never claim; agents enter the active set only while the collective can
     still cover down to their boundary.  Clamped to [-1, 0].
+
+    `k_vec` is one boundary profile (returns a float) or a (profiles, n)
+    array of profiles over the same units and collective (returns one
+    threshold per row).
     """
     ks = np.asarray(k_vec, dtype=float)
     etas = np.asarray(eta_vec, dtype=float)
-    if ks.ndim != 1 or ks.shape != etas.shape:
+    if ks.ndim not in (1, 2) or etas.ndim != 1 or ks.shape[-1:] != etas.shape:
         raise ValueError("k_vec and eta_vec must have equal length")
     if np.any((ks < 0.0) | (ks > 1.0)) or np.any(etas < 0.0) or theta < 0:
         raise ValueError("invalid pool state")
     if help_frac <= 0:
-        return -1.0
-    buffer = theta / help_frac  # 2*theta at the default help fraction
-    # per-boundary weighted shortfall of everyone with a tighter corridor
-    short = np.maximum(ks[:, None] - ks[None, :], 0.0) @ etas
-    active = buffer * (1.0 - ks) - short >= 0.0
-    denom = buffer + float(etas[active].sum())
-    if denom <= 0:
-        return -1.0
-    z = -(buffer + float((etas[active] * ks[active]).sum())) / denom
-    return float(min(0.0, max(-1.0, z)))
+        z = np.full(ks.shape[:-1], -1.0)
+    else:
+        buffer = theta / help_frac  # 2*theta at the default help fraction
+        # per-boundary weighted shortfall of everyone with a tighter corridor
+        short = np.maximum(ks[..., :, None] - ks[..., None, :], 0.0) @ etas
+        active = buffer * (1.0 - ks) - short >= 0.0
+        denom = buffer + np.where(active, etas, 0.0).sum(axis=-1)
+        num = buffer + np.where(active, etas * ks, 0.0).sum(axis=-1)
+        some = denom > 0  # no buffer and nobody active: nothing is ever covered
+        # + 0.0 reports a zero threshold as 0.0, never -0.0
+        z = np.where(some, np.clip(-num / np.where(some, denom, 1.0), -1.0, 0.0) + 0.0, -1.0)
+    return float(z) if ks.ndim == 1 else z
 
 
 def _coverage_ok(theta_prev, rho, claims_weighted, help_frac) -> bool:
@@ -602,14 +608,13 @@ def best_response_gain(
     Scans the agent's own boundary while everyone else stays at k_bar; the
     gated objective sees the threshold produced by the deviated pool.
     """
-    ks = [k_bar] * len(eta_vec)
-    common = n_func(params, policy, z_star(ks, eta_vec, theta, policy.help_frac), k_bar)
+    n = len(eta_vec)
+    common = n_func(params, policy, z_star([k_bar] * n, eta_vec, theta, policy.help_frac), k_bar)
     own = np.linspace(0.0, 1.0, grid)
-    cutoffs = []
-    for k in own:
-        ks[j] = float(k)
-        cutoffs.append(z_star(ks, eta_vec, theta, policy.help_frac))
-    return float(np.max(n_func(params, policy, np.array(cutoffs), own))) - common
+    profiles = np.full((grid, n), float(k_bar))
+    profiles[:, j] = own
+    cutoffs = z_star(profiles, eta_vec, theta, policy.help_frac)
+    return float(np.max(n_func(params, policy, cutoffs, own))) - common
 
 
 def dp_check(

@@ -23,9 +23,10 @@ have C_pre = 0 (the pot starts empty) and a positive first contribution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 
 __all__ = [
     "Ledger",
@@ -85,6 +86,8 @@ class Ledger:
     def __post_init__(self):
         if self.mode not in (MODE_PROPORTIONAL, MODE_MONOTONE):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not (_finite(self.norm) and self.norm > 0):
+            raise ValueError("norm must be a finite positive number")
 
     # -- state views ------------------------------------------------------
 
@@ -155,7 +158,15 @@ class Ledger:
         return led
 
 
+def _finite(x) -> bool:
+    # exact rationals are finite; anything else must be a real number that is
+    # neither NaN nor infinite (NaN slips through every < and <= test)
+    return isinstance(x, Rational) or (isinstance(x, Real) and math.isfinite(x))
+
+
 def _validate_event(ledger: Ledger, t, contributions: dict, c_pre):
+    if not all(_finite(v) for v in (t, c_pre, *contributions.values())):
+        raise ValueError("event time, C_pre and contributions must be finite numbers")
     if any(v < 0 for v in contributions.values()):
         raise ValueError("contributions must be nonnegative")
     if c_pre < 0:
@@ -242,8 +253,8 @@ def update_monotone(ledger: Ledger, t, contributions: dict, a=None, c_pre=0) -> 
         a_map = {j: a.get(j, ledger.default_a) for j in everyone}
     else:
         a_map = {j: a for j in everyone}
-    if any(v < 0 for v in a_map.values()):
-        raise ValueError("interest factors must be nonnegative")
+    if not all(_finite(v) and v >= 0 for v in a_map.values()):
+        raise ValueError("interest factors must be finite and nonnegative")
 
     if not ledger.events:
         indices = dict(contributions)
@@ -297,33 +308,26 @@ def check_fix(ledger: Ledger) -> CheckResult:
     return CheckResult(True, "fix")
 
 
-def _cumulative(ledger: Ledger, j, upto: int):
-    return sum(ledger.events[m].contributions.get(j, 0) for m in range(upto + 1))
-
-
 def check_mon(ledger: Ledger) -> CheckResult:
     """Cumulative dominance at every prefix must imply share dominance.
 
     For each event index n and pair (j, l): if j's running contribution total
     is >= l's after every event up to n, then j's share at n must be >= l's.
-    Witness is the first (t, (j, l)) violation.
+    Witness is the first (t, (j, l)) violation.  Running totals and the list
+    of pairs still dominating make this O(events * members^2).
     """
     ids = ledger.ids
-    for n, ev in enumerate(ledger.events):
+    totals = dict.fromkeys(ids, 0)
+    dominating = [(j, l) for j in ids for l in ids if j != l]
+    for ev in ledger.events:
         for j in ids:
-            for l in ids:
-                if j == l:
-                    continue
-                dominates = all(
-                    _cumulative(ledger, j, m) >= _cumulative(ledger, l, m)
-                    for m in range(n + 1)
-                )
-                if not dominates:
-                    continue
-                sj = ev.shares_after.get(j, 0)
-                sl = ev.shares_after.get(l, 0)
-                if sj < sl and not _close(sj, sl):
-                    return CheckResult(False, "mon", (ev.t, (j, l)))
+            totals[j] = totals[j] + ev.contributions.get(j, 0)
+        dominating = [(j, l) for j, l in dominating if totals[j] >= totals[l]]
+        for j, l in dominating:
+            sj = ev.shares_after.get(j, 0)
+            sl = ev.shares_after.get(l, 0)
+            if sj < sl and not _close(sj, sl):
+                return CheckResult(False, "mon", (ev.t, (j, l)))
     return CheckResult(True, "mon")
 
 

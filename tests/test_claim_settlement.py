@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -100,6 +101,14 @@ def test_validation():
         ClaimBatch([1, 2], [F(1, 2), F(1, 2)], -5)
     with pytest.raises(ValueError):
         ClaimBatch([], [], 10)
+    # NaN passes every < test, so non-finite values are refused by name
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ClaimBatch([bad, 6.0], [0.5, 0.5], 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            ClaimBatch([4.0, 6.0], [bad, 0.5], 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            ClaimBatch([4.0, 6.0], [0.5, 0.5], bad)
 
 
 def test_result_type():

@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from corridor_pension import CorridorPolicy, GbmParams, Ledger, PoolConfig, cli, simulate
+from corridor_pension import CorridorPolicy, GbmParams, Ledger, PoolConfig, cli, pool_simulator, simulate
 from corridor_pension.pool_simulator import FixedPointResult
 
 
@@ -178,8 +179,9 @@ def test_fixed_point(capsys):
 
 
 def test_fixed_point_nonconvergence_exit(monkeypatch, capsys):
+    # the handler binds fixed_point_barriers from pool_simulator when it runs
     monkeypatch.setattr(
-        cli, "fixed_point_barriers",
+        pool_simulator, "fixed_point_barriers",
         lambda *a, **kw: FixedPointResult(0.5, -0.1, 100, False, False),
     )
     code, out = run(capsys, "fixed-point", "--theta", "1", "--eta", "1")
@@ -211,6 +213,13 @@ def test_settle_bad_inputs(tmp_path, capsys):
     neg.write_text(json.dumps({"claims": [-1], "indices": [1.0], "pool": 10}))
     code, _ = run(capsys, "settle", str(neg))
     assert code == 2
+    # NaN or infinite claims, and JSON booleans (which Python counts as ints)
+    for claims in ([math.nan, 6], [True, "6"], [4, math.inf]):
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({"claims": claims, "indices": [0.5, 0.5], "pool": 10}))
+        code, out = run(capsys, "settle", str(odd), "--out", str(tmp_path / "odd"))
+        assert (code, out) == (2, None)
+        assert not (tmp_path / "odd" / "settlement.csv").exists()
 
 
 def test_index_update_show_check(tmp_path, capsys):
@@ -257,6 +266,23 @@ def test_index_errors(tmp_path, capsys):
         "--contribution", "oops",
     )
     assert code == 2
+    # non-finite values exit 2 and leave the ledger file unwritten
+    code, _ = run(
+        capsys, "index", "update", str(led), "--t", "0", "--c-pre", "0",
+        "--contribution", "0=nan", "--contribution", "1=2",
+    )
+    assert code == 2
+    assert not led.exists()
+    code, _ = run(capsys, "index", "update", str(led), "--t", "0", "--c-pre", "0",
+                  "--contribution", "0=5", "--mode", "monotone")
+    assert code == 0
+    before = led.read_bytes()
+    for flags in (["--t", "nan", "--c-pre", "5"], ["--t", "1", "--c-pre", "inf"],
+                  ["--t", "1", "--c-pre", "5", "--a", "0=nan"],
+                  ["--t", "1", "--c-pre", "5", "--contribution", "0=-inf"]):
+        code, _ = run(capsys, "index", "update", str(led), "--contribution", "1=2", *flags)
+        assert code == 2, flags
+        assert led.read_bytes() == before
 
 
 def test_invalid_parameter_exit(capsys):

@@ -135,20 +135,44 @@ def test_expect_mc_chunking_invariance():
         expect_mc(A, lambda y: y, 1, seed=0)
 
 
-def test_import_leaves_scipy_optimize_and_integrate_unloaded():
-    # only the expect_quad oracle needs scipy's quadrature, and nothing needs
-    # scipy.optimize; the package and its CLI import without either
+def test_import_leaves_scipy_optimize_and_integrate_unloaded(tmp_path):
+    # the package, and the ledger and settlement subcommands, load neither numpy
+    # nor scipy; the numeric subcommands load scipy.special, and only the
+    # expect_quad oracle needs scipy's quadrature; nothing needs scipy.optimize
+    (tmp_path / "batch.json").write_text(
+        '{"claims": [4, 6, 20, 35, 50], "indices": [0.1, 0.2, 0.3, 0.2, 0.2], "pool": 100}'
+    )
+    ledger_verbs = [
+        ["settle", "batch.json"],
+        ["index", "update", "led.json", "--t", "0", "--c-pre", "0", "--contribution", "1=100"],
+        ["index", "update", "led.json", "--t", "1", "--c-pre", "75", "--contribution", "2=80"],
+        ["index", "show", "led.json"],
+        ["index", "check", "led.json", "--new-id", "9", "--amount", "10"],
+    ]
     code = (
-        "import sys, corridor_pension, corridor_pension.cli\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
+        "import contextlib, io, sys\n"
+        "def loaded(*names):\n"
+        "    return sorted(n for n in names if n in sys.modules)\n"
+        "import corridor_pension\n"
+        "print(loaded('numpy', 'scipy'))\n"
+        "from corridor_pension import cli\n"
+        f"for argv in {ledger_verbs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(loaded('numpy', 'scipy'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['profitability', '--grid', '101']) == 0\n"
+        "print(loaded('scipy.special', 'scipy.optimize', 'scipy.integrate'))\n"
         "from corridor_pension import GbmParams, expect_quad\n"
         "print(expect_quad(GbmParams(0.045, 0.06), lambda y: y))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
-    loaded, mean = proc.stdout.split("\n")[:2]
-    assert loaded == "[]"
+    bare, after_ledger, after_numeric, mean = proc.stdout.split("\n")[:4]
+    assert bare == "[]"
+    assert after_ledger == "[]"
+    assert after_numeric == "['scipy.special']"
     assert float(mean) == pytest.approx(A.mean_return, abs=1e-11)
     for path in (src / "corridor_pension").glob("*.py"):
         text = path.read_text()

@@ -1,0 +1,32 @@
+import importlib
+
+import pytest
+
+import corridor_pension
+
+SUBMODULES = ("claim_settlement", "corridor_math", "market_model", "pool_simulator",
+              "redistribution_index")
+
+
+def test_lazy_exports_are_the_submodule_objects():
+    # every public name resolves to the very object its submodule exports, and
+    # the package exports exactly the union of the submodules' __all__
+    owners = {}
+    for name in SUBMODULES:
+        module = importlib.import_module(f"corridor_pension.{name}")
+        assert getattr(corridor_pension, name) is module
+        owners.update(dict.fromkeys(module.__all__, module))
+    assert sorted(corridor_pension.__all__) == sorted(owners)
+    listed = dir(corridor_pension)
+    for name, module in owners.items():
+        assert getattr(corridor_pension, name) is getattr(module, name), name
+        assert name in listed, name
+    assert corridor_pension.cli is importlib.import_module("corridor_pension.cli")
+
+    namespace = {}
+    exec("from corridor_pension import *", namespace)
+    for name in corridor_pension.__all__:
+        assert namespace[name] is getattr(corridor_pension, name), name
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        corridor_pension.no_such_name

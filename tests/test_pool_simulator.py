@@ -133,6 +133,46 @@ def test_z_star_active_set_drops_wide_boundaries():
     assert tight == pytest.approx(only_tight)
 
 
+def _z_star_loop(ks, etas, theta, help_frac):
+    # the one-profile threshold written out member by member, as the reference
+    # for the array form; only the order of its sums differs
+    if help_frac <= 0:
+        return -1.0
+    buffer = theta / help_frac
+    active = [
+        i for i, k in enumerate(ks)
+        if buffer * (1.0 - k) - sum(e * max(k - kj, 0.0) for kj, e in zip(ks, etas)) >= 0.0
+    ]
+    denom = buffer + sum(etas[i] for i in active)
+    if denom <= 0:
+        return -1.0
+    return min(0.0, max(-1.0, -(buffer + sum(etas[i] * ks[i] for i in active)) / denom))
+
+
+def test_z_star_over_profiles_matches_row_calls():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 8, 9, 30):
+        etas = rng.uniform(0.0, 3.0, n)
+        profiles = rng.uniform(0.0, 1.0, (40, n))
+        profiles[:3] = 0.0
+        profiles[3:6] = 1.0
+        profiles[6:12] = rng.choice([0.0, 0.1, 0.5, 1.0], (6, n))
+        for theta, help_frac in ((0.0, 0.5), (1.3, 0.5), (0.4, 1.0), (2.0, 0.0)):
+            batched = z_star(profiles, etas, theta, help_frac)
+            assert batched.shape == (40,)
+            rows = [z_star(row, etas, theta, help_frac) for row in profiles]
+            assert all(type(z) is float for z in rows)
+            assert batched.tolist() == rows
+            loop = [_z_star_loop(row.tolist(), etas.tolist(), theta, help_frac) for row in profiles]
+            assert np.max(np.abs(batched - loop)) <= 1e-15
+    # an empty buffer with a member at k = 0 gives threshold 0.0, never -0.0
+    assert math.copysign(1.0, z_star([0.0, 0.5], [1.0, 1.0], 0.0)) == 1.0
+    with pytest.raises(ValueError):
+        z_star(np.zeros((2, 2, 2)), [1.0, 1.0], 0.1)
+    with pytest.raises(ValueError):
+        z_star(np.zeros((3, 2)), [1.0, 1.0, 1.0], 0.1)
+
+
 @given(
     n=st.integers(1, 6),
     theta=st.floats(0.0, 3.0),

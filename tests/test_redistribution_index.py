@@ -1,4 +1,6 @@
 import ast
+import json
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from corridor_pension import redistribution_index
 from corridor_pension.redistribution_index import (
+    CheckResult,
     Ledger,
     check_add,
     check_cont,
@@ -160,6 +163,30 @@ def test_zero_contribution_event_fixes_shares():
     assert check_fix(led)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_event_values_rejected(bad):
+    led = Ledger(mode="monotone")
+    with pytest.raises(ValueError, match="finite"):
+        led.record(bad, {1: 10.0}, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        led.record(0, {1: bad, 2: 2.0}, 0.0)
+    led.record(0, {1: 10.0}, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        led.record(1, {1: 1.0}, bad)
+    with pytest.raises(ValueError, match="finite"):
+        led.record(1, {1: 1.0}, 10.0, a={1: bad})
+    assert len(led.events) == 1
+
+
+def test_json_ledger_with_non_finite_or_non_numeric_values_rejected():
+    raw = json.loads(reference_ledger().to_json())
+    for key, bad in (("C_pre", math.nan), ("t", math.inf), ("C_pre", "75 euros"), ("norm", math.nan)):
+        broken = json.loads(json.dumps(raw))
+        (broken if key == "norm" else broken["events"][1])[key] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Ledger.from_json(json.dumps(broken))
+
+
 def test_json_round_trip_preserves_exactness():
     led = reference_ledger()
     text = led.to_json()
@@ -242,3 +269,56 @@ def test_monotone_always_monotone(first, later):
         led.record(t, {1: ja, 2: jb}, a=a, c_pre=led.events[-1].c_post)
     assert sum(led.shares.values()) == 1
     assert check_mon(led)
+
+
+def _check_mon_rescan(ledger: Ledger) -> CheckResult:
+    # the definition read literally, kept as the oracle for check_mon: every
+    # cumulative total is recomputed for every prefix and pair, O(E^3 N^2)
+    def cumulative(j, upto):
+        return sum(ledger.events[m].contributions.get(j, 0) for m in range(upto + 1))
+
+    ids = ledger.ids
+    for n, ev in enumerate(ledger.events):
+        for j in ids:
+            for l in ids:
+                if j == l:
+                    continue
+                if not all(cumulative(j, m) >= cumulative(l, m) for m in range(n + 1)):
+                    continue
+                sj = ev.shares_after.get(j, 0)
+                sl = ev.shares_after.get(l, 0)
+                if sj < sl and not redistribution_index._close(sj, sl):
+                    return CheckResult(False, "mon", (ev.t, (j, l)))
+    return CheckResult(True, "mon")
+
+
+_drops = st.fractions(min_value=F(1, 4), max_value=F(3, 2), max_denominator=8)
+
+
+@st.composite
+def _ledgers(draw):
+    # proportional ledgers fail after a market drop, monotone ones when the
+    # interest factors differ; members may join late or skip events
+    mode = draw(st.sampled_from(["proportional", "monotone"]))
+    num = F if draw(st.booleans()) else float
+    n = draw(st.integers(2, 5))
+    led = Ledger(mode=mode)
+    first = {j: num(draw(_amounts)) for j in range(1, n) if draw(st.booleans())}
+    first[0] = num(draw(st.fractions(min_value=1, max_value=500, max_denominator=20)))
+    led.record(0, first, num(0))
+    for t in range(1, draw(st.integers(2, 7))):
+        payers = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        contributions = {j: num(draw(_amounts)) for j in payers}
+        c_pre = led.events[-1].c_post * num(draw(_drops))
+        a = None
+        if mode == "monotone":
+            rates = st.fractions(min_value=0, max_value=1, max_denominator=10)
+            a = {j: num(draw(rates)) for j in range(n)}
+        led.record(t, contributions, c_pre, a=a)
+    return led
+
+
+@given(led=_ledgers())
+@settings(max_examples=300, deadline=None)
+def test_check_mon_matches_the_prefix_rescan(led):
+    assert check_mon(led) == _check_mon_rescan(led)
