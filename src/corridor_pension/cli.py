@@ -49,65 +49,70 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise CliError("config root must be a JSON object")
+    for name in ("market", "policy", "pool", "fixed_point"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise CliError(f"config {name!r} must be a JSON object")
     return cfg
 
 
-def _pick(args, name, cfg_section, cfg_key, default):
+def _number(val, where, kind=float):
+    # JSON booleans, lists and objects are invalid input, not numbers
+    if isinstance(val, bool) or not isinstance(val, (int, float, str)):
+        raise CliError(f"bad value {val!r} for {where}")
+    return kind(val)
+
+
+def _pick(args, name, cfg_section, cfg_key, default, kind=float):
+    # the flag, else the config entry, else the default; a value given is
+    # converted by kind, and kind=None returns it raw
     val = getattr(args, name, None)
-    if val is not None:
-        return val
-    if cfg_key in cfg_section:
-        return cfg_section[cfg_key]
-    return default
+    if val is None:
+        val = cfg_section.get(cfg_key)
+    if val is None:
+        return default
+    return val if kind is None else _number(val, cfg_key, kind)
 
 
 def _market(args, cfg) -> GbmParams:
     from .market_model import GbmParams
 
     sec = cfg.get("market", {})
-    try:
-        return GbmParams(
-            mu=float(_pick(args, "mu", sec, "mu", 0.045)),
-            sigma=float(_pick(args, "sigma", sec, "sigma", 0.06)),
-            x0=float(_pick(args, "x0", sec, "x0", 0.0)),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return GbmParams(
+        mu=_pick(args, "mu", sec, "mu", 0.045),
+        sigma=_pick(args, "sigma", sec, "sigma", 0.06),
+    )
 
 
 def _policy(args, cfg) -> CorridorPolicy:
     from .corridor_math import CorridorPolicy
 
     sec = cfg.get("policy", {})
-    try:
-        return CorridorPolicy(
-            k=float(_pick(args, "k", sec, "k", 0.0)),
-            p=float(_pick(args, "p", sec, "p", 1.0)),
-            give_frac=float(_pick(args, "give_frac", sec, "give_frac", 0.25)),
-            help_frac=float(_pick(args, "help_frac", sec, "help_frac", 0.5)),
-            alpha=float(_pick(args, "alpha", sec, "alpha", 0.0)),
-            J=float(_pick(args, "j_discount", sec, "J", 0.0)),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return CorridorPolicy(
+        k=_pick(args, "k", sec, "k", 0.0),
+        p=_pick(args, "p", sec, "p", 1.0),
+        give_frac=_pick(args, "give_frac", sec, "give_frac", 0.25),
+        help_frac=_pick(args, "help_frac", sec, "help_frac", 0.5),
+        alpha=_pick(args, "alpha", sec, "alpha", 0.0),
+        J=_pick(args, "j_discount", sec, "J", 0.0),
+    )
 
 
 def _out_dir(args, cfg) -> Path:
-    out = Path(_pick(args, "out", cfg, "out", "."))
+    out = Path(_pick(args, "out", cfg, "out", ".", kind=str))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _grid(args, cfg) -> int:
-    return int(_pick(args, "grid", cfg, "grid", 2001))
+    return _pick(args, "grid", cfg, "grid", 2001, kind=int)
 
 
 def _seed(args, cfg) -> int:
-    return int(_pick(args, "seed", cfg, "seed", 0))
+    return _pick(args, "seed", cfg, "seed", 0, kind=int)
 
 
 def _paths(args, cfg) -> int:
-    return int(_pick(args, "paths", cfg, "paths", 100_000))
+    return _pick(args, "paths", cfg, "paths", 100_000, kind=int)
 
 
 def _write_csv(path: Path, header, rows):
@@ -164,8 +169,8 @@ def cmd_optimize(args) -> int:
     policy = _policy(args, cfg)
     out = _out_dir(args, cfg)
     grid = _grid(args, cfg)
-    c = args.c if args.c is not None else cfg.get("c")
-    horizon = int(_pick(args, "horizon", cfg, "horizon", 1))
+    c = _pick(args, "c", cfg, "c", None)
+    horizon = _pick(args, "horizon", cfg, "horizon", 1, kind=int)
 
     k_min = admissible_min_k(params, policy)
     res = maximize_m2(params, policy, k_min=k_min, grid=grid, T=horizon)
@@ -177,7 +182,7 @@ def cmd_optimize(args) -> int:
         header.insert(3, "n_gated")
     columns = [m1(params, policy, ks), m2_horizon(params, policy, ks, horizon)]
     if include_gated:
-        columns.append(n_func(params, policy, float(c), ks))
+        columns.append(n_func(params, policy, c, ks))
     admissible = _lhs_curve(params, policy, ks) <= 1e-12
     rows = [
         [f"{k:.10g}", *(f"{v:.17g}" for v in vals), int(ok)]
@@ -194,9 +199,9 @@ def cmd_optimize(args) -> int:
         "csv": str(out / "optimize_curves.csv"),
     }
     if include_gated:
-        gated = k_of_c(params, policy, float(c), grid=grid, k_min=k_min)
+        gated = k_of_c(params, policy, c, grid=grid, k_min=k_min)
         summary["k_of_c"] = {
-            "c": float(c),
+            "c": c,
             "k_star": gated.k_star,
             "value": gated.value,
             "tie_flag": gated.tie_flag,
@@ -211,25 +216,22 @@ def _pool_config(args, cfg, policy) -> PoolConfig:
     from .pool_simulator import PoolConfig
 
     sec = cfg.get("pool", {})
-    ledger_path = _pick(args, "ledger", cfg, "ledger", None)
+    ledger_path = _pick(args, "ledger", cfg, "ledger", None, kind=str)
     ledger = None
     if ledger_path is not None:
         ledger = _load_ledger(ledger_path)
-    try:
-        return PoolConfig(
-            n=int(_pick(args, "n", sec, "n", 1)),
-            gamma=float(_pick(args, "gamma", sec, "gamma", 1.0)),
-            pi_ind=float(_pick(args, "pi_ind", sec, "pi_ind", 0.0)),
-            T=int(_pick(args, "T", sec, "T", 1)),
-            regime=str(_pick(args, "regime", sec, "regime", "AlwaysHelp")),
-            policy=policy,
-            index_source=ledger,
-            v0_ind=float(_pick(args, "v0", sec, "v0_ind", 1.0)),
-            c0=float(_pick(args, "c0", sec, "c0", 0.0)),
-            h0=float(_pick(args, "h0", sec, "h0", 1.0)),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return PoolConfig(
+        n=_pick(args, "n", sec, "n", 1, kind=int),
+        gamma=_pick(args, "gamma", sec, "gamma", 1.0),
+        pi_ind=_pick(args, "pi_ind", sec, "pi_ind", 0.0),
+        T=_pick(args, "T", sec, "T", 1, kind=int),
+        regime=_pick(args, "regime", sec, "regime", "AlwaysHelp", kind=str),
+        policy=policy,
+        index_source=ledger,
+        v0_ind=_pick(args, "v0", sec, "v0_ind", 1.0),
+        c0=_pick(args, "c0", sec, "c0", 0.0),
+        h0=_pick(args, "h0", sec, "h0", 1.0),
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -295,15 +297,13 @@ def cmd_fixed_point(args) -> int:
     params = _market(args, cfg)
     policy = _policy(args, cfg)
     sec = cfg.get("fixed_point", {})
-    theta = float(_pick(args, "theta", sec, "theta", 1.0))
-    eta_raw = _pick(args, "eta", sec, "eta", "1")
+    theta = _pick(args, "theta", sec, "theta", 1.0)
+    eta_raw = _pick(args, "eta", sec, "eta", "1", kind=None)
     if isinstance(eta_raw, str):
-        try:
-            eta_vec = [float(x) for x in eta_raw.split(",") if x.strip()]
-        except ValueError:
-            raise CliError(f"cannot parse eta list {eta_raw!r}")
-    else:
-        eta_vec = [float(x) for x in eta_raw]
+        eta_raw = [x for x in eta_raw.split(",") if x.strip()]
+    if not isinstance(eta_raw, list):
+        raise CliError(f"eta must be a comma-separated string or a list, got {eta_raw!r}")
+    eta_vec = [_number(x, "eta") for x in eta_raw]
     if not eta_vec:
         raise CliError("eta list is empty")
 
@@ -339,19 +339,18 @@ def cmd_settle(args) -> int:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read batch {args.batch}: {exc}")
+    if not isinstance(raw, dict):
+        raise CliError("batch root must be a JSON object")
     for key in ("claims", "indices", "pool"):
         if key not in raw:
             raise CliError(f"batch file missing {key!r}")
     if not isinstance(raw["claims"], list) or not isinstance(raw["indices"], list):
         raise CliError("claims and indices must be lists")
-    try:
-        batch = ClaimBatch(
-            [_batch_number(c, "claims") for c in raw["claims"]],
-            [_batch_number(w, "indices") for w in raw["indices"]],
-            _batch_number(raw["pool"], "pool"),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    batch = ClaimBatch(
+        [_batch_number(c, "claims") for c in raw["claims"]],
+        [_batch_number(w, "indices") for w in raw["indices"]],
+        _batch_number(raw["pool"], "pool"),
+    )
     result = settle(batch)
     cfg = _load_config(args.config)
     out = _out_dir(args, cfg)
@@ -400,6 +399,8 @@ def cmd_index(args) -> int:
         path = Path(args.ledger)
         if path.exists():
             ledger = _load_ledger(args.ledger)
+            if args.mode not in (None, ledger.mode):
+                raise CliError(f"--mode {args.mode} disagrees with the {ledger.mode} ledger")
         else:
             ledger = Ledger(mode=args.mode or "proportional")
         if args.t is None or args.c_pre is None:
@@ -408,10 +409,7 @@ def cmd_index(args) -> int:
         if not contributions and not ledger.events:
             raise CliError("first update needs at least one --contribution")
         a = _parse_kv(args.a, "--a") or None
-        try:
-            shares = ledger.record(args.t, contributions, args.c_pre, a=a)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        shares = ledger.record(args.t, contributions, args.c_pre, a=a)
         path.write_text(ledger.to_json())
         _emit({"shares": {str(k): v for k, v in shares.items()}, "events": len(ledger.events)})
         return 0
@@ -459,7 +457,6 @@ def _add_common(sub):
     sub.add_argument("--paths", type=int, help="Monte Carlo path count")
     sub.add_argument("--mu", type=float, help="per-period log-drift")
     sub.add_argument("--sigma", type=float, help="per-period log-volatility")
-    sub.add_argument("--x0", type=float, help="initial log-price")
     sub.add_argument("--k", type=float, help="lower boundary magnitude")
     sub.add_argument("--p", type=float, help="upper boundary asymmetry factor")
     sub.add_argument("--give-frac", dest="give_frac", type=float)
@@ -534,10 +531,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:  # a ValueError is invalid input too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

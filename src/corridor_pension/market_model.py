@@ -36,14 +36,13 @@ _Z_CUT = 10.0
 
 @dataclass(frozen=True)
 class GbmParams:
-    """Per-period log-drift and log-volatility of the fund; x0 is the initial log-price."""
+    """Per-period log-drift and log-volatility of the fund."""
 
     mu: float
     sigma: float
-    x0: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma) and math.isfinite(self.x0)):
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValueError("GbmParams fields must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")

@@ -27,7 +27,6 @@ best-response improvement bound.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -94,8 +93,8 @@ class PoolConfig:
     """Static pool description.
 
     pi_ind may be a scalar (homogeneous premia) or one value per individual;
-    pi_all defaults to their sum.  k_vec overrides the policy boundary per
-    individual.  index_source must be a recorded ledger when the regime is
+    the collective's inflow is their sum.  k_vec overrides the policy
+    boundary per individual.  index_source must be a recorded ledger when the regime is
     IndexCappedHelp, with an event before t = 1 (the first period reads the
     shares before it), and at least one member id 0..n-1 must appear in it
     (compared as strings, so a JSON ledger's "0" is member 0).  Initial
@@ -108,7 +107,6 @@ class PoolConfig:
     T: int
     regime: str
     policy: CorridorPolicy
-    pi_all: float | None = None
     index_source: Ledger | None = None
     k_vec: tuple | None = None
     v0_ind: object = 1.0
@@ -132,11 +130,6 @@ class PoolConfig:
             if len(self.k_vec) != self.n or not all(0 <= k <= 1 for k in self.k_vec):
                 raise ValueError("k_vec needs n entries in [0, 1]")
             object.__setattr__(self, "k_vec", tuple(float(k) for k in self.k_vec))
-        if self.pi_all is not None:
-            if np.isscalar(self.pi_ind):
-                want = self.n * float(self.pi_ind)
-                if abs(self.pi_all - want) > 1e-9 * max(1.0, want):
-                    raise ValueError("pi_all must equal n * pi_ind for homogeneous premia")
         if self.regime == INDEX_CAPPED_HELP:
             if self.index_source is None:
                 raise ValueError("IndexCappedHelp needs an index_source ledger")
@@ -156,7 +149,7 @@ class PoolConfig:
 
     @property
     def premium_total(self) -> float:
-        return float(self.pi_all) if self.pi_all is not None else sum(self.premiums)
+        return sum(self.premiums)
 
     @property
     def initial_values(self) -> tuple:
@@ -626,44 +619,45 @@ def dp_check(
     v0: float = 1.0,
     tol: float = 1e-9,
 ) -> DpVerdict:
-    """Exhaustively compare per-period boundary profiles against constant ones.
+    """Best per-period boundary schedule against the best constant boundary.
 
-    The expected-value recursion makes the T-period objective a closed form in
-    the per-period first and second moments (`horizon_objective`), so profiles
-    on grid^T can be enumerated exactly.  The boundaries are the grid on
-    [k_min, 1], the admissible set `maximize_m2` searches.  Values are
-    reported as terminal values, v0 plus that
-    objective.  Verdict is value-based: stationary means no profile beats the
-    best constant profile by more than tol.
+    Both choose from the grid on [k_min, 1], the admissible set `maximize_m2`
+    searches, and are scored by the T-period objective of `horizon_objective`,
+    reported as a terminal value (v0 plus that objective).  The objective is
+    affine in the expected account value m_t, which stays nonnegative when v0
+    and gamma_pi are (an account never loses more than it holds), so the
+    value from period t on is A_t * m_t + B_t and the best k_t does not
+    depend on m_t.  One backward pass from A_T = 1, B_T = 0 takes the argmax
+    of A_{t+1} (1 + psi1) - alpha psi2 per period (Bellman): exact on the
+    grid for any T, in O(T * grid); best_profile lists the schedule from the
+    first period to the last.  Verdict is value-based: stationary means no
+    schedule beats the best constant boundary by more than tol.
     """
-    if T < 1 or T > 4:
-        raise ValueError("dp_check supports 1 <= T <= 4")
+    if T < 1 or v0 < 0 or gamma_pi < 0:
+        raise ValueError("dp_check needs T >= 1 and nonnegative v0 and gamma_pi")
     k_min = admissible_min_k(params, policy)
     ks = np.linspace(k_min, 1.0, grid)
     s1, s2 = _psi(params, policy, ks)
-    pairs = list(zip(s1.tolist(), s2.tolist()))
-
-    def value(profile) -> float:
-        moments = [pairs[idx] for idx in profile]
-        return v0 + horizon_objective(moments, policy.alpha, v0, gamma_pi)
-
-    best_profile, best_value = None, -math.inf
-    for profile in itertools.product(range(grid), repeat=T):
-        v = value(profile)
-        if v > best_value:
-            best_profile, best_value = profile, v
-    best_const_idx, best_const_value = None, -math.inf
-    for idx in range(grid):
-        v = value((idx,) * T)
-        if v > best_const_value:
-            best_const_idx, best_const_value = idx, v
-    gap = best_value - best_const_value
+    a, b, schedule = 1.0, 0.0, []
+    for _ in range(T):
+        vals = a * (1.0 + s1) - policy.alpha * s2
+        i = int(np.argmax(vals))
+        schedule.append(i)
+        b += a * gamma_pi
+        a = float(vals[i])
+    best_value = a * v0 + b
+    constant = v0 + horizon_objective([(s1, s2)] * T, policy.alpha, v0, gamma_pi)
+    c = int(np.argmax(constant))
+    best_constant_value = float(constant[c])
+    if best_value < best_constant_value:  # rounding; the constant is a candidate too
+        schedule, best_value = [c] * T, best_constant_value
+    gap = best_value - best_constant_value
     return DpVerdict(
         stationary=gap <= tol,
-        best_profile=tuple(float(ks[i]) for i in best_profile),
+        best_profile=tuple(float(ks[i]) for i in reversed(schedule)),
         best_value=best_value,
-        best_constant_k=float(ks[best_const_idx]),
-        best_constant_value=best_const_value,
+        best_constant_k=float(ks[c]),
+        best_constant_value=best_constant_value,
         gap=gap,
         tol=tol,
     )

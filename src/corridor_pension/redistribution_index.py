@@ -146,12 +146,18 @@ class Ledger:
             return x
 
         raw = json.loads(text)
+        if not isinstance(raw, dict) or not isinstance(raw.get("events", []), list):
+            raise ValueError("a ledger is a JSON object with a list of events")
         led = cls(
             mode=raw.get("mode", MODE_PROPORTIONAL),
             norm=dec(raw.get("norm", 100)),
             default_a=dec(raw.get("default_a", 0)),
         )
         for ev in raw.get("events", []):
+            if not isinstance(ev, dict) or not all(
+                isinstance(ev.get(key, {}), dict) for key in ("contributions", "a")
+            ):
+                raise ValueError("a ledger event is an object; its contributions and a are objects")
             contributions = {j: dec(v) for j, v in ev.get("contributions", {}).items()}
             a = {j: dec(v) for j, v in ev["a"].items()} if "a" in ev else None
             led.record(dec(ev["t"]), contributions, dec(ev["C_pre"]), a=a)
@@ -160,7 +166,10 @@ class Ledger:
 
 def _finite(x) -> bool:
     # exact rationals are finite; anything else must be a real number that is
-    # neither NaN nor infinite (NaN slips through every < and <= test)
+    # neither NaN nor infinite (NaN slips through every < and <= test).  A bool
+    # is an int to Python but never a number here (JSON true is not 1)
+    if isinstance(x, bool):
+        return False
     return isinstance(x, Rational) or (isinstance(x, Real) and math.isfinite(x))
 
 

@@ -166,6 +166,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         "--out", str(tmp_path),
     )
     assert base["k_min"] != over["k_min"] or base["stationary_points"] != over["stationary_points"]
+    # a section that is no object, a value of the wrong JSON type, a boolean for a number
+    for command, bad in (("profitability", {"market": "mu"}),
+                         ("fixed-point", {"fixed_point": {"eta": 3}}),
+                         ("profitability", {"market": {"mu": True}}),
+                         ("profitability", {"grid": [101]})):
+        path.write_text(json.dumps(bad))
+        code, out = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+        assert (code, out) == (2, None), bad
 
 
 def test_fixed_point(capsys):
@@ -220,6 +228,10 @@ def test_settle_bad_inputs(tmp_path, capsys):
         code, out = run(capsys, "settle", str(odd), "--out", str(tmp_path / "odd"))
         assert (code, out) == (2, None)
         assert not (tmp_path / "odd" / "settlement.csv").exists()
+    # a batch that is no JSON object
+    odd.write_text(json.dumps("claims indices pool"))
+    code, out = run(capsys, "settle", str(odd), "--out", str(tmp_path / "odd"))
+    assert (code, out) == (2, None)
 
 
 def test_index_update_show_check(tmp_path, capsys):
@@ -283,6 +295,18 @@ def test_index_errors(tmp_path, capsys):
         code, _ = run(capsys, "index", "update", str(led), "--contribution", "1=2", *flags)
         assert code == 2, flags
         assert led.read_bytes() == before
+    # a --mode that disagrees with the ledger file is refused, not ignored
+    code, _ = run(capsys, "index", "update", str(led), "--mode", "proportional",
+                  "--t", "1", "--c-pre", "5", "--contribution", "1=2")
+    assert code == 2
+    assert led.read_bytes() == before
+    # ledger files of the wrong shape, and JSON booleans in an event
+    bad = tmp_path / "bad_ledger.json"
+    for raw in ([1, 2], {"events": [1]}, {"events": [{"t": 0, "C_pre": 0, "contributions": [1]}]},
+                {"events": [{"t": 0, "C_pre": 0, "contributions": {"0": True}}]}):
+        bad.write_text(json.dumps(raw))
+        code, out = run(capsys, "index", "show", str(bad))
+        assert (code, out) == (2, None), raw
 
 
 def test_invalid_parameter_exit(capsys):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corridor_pension.corridor_math import CorridorPolicy, admissible_min_k, maximize_m2, n_func
+from corridor_pension.corridor_math import (
+    CorridorPolicy,
+    _psi,
+    admissible_min_k,
+    horizon_objective,
+    maximize_m2,
+    n_func,
+)
 from corridor_pension.market_model import GbmParams, density_peak
 from corridor_pension.pool_simulator import (
     ALWAYS_HELP,
@@ -89,8 +96,6 @@ def test_config_validation():
         base_config(pi_ind=-0.1)
     with pytest.raises(ValueError):
         base_config(k_vec=(0.1, 0.2))  # wrong length
-    with pytest.raises(ValueError):
-        base_config(pi_all=1.0)  # inconsistent with n * pi_ind
     with pytest.raises(ValueError):
         base_config(regime=INDEX_CAPPED_HELP)  # ledger missing
 
@@ -589,7 +594,7 @@ def test_dp_check_frozen_values():
     assert v3_plain.stationary
     assert v3_plain.best_value == pytest.approx(1.150734000410945, rel=1e-12)
     with pytest.raises(ValueError):
-        dp_check(A, pol, T=5)
+        dp_check(A, pol, T=0)
 
 
 def test_dp_check_enumerates_admissible_boundaries():
@@ -602,6 +607,57 @@ def test_dp_check_enumerates_admissible_boundaries():
     assert min(verdict.best_profile) >= k_min
     res = maximize_m2(A, pol, T=2)
     assert verdict.best_constant_value <= 1.0 + res.value + 1e-12
+
+
+def _dp_enumerate(params, policy, T, grid, gamma_pi):
+    # every grid^T profile scored forward by horizon_objective, kept as the
+    # oracle for dp_check's backward pass
+    ks = np.linspace(admissible_min_k(params, policy), 1.0, grid)
+    pairs = list(zip(*(s.tolist() for s in _psi(params, policy, ks))))
+    return max(
+        1.0 + horizon_objective([pairs[i] for i in profile], policy.alpha, 1.0, gamma_pi)
+        for profile in itertools.product(range(grid), repeat=T)
+    )
+
+
+@pytest.mark.parametrize("mu,sigma", [(0.045, 0.06), (0.06, 0.15), (-0.02, 0.1), (0.0, 0.3)])
+@pytest.mark.parametrize(
+    "pol",
+    [
+        CorridorPolicy(alpha=4.0),
+        CorridorPolicy(give_frac=0.0, help_frac=0.5, alpha=4.0),  # k_min = 0.2784 at (4.5%, 6%)
+        CorridorPolicy(give_frac=0.6, help_frac=0.3, p=1.5, alpha=0.5, J=0.2),
+    ],
+)
+def test_dp_check_matches_enumeration(mu, sigma, pol):
+    params = GbmParams(mu, sigma)
+    for T in (1, 2, 3):
+        for gamma_pi in (0.0, 0.1):
+            verdict = dp_check(params, pol, T=T, grid=11, gamma_pi=gamma_pi)
+            want = _dp_enumerate(params, pol, T, 11, gamma_pi)
+            # values, not profiles: a plateau can hold two equally good profiles
+            assert verdict.best_value == pytest.approx(want, rel=1e-12)
+            assert verdict.gap >= 0.0
+            assert len(verdict.best_profile) == T
+
+
+def test_dp_check_long_horizon_schedule_narrows():
+    pol = CorridorPolicy(alpha=4.0)
+    verdict = dp_check(A, pol, T=40, grid=201)
+    assert verdict.best_profile[0] == pytest.approx(0.43, abs=1e-12)
+    assert verdict.best_profile[-4:] == (0.0,) * 4
+    assert verdict.best_value == pytest.approx(3.6630, abs=1e-3)
+    assert verdict.gap == pytest.approx(0.0308, abs=1e-3)
+    assert not verdict.stationary
+    with_premia = dp_check(A, pol, T=40, grid=201, gamma_pi=0.1)
+    assert with_premia.best_profile[0] == pytest.approx(0.43, abs=1e-12)
+    assert with_premia.best_profile[-4:] == (0.0,) * 4
+    assert with_premia.best_value == pytest.approx(11.2965, abs=1e-3)
+    assert with_premia.gap == pytest.approx(0.0771, abs=1e-3)
+    assert not with_premia.stationary
+    for bad in ({"v0": -1.0}, {"gamma_pi": -0.1}):
+        with pytest.raises(ValueError):
+            dp_check(A, pol, T=2, **bad)
 
 
 def test_transfer_conservation_along_path():
