@@ -93,12 +93,12 @@ class CorridorPolicy:
     def __post_init__(self):
         if not 0.0 <= self.k <= 1.0:
             raise ValueError("k must be in [0, 1]")
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError("p must be finite and >= 1")
         if not (0.0 <= self.give_frac <= 1.0 and 0.0 <= self.help_frac <= 1.0):
             raise ValueError("transfer fractions must be in [0, 1]")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
         if not 0.0 <= self.J < 1.0:
             raise ValueError("J must be in [0, 1)")
 

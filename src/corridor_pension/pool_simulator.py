@@ -15,9 +15,10 @@ cover:
   lagged redistribution share and the remainder goes through the recursive
   claim settlement.
 
-`simulate` runs all regimes on one vectorized kernel over (columns, paths)
-arrays; `step` and `run_path`, with the exact `settle`, are its reference and
-give per-member step logs.  Members 0..n-1 match ledger ids by `str(id)`.
+One period rule, `_period`, works on (columns, paths) arrays for every
+regime: `simulate` runs it over blocks of paths, and `step` and `run_path` run
+it on one path with a column per member to give per-member step logs.
+Members 0..n-1 match ledger ids by `str(id)`.
 
 The coverage indicator collapses to a threshold on the net return (`z_star`),
 which drives the fixed-point search for a common near-optimal boundary and the
@@ -33,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .claim_settlement import ClaimBatch, settle
 from .corridor_math import (
     CorridorPolicy,
     _psi,
@@ -120,12 +120,13 @@ class PoolConfig:
             raise ValueError("gamma must be in [0, 1]")
         if self.regime not in _REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.h0 <= 0 or self.c0 < 0:
-            raise ValueError("h0 must be positive and c0 nonnegative")
-        if any(p < 0 for p in self.premiums):
-            raise ValueError("premia must be nonnegative")
-        if any(v < 0 for v in self.initial_values):
-            raise ValueError("initial values must be nonnegative")
+        # chained comparisons, so NaN fails each check
+        if not (0 < self.h0 < math.inf and 0 <= self.c0 < math.inf):
+            raise ValueError("h0 must be positive and c0 nonnegative, both finite")
+        if not all(0 <= p < math.inf for p in self.premiums):
+            raise ValueError("premia must be finite and nonnegative")
+        if not all(0 <= v < math.inf for v in self.initial_values):
+            raise ValueError("initial values must be finite and nonnegative")
         if self.k_vec is not None:
             if len(self.k_vec) != self.n or not all(0 <= k <= 1 for k in self.k_vec):
                 raise ValueError("k_vec needs n entries in [0, 1]")
@@ -248,7 +249,8 @@ def z_star(
     etas = np.asarray(eta_vec, dtype=float)
     if ks.ndim not in (1, 2) or etas.ndim != 1 or ks.shape[-1:] != etas.shape:
         raise ValueError("k_vec and eta_vec must have equal length")
-    if np.any((ks < 0.0) | (ks > 1.0)) or np.any(etas < 0.0) or theta < 0:
+    if not (np.all((0.0 <= ks) & (ks <= 1.0)) and np.all((0.0 <= etas) & (etas < np.inf))
+            and 0 <= theta < math.inf and help_frac >= 0):
         raise ValueError("invalid pool state")
     if help_frac <= 0:
         z = np.full(ks.shape[:-1], -1.0)
@@ -265,12 +267,10 @@ def z_star(
     return float(z) if ks.ndim == 1 else z
 
 
-def _coverage_ok(theta_prev, rho, claims_weighted, help_frac) -> bool:
+def _coverage_ok(theta_prev, rho, claims_weighted, help_frac):
     # strict: help only when the collective can strictly cover the aggregate claim;
-    # a period with no claims has nothing to cover
-    if claims_weighted <= 0:
-        return True
-    return theta_prev * (1.0 + rho) > help_frac * claims_weighted
+    # a period with no claims has nothing to cover.  Elementwise over paths.
+    return (claims_weighted <= 0) | (theta_prev * (1.0 + rho) > help_frac * claims_weighted)
 
 
 def step(pool: PoolState, gross_return: float, config: PoolConfig):
@@ -278,93 +278,46 @@ def step(pool: PoolState, gross_return: float, config: PoolConfig):
 
     Returns the new state and a per-agent report.  Transfers are computed from
     the pre-step values and the period's net return; premia buy units at the
-    post-growth price.
+    post-growth price.  Runs the period rule of `simulate` on one path.
     """
-    if gross_return <= 0:
+    if not gross_return > 0:
         raise ValueError("gross return must be positive")
-    pol = config.policy
-    price = pool.price * gross_return
-    rho = gross_return - 1.0
-    t_new = pool.t + 1
-    prem = config.premiums
-
-    eta_prev = [a.eta for a in pool.accounts]
-    v_prev = [a.value for a in pool.accounts]
-    ks = [a.k for a in pool.accounts]
-    theta_prev = pool.collective.theta
-
-    # growth + premium
-    eta = [e + config.gamma * p / price for e, p in zip(eta_prev, prem)]
-    values = [e * price for e in eta]
-    theta = theta_prev + (1.0 - config.gamma) * config.premium_total / price
-
-    gives = [
-        pol.give_frac * v * (rho - k * pol.p) if rho > k * pol.p else 0.0
-        for v, k in zip(v_prev, ks)
-    ]
-    claims = [
-        pol.help_frac * v * (-k - rho) if rho < -k else 0.0 for v, k in zip(v_prev, ks)
-    ]
-    claims_weighted = sum(e * max(-k - rho, 0.0) for e, k in zip(eta_prev, ks))
-    covered = _coverage_ok(theta_prev, rho, claims_weighted, pol.help_frac)
-    z = z_star(ks, eta_prev, max(theta_prev, 0.0), pol.help_frac)
-
-    if config.regime == ALWAYS_HELP or covered:
-        paid = list(claims)
-    elif config.regime == NO_HELP_IF_INSUFFICIENT:
-        paid = [0.0] * config.n
-    else:  # IndexCappedHelp, coverage failed: cap by lagged shares, then settle
-        paid = [0.0] * config.n
-        claimants = [i for i, c in enumerate(claims) if c > 0]
-        if claimants and theta_prev > 0:
-            owners = [pool.accounts[i].owner_id for i in claimants]
-            weights = _lagged_shares(config.index_source, t_new, owners)
-            total_w = sum(weights)
-            if total_w > 0:
-                batch = ClaimBatch(
-                    claims=[claims[i] / price for i in claimants],
-                    indices=[w / total_w for w in weights],
-                    pool_shares=theta_prev,
-                )
-                result = settle(batch)
-                for i, units in zip(claimants, result.allocations):
-                    paid[i] = units * price
-
-    deficit_before = max(0.0, -theta)
-    for i in range(config.n):
-        net = paid[i] - gives[i]
-        values[i] += net
-        eta[i] += net / price
-    theta += (sum(gives) - sum(paid)) / price
-    deficit_after = max(0.0, -theta)
-    support_added = max(0.0, deficit_after - deficit_before)
-    if config.regime != ALWAYS_HELP and theta < -1e-12:
-        raise RuntimeError("collective went negative outside AlwaysHelp")
-
-    collective = CollectiveAccount(theta, theta * price)
-    accounts = tuple(
-        IndividualAccount(eta[i], values[i], ks[i], pool.accounts[i].owner_id)
-        for i in range(config.n)
+    accounts, theta_prev, t = pool.accounts, pool.collective.theta, pool.t + 1
+    owners = [a.owner_id for a in accounts]
+    ks = [a.k for a in accounts]
+    eta_prev = np.array([a.eta for a in accounts])
+    z = z_star(ks, eta_prev, max(theta_prev, 0.0), config.policy.help_frac)
+    price, v, eta, theta, claim, net, covered, _, support = _period(
+        config, _rule(config, ks, config.premiums, _member_sum, owners), t, np.array([float(gross_return)]), np.array([pool.price]),
+        np.array([[a.value] for a in accounts]), eta_prev[:, None], np.array([theta_prev]),
     )
+    price, theta, support_added = float(price[0]), float(theta[0]), float(support[0])
+    v, eta, net = v[:, 0].tolist(), eta[:, 0].tolist(), net[:, 0].tolist()
+    collective = CollectiveAccount(theta, theta * price)
     rows = tuple(
         {
-            "t": t_new,
-            "owner_id": pool.accounts[i].owner_id,
-            "V": values[i],
+            "t": t,
+            "owner_id": owners[i],
+            "V": v[i],
             "eta": eta[i],
-            "transfer_units": (paid[i] - gives[i]) / price,
-            "transfer_value": paid[i] - gives[i],
-            "help_granted": paid[i] > 0,
+            "transfer_units": net[i] / price,
+            "transfer_value": net[i],
+            "help_granted": net[i] > 0,  # nobody gives and claims in one period
             "z_star": z,
             "theta": theta,
             "C": collective.value,
         }
-        for i in range(config.n)
+        for i in range(len(accounts))
     )
     state = PoolState(
-        t_new, price, accounts, collective, pool.external_support + support_added
+        t,
+        price,
+        tuple(IndividualAccount(e, x, k, o) for e, x, k, o in zip(eta, v, ks, owners)),
+        collective,
+        pool.external_support + support_added,
     )
-    return state, StepReport(t_new, z, covered, sum(claims), rows, support_added)
+    claims_total = float(_member_sum(claim)[0])
+    return state, StepReport(t, z, bool(covered[0]), claims_total, rows, support_added)
 
 
 def run_path(config: PoolConfig, gross_returns: Sequence[float]):
@@ -415,27 +368,77 @@ def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray) ->
     return alloc
 
 
+def _rule(config: PoolConfig, ks, prem, total, owners) -> tuple:
+    """What `_period` holds fixed, for columns with boundaries ks, premia prem and owners."""
+
+    @functools.cache
+    def weights(t):
+        return np.array(_lagged_shares(config.index_source, t, owners), dtype=float)[:, None]
+
+    gp = config.gamma * np.array(prem)[:, None]
+    return np.array(ks)[:, None], gp, (1.0 - config.gamma) * config.premium_total, total, weights
+
+
+def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
+    """Period t of the transfer rule on (columns, paths) arrays, from returns y.
+
+    `rule` holds what stays fixed over the periods: the boundaries k and the
+    premium purchases gamma * pi (columns x 1), the collective's inflow, the
+    member sum `total` of a (columns, paths) array and `weights(t)`, the lagged
+    ledger shares by column.  Returns the new price, values, units and
+    collective, the claims and net transfers by column, and per path whether
+    the collective covered the claims, whether coverage failed with a claim
+    open, and the support an outside sponsor added.
+    """
+    pol, regime = config.policy, config.regime
+    k, gp, inflow, total, weights = rule
+    if eta.min() < 0:
+        raise ValueError("invalid pool state: negative unit count")
+    rho = y - 1.0
+    price = price * y
+    eta_prev, theta_prev = eta, theta
+    eta = eta_prev + gp / price
+    theta = theta_prev + inflow / price
+
+    give = pol.give_frac * v * np.maximum(rho - k * pol.p, 0.0)
+    short = np.maximum(-k - rho, 0.0)
+    claim = pol.help_frac * v * short
+    covered = _coverage_ok(theta_prev, rho, total(eta_prev * short), pol.help_frac)
+    failed = ~covered & (claim > 0).any(axis=0)
+    paid = claim if regime == ALWAYS_HELP else np.where(covered, claim, 0.0)
+    if regime == INDEX_CAPPED_HELP:
+        # where coverage failed, the claims settle in units against the
+        # collective by the claimants' lagged ledger shares
+        paths = np.flatnonzero(failed & (theta_prev > 0))
+        if paths.size:
+            units = _settle_rounds(claim[:, paths] / price[paths], weights(t), theta_prev[paths])
+            paid[:, paths] = units * price[paths]
+
+    deficit_before = np.maximum(0.0, -theta)
+    net = paid - give
+    eta = eta + net / price
+    theta = theta - total(net) / price
+    support = np.maximum(0.0, np.maximum(0.0, -theta) - deficit_before)
+    if regime != ALWAYS_HELP and theta.min() < -1e-12:
+        raise RuntimeError("collective went negative outside AlwaysHelp")
+    return price, eta * price, eta, theta, claim, net, covered, failed, support
+
+
 def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
     # state is (columns, paths): one column per member, or one column for all
     # n members when they are alike and no ledger tells them apart.  Each block
     # of return paths runs through all T periods on its own; only per-path
     # statistics are kept, and reduced over all paths at the end.
-    pol, n, regime, T = config.policy, config.n, config.regime, config.T
+    n, T = config.n, config.T
     ks, prem, v0 = config.boundaries, config.premiums, config.initial_values
-    if regime != INDEX_CAPPED_HELP and len(set(zip(ks, prem, v0))) == 1:
+    if config.regime != INDEX_CAPPED_HELP and len(set(zip(ks, prem, v0))) == 1:
         ks, prem, v0 = ks[:1], prem[:1], v0[:1]
     if len(ks) == 1:
         total, mean = (lambda x: n * x[0]), (lambda x: x[0])
     else:
         total, mean = _member_sum, (lambda x: _member_sum(x) / n)
-    k = np.array(ks)[:, None]
-    gp = config.gamma * np.array(prem)[:, None]
-    theta_inflow = (1.0 - config.gamma) * config.premium_total
-
-    @functools.cache
-    def lagged_weights(t):
-        return np.array(_lagged_shares(config.index_source, t, range(n)), dtype=float)[:, None]
-
+    rule = _rule(config, ks, prem, total, range(n))
+    gp = rule[1]
     terminal, rv, support = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     shortfall_steps, lo = 0, 0
     for block in blocks:
@@ -447,43 +450,13 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         path_rv, path_support = rv[lo:hi], support[lo:hi]  # views the periods add into
 
         # period-major, so each period's returns are contiguous
-        for t, y in enumerate(np.ascontiguousarray(block.T)):
-            if eta.min() < 0:
-                raise ValueError("invalid pool state: negative unit count")
-            rho = y - 1.0
-            price = price * y
-            v_prev, eta_prev, theta_prev = v, eta, theta
-            eta = eta_prev + gp / price
-            theta = theta_prev + theta_inflow / price
-
-            give = pol.give_frac * v_prev * np.maximum(rho - k * pol.p, 0.0)
-            short = np.maximum(-k - rho, 0.0)
-            claim = pol.help_frac * v_prev * short
-            claims_weighted = total(eta_prev * short)
-            covered = (claims_weighted <= 0) | (
-                theta_prev * (1.0 + rho) > pol.help_frac * claims_weighted
+        for t, y in enumerate(np.ascontiguousarray(block.T), 1):
+            v_prev = v
+            price, v, eta, theta, _, _, _, failed, added = _period(
+                config, rule, t, y, price, v, eta, theta
             )
-            failed = ~covered & (claim > 0).any(axis=0)
             shortfall_steps += int(np.count_nonzero(failed))
-            paid = claim if regime == ALWAYS_HELP else np.where(covered, claim, 0.0)
-            if regime == INDEX_CAPPED_HELP:
-                # where coverage failed, the claims settle in units against the
-                # collective by the claimants' lagged ledger shares
-                paths = np.flatnonzero(failed & (theta_prev > 0))
-                if paths.size:
-                    units = _settle_rounds(
-                        claim[:, paths] / price[paths], lagged_weights(t + 1), theta_prev[paths]
-                    )
-                    paid[:, paths] = units * price[paths]
-
-            deficit_before = np.maximum(0.0, -theta)
-            net = paid - give
-            eta = eta + net / price
-            v = eta * price
-            theta = theta - total(net) / price
-            path_support += np.maximum(0.0, np.maximum(0.0, -theta) - deficit_before)
-            if regime != ALWAYS_HELP and theta.min() < -1e-12:
-                raise RuntimeError("collective went negative outside AlwaysHelp")
+            path_support += added
             path_rv += mean((v - v_prev - gp) ** 2 / v_prev)
         terminal[lo:hi] = mean(v)
         lo = hi
@@ -491,7 +464,7 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
     mean_vt, mean_rv = float(terminal.mean()), float(rv.mean())
     return SimulationResult(
         mean_terminal_value=mean_vt,
-        penalized_objective=mean_vt - pol.alpha * mean_rv,
+        penalized_objective=mean_vt - config.policy.alpha * mean_rv,
         realized_variation=mean_rv,
         shortfall_freq=shortfall_steps / (n_paths * T),
         external_support=float(support.mean()),
@@ -510,11 +483,13 @@ def simulate(
 ) -> SimulationResult:
     """Monte Carlo wealth statistics over n_paths independent trajectories.
 
-    Every regime runs on one vectorized kernel; it agrees with stepping each
-    path through `run_path` up to rounding.  Deterministic for a fixed seed:
-    the returns are those of `sample_return_matrix(params, config.T, n_paths,
-    seed)`, drawn and consumed a block of paths at a time, so memory does not
-    grow with T * n_paths.
+    Every regime runs the period rule of `step` over blocks of paths; when
+    members are alike and no ledger tells them apart, one column stands for
+    all of them, so the result agrees with `run_path` up to rounding.
+    Deterministic for a fixed seed: the returns are those of
+    `sample_return_matrix(params, config.T, n_paths, seed)`, drawn and
+    consumed a block of paths at a time, so memory does not grow with
+    T * n_paths.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -577,6 +552,8 @@ def improvement_bound(
     """
     if not 0 <= j < len(eta_vec):
         raise ValueError("agent index out of range")
+    if not 0 <= theta < math.inf:
+        raise ValueError("theta must be finite and nonnegative")
     if policy.help_frac <= 0:
         return 0.0
     _, f_max = density_peak(params)
@@ -633,8 +610,10 @@ def dp_check(
     first period to the last.  Verdict is value-based: stationary means no
     schedule beats the best constant boundary by more than tol.
     """
-    if T < 1 or v0 < 0 or gamma_pi < 0:
-        raise ValueError("dp_check needs T >= 1 and nonnegative v0 and gamma_pi")
+    if not (T >= 1 and 0 <= v0 < math.inf and 0 <= gamma_pi < math.inf):
+        raise ValueError("dp_check needs T >= 1 and finite nonnegative v0 and gamma_pi")
+    if not grid >= 1:
+        raise ValueError("dp_check needs grid >= 1")
     k_min = admissible_min_k(params, policy)
     ks = np.linspace(k_min, 1.0, grid)
     s1, s2 = _psi(params, policy, ks)

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from corridor_pension import CorridorPolicy, GbmParams, Ledger, PoolConfig, cli, pool_simulator, simulate
+from corridor_pension.market_model import sample_return_matrix
 from corridor_pension.pool_simulator import FixedPointResult
+from test_pool_simulator import _scalar_run_path
 
 
 def run(capsys, *argv):
@@ -108,6 +110,17 @@ def test_simulate(tmp_path, capsys):
         "t", "owner_id", "V", "eta", "transfer_units", "transfer_value",
         "help_granted", "z_star", "theta", "C",
     ]
+    # the log of sampled path 0, as the scalar oracle steps it
+    config = PoolConfig(n=4, gamma=0.9, pi_ind=0.05, T=6, regime="AlwaysHelp",
+                        policy=CorridorPolicy(k=0.08))
+    _, reports = _scalar_run_path(config, sample_return_matrix(GbmParams(0.045, 0.06), 6, 1, 11)[0])
+    want = [
+        {name: str(int(value)) if name == "help_granted" else
+         str(value) if name in ("t", "owner_id") else f"{value:.12g}"
+         for name, value in r.items()}
+        for rep in reports for r in rep.rows
+    ]
+    assert rows == want
     # deterministic rerun
     code2, out2 = run(
         capsys, "simulate", "--mu", "0.045", "--sigma", "0.06", "--k", "0.08",
@@ -314,6 +327,13 @@ def test_invalid_parameter_exit(capsys):
     assert code == 2
     code, _ = run(capsys, "fixed-point", "--eta", "")
     assert code == 2
+    # NaN fails numeric validation: exit 2, not a NaN summary or a traceback
+    for argv in (["simulate", "--pi-ind", "nan"], ["simulate", "--v0", "nan"],
+                 ["simulate", "--c0", "nan"], ["simulate", "--h0", "nan"],
+                 ["fixed-point", "--theta", "nan"], ["fixed-point", "--eta", "1,nan"],
+                 ["optimize", "--alpha", "nan"], ["optimize", "--p", "nan"]):
+        code, _ = run(capsys, *argv, "--paths", "10", "--grid", "101")
+        assert code == 2, argv
 
 
 def test_console_entry_point(tmp_path):

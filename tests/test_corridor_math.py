@@ -50,6 +50,11 @@ def test_policy_validation():
         CorridorPolicy(alpha=-1.0)
     with pytest.raises(ValueError):
         CorridorPolicy(J=1.0)
+    # NaN fails every check, and the penalty and the upper boundary are finite
+    for bad in ({"k": math.nan}, {"p": math.nan}, {"p": math.inf}, {"give_frac": math.nan},
+                {"help_frac": math.nan}, {"alpha": math.nan}, {"alpha": math.inf}, {"J": math.nan}):
+        with pytest.raises(ValueError):
+            CorridorPolicy(**bad)
 
 
 def test_psi_frozen_values():

@@ -22,9 +22,14 @@ from corridor_pension.pool_simulator import (
     ALWAYS_HELP,
     INDEX_CAPPED_HELP,
     NO_HELP_IF_INSUFFICIENT,
+    CollectiveAccount,
+    IndividualAccount,
     PoolConfig,
+    PoolState,
     SimulationResult,
+    StepReport,
     _coverage_ok,
+    _lagged_shares,
     _settle_rounds,
     best_response_gain,
     dp_check,
@@ -44,13 +49,112 @@ from corridor_pension.redistribution_index import Ledger
 A = GbmParams(0.045, 0.06)
 
 
+def _scalar_step(pool, gross_return, config):
+    # the period rule written out member by member with the exact `settle`,
+    # kept as the oracle for the array rule that `step` and `simulate` share
+    if gross_return <= 0:
+        raise ValueError("gross return must be positive")
+    pol = config.policy
+    price = pool.price * gross_return
+    rho = gross_return - 1.0
+    t_new = pool.t + 1
+    prem = config.premiums
+
+    eta_prev = [a.eta for a in pool.accounts]
+    v_prev = [a.value for a in pool.accounts]
+    ks = [a.k for a in pool.accounts]
+    theta_prev = pool.collective.theta
+
+    # growth + premium
+    eta = [e + config.gamma * p / price for e, p in zip(eta_prev, prem)]
+    values = [e * price for e in eta]
+    theta = theta_prev + (1.0 - config.gamma) * config.premium_total / price
+
+    gives = [
+        pol.give_frac * v * (rho - k * pol.p) if rho > k * pol.p else 0.0
+        for v, k in zip(v_prev, ks)
+    ]
+    claims = [
+        pol.help_frac * v * (-k - rho) if rho < -k else 0.0 for v, k in zip(v_prev, ks)
+    ]
+    claims_weighted = sum(e * max(-k - rho, 0.0) for e, k in zip(eta_prev, ks))
+    covered = _coverage_ok(theta_prev, rho, claims_weighted, pol.help_frac)
+    z = z_star(ks, eta_prev, max(theta_prev, 0.0), pol.help_frac)
+
+    if config.regime == ALWAYS_HELP or covered:
+        paid = list(claims)
+    elif config.regime == NO_HELP_IF_INSUFFICIENT:
+        paid = [0.0] * config.n
+    else:  # IndexCappedHelp, coverage failed: cap by lagged shares, then settle
+        paid = [0.0] * config.n
+        claimants = [i for i, c in enumerate(claims) if c > 0]
+        if claimants and theta_prev > 0:
+            owners = [pool.accounts[i].owner_id for i in claimants]
+            weights = _lagged_shares(config.index_source, t_new, owners)
+            total_w = sum(weights)
+            if total_w > 0:
+                batch = ClaimBatch(
+                    claims=[claims[i] / price for i in claimants],
+                    indices=[w / total_w for w in weights],
+                    pool_shares=theta_prev,
+                )
+                result = settle(batch)
+                for i, units in zip(claimants, result.allocations):
+                    paid[i] = units * price
+
+    deficit_before = max(0.0, -theta)
+    for i in range(config.n):
+        net = paid[i] - gives[i]
+        values[i] += net
+        eta[i] += net / price
+    theta += (sum(gives) - sum(paid)) / price
+    deficit_after = max(0.0, -theta)
+    support_added = max(0.0, deficit_after - deficit_before)
+    if config.regime != ALWAYS_HELP and theta < -1e-12:
+        raise RuntimeError("collective went negative outside AlwaysHelp")
+
+    collective = CollectiveAccount(theta, theta * price)
+    accounts = tuple(
+        IndividualAccount(eta[i], values[i], ks[i], pool.accounts[i].owner_id)
+        for i in range(config.n)
+    )
+    rows = tuple(
+        {
+            "t": t_new,
+            "owner_id": pool.accounts[i].owner_id,
+            "V": values[i],
+            "eta": eta[i],
+            "transfer_units": (paid[i] - gives[i]) / price,
+            "transfer_value": paid[i] - gives[i],
+            "help_granted": paid[i] > 0,
+            "z_star": z,
+            "theta": theta,
+            "C": collective.value,
+        }
+        for i in range(config.n)
+    )
+    state = PoolState(
+        t_new, price, accounts, collective, pool.external_support + support_added
+    )
+    return state, StepReport(t_new, z, covered, sum(claims), rows, support_added)
+
+
+def _scalar_run_path(config, gross_returns):
+    pool = init_pool(config)
+    reports = []
+    for y in gross_returns:
+        pool, rep = _scalar_step(pool, float(y), config)
+        reports.append(rep)
+    return pool, reports
+
+
 def replay(config, returns) -> SimulationResult:
-    """The statistics of `simulate`, from each sampled path stepped through `run_path`."""
+    """The statistics of `simulate`, from each sampled path stepped through the oracle."""
     n_paths, T = returns.shape
     gp = [config.gamma * p for p in config.premiums]
     terminal, rv, support, shortfall_steps = [], [], [], 0
     for row in returns:
-        final, reports = run_path(config, row)
+        final, reports = _scalar_run_path(config, row)
         v_prev, path_rv = config.initial_values, 0.0
         for rep in reports:
             v = [r["V"] for r in rep.rows]
@@ -98,6 +202,11 @@ def test_config_validation():
         base_config(k_vec=(0.1, 0.2))  # wrong length
     with pytest.raises(ValueError):
         base_config(regime=INDEX_CAPPED_HELP)  # ledger missing
+    for bad in ({"c0": math.nan}, {"c0": math.inf}, {"h0": math.nan}, {"gamma": math.nan},
+                {"pi_ind": math.nan}, {"pi_ind": (0.1, math.nan, 0.1)}, {"pi_ind": math.inf},
+                {"v0_ind": math.nan}, {"v0_ind": (1.0, 1.0, math.nan)}, {"k_vec": (0.1, math.nan, 0.1)}):
+        with pytest.raises(ValueError):
+            base_config(**bad)
 
 
 def test_init_pool():
@@ -129,6 +238,12 @@ def test_z_star_edges():
         z_star([1.2], [1.0], 0.1)
     with pytest.raises(ValueError):
         z_star([0.2], [1.0], -0.1)
+    for ks, etas, theta in (([0.2], [1.0], math.nan), ([0.2], [1.0], math.inf),
+                            ([0.2, 0.3], [1.0, math.nan], 0.1), ([math.nan], [1.0], 0.1)):
+        with pytest.raises(ValueError):
+            z_star(ks, etas, theta)
+    with pytest.raises(ValueError):
+        z_star([0.2], [1.0], 0.1, help_frac=math.nan)
 
 
 def test_z_star_active_set_drops_wide_boundaries():
@@ -330,24 +445,24 @@ KERNEL_POOL = dict(n=5, gamma=0.8, pi_ind=0.1, T=12)
 STRESSED = GbmParams(0.045, 0.15)
 
 
-@pytest.mark.parametrize(
-    "name, config",
-    [
-        ("heterogeneous AlwaysHelp", PoolConfig(
-            regime=ALWAYS_HELP, policy=CorridorPolicy(alpha=2.0),
-            k_vec=(0.02, 0.05, 0.1, 0.2, 0.3), c0=0.05, **KERNEL_POOL)),
-        ("heterogeneous NoHelpIfInsufficient", PoolConfig(
-            regime=NO_HELP_IF_INSUFFICIENT, policy=CorridorPolicy(alpha=2.0),
-            k_vec=(0.02, 0.05, 0.1, 0.2, 0.3), c0=0.05, v0_ind=(1.0, 2.0, 0.5, 1.0, 1.5),
-            **KERNEL_POOL)),
-        ("IndexCappedHelp, integer ids", PoolConfig(
-            regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05,
-            index_source=capped_ledger(range(5)), **KERNEL_POOL)),
-        ("IndexCappedHelp, JSON round trip", PoolConfig(
-            regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05,
-            index_source=Ledger.from_json(capped_ledger(range(5)).to_json()), **KERNEL_POOL)),
-    ],
-)
+KERNEL_CONFIGS = [
+    ("heterogeneous AlwaysHelp", PoolConfig(
+        regime=ALWAYS_HELP, policy=CorridorPolicy(alpha=2.0),
+        k_vec=(0.02, 0.05, 0.1, 0.2, 0.3), c0=0.05, **KERNEL_POOL)),
+    ("heterogeneous NoHelpIfInsufficient", PoolConfig(
+        regime=NO_HELP_IF_INSUFFICIENT, policy=CorridorPolicy(alpha=2.0),
+        k_vec=(0.02, 0.05, 0.1, 0.2, 0.3), c0=0.05, v0_ind=(1.0, 2.0, 0.5, 1.0, 1.5),
+        **KERNEL_POOL)),
+    ("IndexCappedHelp, integer ids", PoolConfig(
+        regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05,
+        index_source=capped_ledger(range(5)), **KERNEL_POOL)),
+    ("IndexCappedHelp, JSON round trip", PoolConfig(
+        regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05,
+        index_source=Ledger.from_json(capped_ledger(range(5)).to_json()), **KERNEL_POOL)),
+]
+
+
+@pytest.mark.parametrize("name, config", KERNEL_CONFIGS)
 def test_kernel_matches_run_path_replay(name, config):
     n_paths, seed = 80, 5
     got = simulate(config, STRESSED, n_paths, seed)
@@ -360,6 +475,45 @@ def test_kernel_matches_run_path_replay(name, config):
         # settlement paid something: the capped pool is not the strict one
         strict = replace(config, regime=NO_HELP_IF_INSUFFICIENT, index_source=None)
         assert got.mean_terminal_value != simulate(strict, STRESSED, n_paths, seed).mean_terminal_value
+
+
+def fraction_ledger(ids, T=12):
+    # capped_ledger in exact arithmetic, with a pot that grows between events
+    led = Ledger(mode="proportional")
+    c_post = F(0)
+    for t in range(T):
+        contrib = {j: F(2 + i, 3) for i, j in enumerate(ids)}
+        led.record(t, contrib, c_post)
+        c_post = (c_post + sum(contrib.values())) * F(21, 20)
+    return led
+
+
+@pytest.mark.parametrize("name, config", KERNEL_CONFIGS + [
+    ("IndexCappedHelp, Fraction ledger", PoolConfig(
+        regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05,
+        index_source=fraction_ledger(range(5)), **KERNEL_POOL)),
+])
+def test_run_path_matches_scalar_oracle_row_by_row(name, config):
+    flags = set()
+    for row in sample_return_matrix(STRESSED, config.T, 60, 4):
+        final, reports = run_path(config, row)
+        want_final, want_reports = _scalar_run_path(config, row)
+        assert final.t == want_final.t and final.price == want_final.price
+        assert final.external_support == pytest.approx(want_final.external_support, rel=1e-12)
+        for rep, want in zip(reports, want_reports, strict=True):
+            assert (rep.t, rep.covered) == (want.t, want.covered)
+            assert rep.z_star == pytest.approx(want.z_star, rel=0, abs=1e-15)
+            assert rep.claims_total == pytest.approx(want.claims_total, rel=1e-12)
+            for r, w in zip(rep.rows, want.rows, strict=True):
+                assert (r["t"], r["owner_id"], r["help_granted"]) == (w["t"], w["owner_id"], w["help_granted"])
+                assert r["z_star"] == pytest.approx(w["z_star"], rel=0, abs=1e-15)
+                for field in ("V", "eta", "transfer_value", "theta", "C"):
+                    assert r[field] == pytest.approx(w[field], rel=1e-12), (field, r, w)
+            flags.add((rep.covered, any(r["help_granted"] for r in rep.rows)))
+    # help is paid on covered periods, and coverage fails on some
+    assert (True, True) in flags and any(not covered for covered, _ in flags)
+    if config.regime == INDEX_CAPPED_HELP:
+        assert (False, True) in flags  # settlement paid a claim the collective could not cover
 
 
 BLOCK = 7
@@ -563,6 +717,9 @@ def test_improvement_bound_formula():
     assert improvement_bound(0, [0.0], 0.0, pol, A) == math.inf
     with pytest.raises(ValueError):
         improvement_bound(5, eta, theta, pol, A)
+    for bad_theta in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError):
+            improvement_bound(1, eta, bad_theta, pol, A)
 
 
 def test_best_response_gain_bounded_at_fixed_point():
@@ -655,9 +812,14 @@ def test_dp_check_long_horizon_schedule_narrows():
     assert with_premia.best_value == pytest.approx(11.2965, abs=1e-3)
     assert with_premia.gap == pytest.approx(0.0771, abs=1e-3)
     assert not with_premia.stationary
-    for bad in ({"v0": -1.0}, {"gamma_pi": -0.1}):
+    for bad in ({"v0": -1.0}, {"gamma_pi": -0.1}, {"v0": math.nan}, {"gamma_pi": math.nan},
+                {"v0": math.inf}):
         with pytest.raises(ValueError):
             dp_check(A, pol, T=2, **bad)
+    with pytest.raises(ValueError, match="grid"):
+        dp_check(A, pol, T=2, grid=0)
+    one_point = dp_check(A, pol, T=2, grid=1)  # the grid is k_min alone
+    assert one_point.best_profile == (0.0, 0.0) and one_point.stationary
 
 
 def test_transfer_conservation_along_path():
