@@ -439,6 +439,14 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         total, mean = _member_sum, (lambda x: _member_sum(x) / n)
     rule = _rule(config, ks, prem, total, range(n))
     gp = rule[1]
+    if min(v0) > 0:
+        per_value = np.divide
+    else:
+        # a member holding nothing adds the limit of its term, 0: with
+        # V_{t-1} = eps the numerator is O(eps^2)
+        def per_value(x, v_prev):
+            return np.divide(x, v_prev, out=np.zeros_like(x), where=v_prev > 0)
+
     terminal, rv, support = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     shortfall_steps, lo = 0, 0
     for block in blocks:
@@ -449,7 +457,8 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         theta = np.full(hi - lo, config.c0 / config.h0)
         path_rv, path_support = rv[lo:hi], support[lo:hi]  # views the periods add into
 
-        # period-major, so each period's returns are contiguous
+        # period-major, so each period's returns are contiguous (no copy for
+        # the blocks of `_return_blocks`, which are stored that way)
         for t, y in enumerate(np.ascontiguousarray(block.T), 1):
             v_prev = v
             price, v, eta, theta, _, _, _, failed, added = _period(
@@ -457,9 +466,10 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
             )
             shortfall_steps += int(np.count_nonzero(failed))
             path_support += added
-            path_rv += mean((v - v_prev - gp) ** 2 / v_prev)
+            path_rv += mean(per_value((v - v_prev - gp) ** 2, v_prev))
         terminal[lo:hi] = mean(v)
         lo = hi
+        del block, y  # a finished block is freed before the next is asked for
 
     mean_vt, mean_rv = float(terminal.mean()), float(rv.mean())
     return SimulationResult(
@@ -478,6 +488,25 @@ def _lagged_shares(ledger: Ledger, t, owner_ids) -> list:
     return [shares.get(str(i), 0.0) for i in owner_ids]
 
 
+def _one_ahead(blocks):
+    """Yield the items of `blocks`, drawing the next on a helper thread meanwhile.
+
+    One draw is in flight at most, so the generator `blocks` is never run by
+    two threads at once, and its items come in order.  An error raised by a
+    draw is raised here, to the caller.  Closing this generator waits for the
+    draw in flight and joins the thread.  The executor's module is imported
+    here, on first use, so runs of one block never load it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(next, blocks, None)
+        while (block := pending.result()) is not None:
+            pending = helper.submit(next, blocks, None)
+            yield block
+            del block  # the caller's finished block is freed before the wait
+
+
 def simulate(
     config: PoolConfig, params: GbmParams, n_paths: int, seed: int
 ) -> SimulationResult:
@@ -489,12 +518,21 @@ def simulate(
     Deterministic for a fixed seed: the returns are those of
     `sample_return_matrix(params, config.T, n_paths, seed)`, drawn and
     consumed a block of paths at a time, so memory does not grow with
-    T * n_paths.
+    T * n_paths.  With more than one block, one helper thread draws the next
+    block of that same stream while the current block runs, so the results
+    are the same floats; the thread is joined before this returns or raises.
+    A member whose previous value is 0 adds 0 to the realized variation, the
+    limit of its term.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     blocks = _return_blocks(params, config.T, n_paths, seed, _BLOCK_PATHS)
-    return _pool_kernel(config, blocks, n_paths)
+    if n_paths > _BLOCK_PATHS:
+        blocks = _one_ahead(blocks)
+    try:
+        return _pool_kernel(config, blocks, n_paths)
+    finally:
+        blocks.close()
 
 
 def fixed_point_barriers(

@@ -130,6 +130,14 @@ def test_simulate(tmp_path, capsys):
     assert out2["mean_terminal_value"] == out["mean_terminal_value"]
 
 
+def test_simulate_zero_initial_value(tmp_path, capsys):
+    # a member holding nothing adds 0 to the realized variation, not NaN
+    code, out = run(capsys, "simulate", "--v0", "0", "--n", "2", "--T", "3", "--paths", "10",
+                    "--out", str(tmp_path))
+    assert code == 0
+    assert all(math.isfinite(v) for v in out.values() if isinstance(v, float))
+
+
 def test_simulate_index_capped_from_json_ledger(tmp_path, capsys):
     # the ledger written by `index update` holds string ids "0".."3"
     led = tmp_path / "led.json"

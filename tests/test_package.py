@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,14 @@ def test_lazy_exports_are_the_submodule_objects():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         corridor_pension.no_such_name
+
+
+def test_no_assert_statements_in_the_package():
+    # invariants raise real exceptions, so they still run under python -O
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(corridor_pension.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,7 +1,9 @@
 import itertools
 import math
+import threading
 import tracemalloc
-from dataclasses import replace
+import warnings
+from dataclasses import astuple, replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -555,6 +557,74 @@ def test_return_blocks_concatenate_to_the_matrix():
         assert np.array_equal(np.concatenate(blocks), sample_return_matrix(STRESSED, 5, n_paths, 8))
 
 
+PIPELINE_CONFIGS = [
+    PoolConfig(regime=ALWAYS_HELP, policy=CorridorPolicy(k=0.05, alpha=2.0), **KERNEL_POOL),
+    PoolConfig(regime=NO_HELP_IF_INSUFFICIENT, policy=CorridorPolicy(k=0.05, alpha=2.0), c0=0.05,
+               **KERNEL_POOL),
+    PoolConfig(regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05, alpha=2.0), c0=0.05,
+               index_source=capped_ledger(range(5)), **KERNEL_POOL),
+]
+
+
+@pytest.mark.parametrize("config", PIPELINE_CONFIGS, ids=[c.regime for c in PIPELINE_CONFIGS])
+def test_pipelined_simulate_equals_one_block(config):
+    # past one block, the next block is drawn on a helper thread
+    size = pool_simulator._BLOCK_PATHS
+    for n_paths in (size - 1, size, size + 1, 3 * size + 5):
+        returns = sample_return_matrix(STRESSED, config.T, n_paths, 3)
+        one_block = pool_simulator._pool_kernel(config, [returns], n_paths)
+        assert simulate(config, STRESSED, n_paths, 3) == one_block, n_paths
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def test_pipeline_errors_propagate_and_the_thread_is_joined(monkeypatch):
+    config = PIPELINE_CONFIGS[0]
+    n_paths = 3 * pool_simulator._BLOCK_PATHS
+    baseline = threading.active_count()
+
+    def draw_fails_on_block_2(*args):
+        blocks = _return_blocks(*args)
+        yield next(blocks)
+        raise DrawFailed
+
+    monkeypatch.setattr(pool_simulator, "_return_blocks", draw_fails_on_block_2)
+    with pytest.raises(DrawFailed):
+        simulate(config, STRESSED, n_paths, 1)
+    assert threading.active_count() == baseline
+    monkeypatch.undo()
+
+    period, threads_seen = pool_simulator._period, []
+
+    def period_fails_on_block_2(config, rule, t, *args):
+        threads_seen.append(threading.active_count())
+        if len(threads_seen) > config.T:
+            raise RuntimeError("kernel failed on block 2")
+        return period(config, rule, t, *args)
+
+    monkeypatch.setattr(pool_simulator, "_period", period_fails_on_block_2)
+    with pytest.raises(RuntimeError, match="kernel failed on block 2") as failure:
+        simulate(config, STRESSED, n_paths, 1)
+    # joined even while the caller holds the traceback, and with it the kernel's frame
+    assert threading.active_count() == baseline, failure
+    # block 1 ran while the helper thread drew block 2
+    assert max(threads_seen) == baseline + 1
+
+
+def test_zero_initial_values_add_no_variation():
+    # (V_t - V_{t-1} - gamma pi)^2 / V_{t-1} at V_{t-1} = 0 is its limit, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = simulate(base_config(v0_ind=(1.0, 0.0, 1.0)), A, 50, 3)
+        zero = simulate(base_config(v0_ind=0.0), A, 50, 3)
+        tiny = simulate(base_config(v0_ind=1e-12), A, 50, 3)
+    assert all(math.isfinite(x) for x in astuple(mixed) + astuple(zero))
+    assert zero.realized_variation > 0  # later periods do vary
+    assert abs(zero.realized_variation - tiny.realized_variation) < 1e-9
+
+
 def test_simulate_memory_stays_flat_in_the_path_count():
     config = PoolConfig(regime=ALWAYS_HELP, policy=CorridorPolicy(k=0.1, alpha=2.0),
                         n=10, gamma=0.8, pi_ind=0.1, T=40)
@@ -566,8 +636,9 @@ def test_simulate_memory_stays_flat_in_the_path_count():
             peaks[n_paths] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    # drawing every return at once took 122 MiB at 200k paths
-    assert peaks[200_000] < 24, peaks
+    # drawing every return at once took 122 MiB at 200k paths; a pipeline that
+    # keeps a finished block alive, or draws two blocks ahead, takes 15
+    assert peaks[200_000] < 14, peaks
     assert peaks[200_000] - peaks[20_000] < 8, peaks
 
 
