@@ -104,15 +104,15 @@ def _cum_moment(params: GbmParams, n: int, c):
 
 def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     # inverse-CDF draws so any generator with the same uniforms gives the same normals
-    return ndtri(rng.random(shape))
+    u = rng.random(shape)
+    return ndtri(u, out=u)
 
 
 def sample_return_matrix(params: GbmParams, T: int, n_paths: int, seed: int) -> np.ndarray:
     """Draw `n_paths` i.i.d. paths of T per-period gross returns exp(mu + sigma Z).
 
-    Returns an (n_paths, T) array stored period-major; deterministic for a
-    fixed seed.  All draws come from one stream, the first child of
-    `SeedSequence(seed)`.
+    Returns an (n_paths, T) array; deterministic for a fixed seed.  All draws
+    come from one stream, the first child of `SeedSequence(seed)`.
     """
     (returns,) = _return_blocks(params, T, n_paths, seed, n_paths)
     return returns
@@ -122,23 +122,19 @@ def _return_blocks(params: GbmParams, T: int, n_paths: int, seed: int, rows: int
     """The rows of `sample_return_matrix(params, T, n_paths, seed)`, `rows` paths at a time.
 
     Every double takes one draw of the stream, so drawing the rows in order
-    gives blocks that concatenate to that matrix bit for bit.  Each block is
-    stored period-major (Fortran order), so a period's returns are contiguous.
-    `simulate` advances this generator on a helper thread, so it calls no
-    public function of the package.
+    gives blocks that concatenate to that matrix bit for bit.  `simulate`
+    advances this generator on a helper thread, so it calls no public
+    function of the package.
     """
     if T < 1 or n_paths < 1:
         raise ValueError("T and n_paths must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     for start in range(0, n_paths, rows):
-        z = rng.random((min(rows, n_paths - start), T))
-        # exp(mu + sigma ndtri(u)) in place, as `_standard_normals` draws:
-        # the same floats without block-sized temporaries
-        ndtri(z, out=z)
+        z = _standard_normals(rng, (min(rows, n_paths - start), T))
+        # exp(mu + sigma z) in place: the same floats without two block-sized temporaries
         z *= params.sigma
         z += params.mu
-        np.exp(z, out=z)
-        yield np.asfortranarray(z)
+        yield np.exp(z, out=z)
 
 
 def expect_quad(

@@ -439,14 +439,6 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         total, mean = _member_sum, (lambda x: _member_sum(x) / n)
     rule = _rule(config, ks, prem, total, range(n))
     gp = rule[1]
-    if min(v0) > 0:
-        per_value = np.divide
-    else:
-        # a member holding nothing adds the limit of its term, 0: with
-        # V_{t-1} = eps the numerator is O(eps^2)
-        def per_value(x, v_prev):
-            return np.divide(x, v_prev, out=np.zeros_like(x), where=v_prev > 0)
-
     terminal, rv, support = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     shortfall_steps, lo = 0, 0
     for block in blocks:
@@ -458,7 +450,7 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         path_rv, path_support = rv[lo:hi], support[lo:hi]  # views the periods add into
 
         # period-major, so each period's returns are contiguous (no copy for
-        # the blocks of `_return_blocks`, which are stored that way)
+        # the blocks of `simulate`'s pipeline, which are stored that way)
         for t, y in enumerate(np.ascontiguousarray(block.T), 1):
             v_prev = v
             price, v, eta, theta, _, _, _, failed, added = _period(
@@ -466,7 +458,10 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
             )
             shortfall_steps += int(np.count_nonzero(failed))
             path_support += added
-            path_rv += mean(per_value((v - v_prev - gp) ** 2, v_prev))
+            # a member holding nothing adds the limit of its term, 0: with
+            # V_{t-1} = eps the numerator is O(eps^2)
+            sq = (v - v_prev - gp) ** 2
+            path_rv += mean(np.divide(sq, v_prev, out=np.zeros_like(sq), where=v_prev > 0))
         terminal[lo:hi] = mean(v)
         lo = hi
         del block, y  # a finished block is freed before the next is asked for
@@ -528,7 +523,8 @@ def simulate(
         raise ValueError("n_paths must be >= 1")
     blocks = _return_blocks(params, config.T, n_paths, seed, _BLOCK_PATHS)
     if n_paths > _BLOCK_PATHS:
-        blocks = _one_ahead(blocks)
+        # each block is stored period-major on the helper thread, off the kernel's path
+        blocks = _one_ahead(np.asfortranarray(b) for b in blocks)
     try:
         return _pool_kernel(config, blocks, n_paths)
     finally:
