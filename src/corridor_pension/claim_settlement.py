@@ -88,7 +88,9 @@ def settle(batch: ClaimBatch) -> SettlementResult:
         if total_w == 0:
             break  # nobody holds weight; nothing further can be paid
         rounds += 1
-        slices = {j: batch.indices[j] * pool / total_w for j in active}
+        # the ratio first, so a lone claimant's slice is the pool itself; w * pool
+        # loses bits when the pool is subnormal
+        slices = {j: pool * (batch.indices[j] / total_w) for j in active}
         fits = [j for j in active if batch.claims[j] <= slices[j]]
         if not fits:
             # terminal round: pro-rata min(claim, slice)

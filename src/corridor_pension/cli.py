@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: profitability | optimize | simulate | fixed-point | settle | index.
-Configuration comes from an optional JSON file (--config) with every field
-overridable by flags; outputs are CSV data files plus a JSON summary on
-stdout.  Exit codes: 0 success, 1 numerical non-convergence, 2 invalid input.
+Each setting is declared once, in `_SETTINGS`, and each subcommand names the
+settings it reads.  A setting comes from its flag, else from an optional JSON
+config file (--config), else from its default; a config section or key that no
+subcommand reads is invalid input.  Outputs are CSV data files plus a JSON
+summary on stdout.  Exit codes: 0 success, 1 numerical non-convergence, 2
+invalid input.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # the ledger and settlement subcommands need only the standard library; the
 # numeric ones import numpy, scipy and the corridor modules when they run
@@ -32,11 +35,57 @@ from .redistribution_index import (
 if TYPE_CHECKING:
     from .corridor_math import CorridorPolicy
     from .market_model import GbmParams
-    from .pool_simulator import PoolConfig
 
 
 class CliError(Exception):
     """Invalid input or configuration; maps to exit code 2."""
+
+
+class _Setting(NamedTuple):
+    flag: str
+    section: str | None  # the config section; None is the top level
+    key: str  # the config key, the argparse dest and the dataclass field
+    kind: Callable | None  # converts a value given; None keeps it as given
+    help: str
+    default: object = None  # only where no dataclass field supplies one
+
+
+# every setting that a flag or a config file can set
+_SETTINGS = {
+    s.key: s
+    for s in (
+        _Setting("--mu", "market", "mu", float, "per-period log-drift", 0.045),
+        _Setting("--sigma", "market", "sigma", float, "per-period log-volatility", 0.06),
+        _Setting("--k", "policy", "k", float, "lower boundary magnitude"),
+        _Setting("--p", "policy", "p", float, "upper boundary asymmetry factor"),
+        _Setting("--give-frac", "policy", "give_frac", float, "share of the excess given"),
+        _Setting("--help-frac", "policy", "help_frac", float, "share of the shortfall helped"),
+        _Setting("--alpha", "policy", "alpha", float, "second-moment penalty weight"),
+        _Setting("--j-discount", "policy", "J", float,
+                 "index discount in the transfer-only objective"),
+        _Setting("--n", "pool", "n", int, "number of individuals", 1),
+        _Setting("--gamma", "pool", "gamma", float, "premium split to individuals", 1.0),
+        _Setting("--pi-ind", "pool", "pi_ind", float, "per-period premium", 0.0),
+        _Setting("--T", "pool", "T", int, "horizon in periods", 1),
+        _Setting("--regime", "pool", "regime", str,
+                 "AlwaysHelp, NoHelpIfInsufficient or IndexCappedHelp", "AlwaysHelp"),
+        _Setting("--v0", "pool", "v0_ind", float, "initial individual value"),
+        _Setting("--c0", "pool", "c0", float, "initial collective value"),
+        _Setting("--h0", "pool", "h0", float, "initial fund price"),
+        _Setting("--theta", "fixed_point", "theta", float, "collective unit count", 1.0),
+        _Setting("--eta", "fixed_point", "eta", None,
+                 "comma-separated individual unit counts", "1"),
+        _Setting("--out", None, "out", str, "output directory", "."),
+        _Setting("--seed", None, "seed", int, "RNG seed", 0),
+        _Setting("--grid", None, "grid", int, "grid resolution for scans", 2001),
+        _Setting("--paths", None, "paths", int, "Monte Carlo path count", 100_000),
+        _Setting("--c", None, "c", float, "help cutoff for the gated objective"),
+        _Setting("--horizon", None, "horizon", int,
+                 "periods to retirement; the m2 curve and k_star compound over them", 1),
+        _Setting("--ledger", None, "ledger", str, "ledger JSON for IndexCappedHelp"),
+    )
+}
+_MARKET_POLICY = ("mu", "sigma", "k", "p", "give_frac", "help_frac", "alpha")
 
 
 def _load_config(path: str | None) -> dict:
@@ -49,9 +98,18 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise CliError("config root must be a JSON object")
-    for name in ("market", "policy", "pool", "fixed_point"):
-        if not isinstance(cfg.get(name, {}), dict):
+    # one file serves every subcommand, so a key any of them reads is known
+    for name, value in cfg.items():
+        if name in _SETTINGS and _SETTINGS[name].section is None:
+            continue
+        keys = {s.key for s in _SETTINGS.values() if s.section == name}
+        if not keys:
+            raise CliError(f"unknown config key {name!r}")
+        if not isinstance(value, dict):
             raise CliError(f"config {name!r} must be a JSON object")
+        for key in value:
+            if key not in keys:
+                raise CliError(f"unknown config key {key!r} in {name!r}")
     return cfg
 
 
@@ -62,57 +120,41 @@ def _number(val, where, kind=float):
     return kind(val)
 
 
-def _pick(args, name, cfg_section, cfg_key, default, kind=float):
-    # the flag, else the config entry, else the default; a value given is
-    # converted by kind, and kind=None returns it raw
-    val = getattr(args, name, None)
-    if val is None:
-        val = cfg_section.get(cfg_key)
-    if val is None:
-        return default
-    return val if kind is None else _number(val, cfg_key, kind)
+def _settings(args) -> dict:
+    """The settings the subcommand reads: each from its flag, else the config
+    file, else the table default.  One that none of them sets is left out, so
+    the dataclass default applies."""
+    cfg = _load_config(args.config)
+    values = {}
+    for key in args.reads:
+        s = _SETTINGS[key]
+        val = getattr(args, key)
+        if val is None:
+            val = (cfg if s.section is None else cfg.get(s.section, {})).get(key)
+        if val is None:
+            val = s.default
+        elif s.kind is not None:
+            val = _number(val, key, s.kind)
+        if val is not None:
+            values[key] = val
+    return values
 
 
-def _market(args, cfg) -> GbmParams:
+def _section(values: dict, section: str) -> dict:
+    return {key: val for key, val in values.items() if _SETTINGS[key].section == section}
+
+
+def _market_policy(values: dict) -> tuple[GbmParams, CorridorPolicy]:
+    from .corridor_math import CorridorPolicy
     from .market_model import GbmParams
 
-    sec = cfg.get("market", {})
-    return GbmParams(
-        mu=_pick(args, "mu", sec, "mu", 0.045),
-        sigma=_pick(args, "sigma", sec, "sigma", 0.06),
-    )
+    return GbmParams(**_section(values, "market")), CorridorPolicy(**_section(values, "policy"))
 
 
-def _policy(args, cfg) -> CorridorPolicy:
-    from .corridor_math import CorridorPolicy
-
-    sec = cfg.get("policy", {})
-    return CorridorPolicy(
-        k=_pick(args, "k", sec, "k", 0.0),
-        p=_pick(args, "p", sec, "p", 1.0),
-        give_frac=_pick(args, "give_frac", sec, "give_frac", 0.25),
-        help_frac=_pick(args, "help_frac", sec, "help_frac", 0.5),
-        alpha=_pick(args, "alpha", sec, "alpha", 0.0),
-        J=_pick(args, "j_discount", sec, "J", 0.0),
-    )
-
-
-def _out_dir(args, cfg) -> Path:
-    out = Path(_pick(args, "out", cfg, "out", ".", kind=str))
+def _out_dir(values: dict) -> Path:
+    out = Path(values["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _grid(args, cfg) -> int:
-    return _pick(args, "grid", cfg, "grid", 2001, kind=int)
-
-
-def _seed(args, cfg) -> int:
-    return _pick(args, "seed", cfg, "seed", 0, kind=int)
-
-
-def _paths(args, cfg) -> int:
-    return _pick(args, "paths", cfg, "paths", 100_000, kind=int)
 
 
 def _write_csv(path: Path, header, rows):
@@ -136,16 +178,14 @@ def _lhs_curve(params, policy, ks):
 def cmd_profitability(args) -> int:
     import numpy as np
 
-    from .corridor_math import admissible_min_k, mp_stationary_points
+    from .corridor_math import LHS_TOL, admissible_min_k, mp_stationary_points
 
-    cfg = _load_config(args.config)
-    params = _market(args, cfg)
-    policy = _policy(args, cfg)
-    out = _out_dir(args, cfg)
-    grid = _grid(args, cfg)
-    ks = np.linspace(0.0, 1.0, grid)
+    values = _settings(args)
+    params, policy = _market_policy(values)
+    out = _out_dir(values)
+    ks = np.linspace(0.0, 1.0, values["grid"])
     lhs = _lhs_curve(params, policy, ks)
-    rows = [[f"{k:.10g}", f"{v:.17g}", int(v <= 1e-12)] for k, v in zip(ks, lhs)]
+    rows = [[f"{k:.10g}", f"{v:.17g}", int(v <= LHS_TOL)] for k, v in zip(ks, lhs)]
     _write_csv(out / "profitability.csv", ["k", "lhs", "admissible"], rows)
     k_min = admissible_min_k(params, policy)
     stationary = mp_stationary_points(params, policy)
@@ -162,15 +202,14 @@ def cmd_profitability(args) -> int:
 def cmd_optimize(args) -> int:
     import numpy as np
 
-    from .corridor_math import admissible_min_k, k_of_c, m1, m2_horizon, maximize_m2, n_func
+    from .corridor_math import (
+        LHS_TOL, admissible_min_k, k_of_c, m1, m2_horizon, maximize_m2, n_func,
+    )
 
-    cfg = _load_config(args.config)
-    params = _market(args, cfg)
-    policy = _policy(args, cfg)
-    out = _out_dir(args, cfg)
-    grid = _grid(args, cfg)
-    c = _pick(args, "c", cfg, "c", None)
-    horizon = _pick(args, "horizon", cfg, "horizon", 1, kind=int)
+    values = _settings(args)
+    params, policy = _market_policy(values)
+    out = _out_dir(values)
+    grid, c, horizon = values["grid"], values.get("c"), values["horizon"]
 
     k_min = admissible_min_k(params, policy)
     res = maximize_m2(params, policy, k_min=k_min, grid=grid, T=horizon)
@@ -183,7 +222,7 @@ def cmd_optimize(args) -> int:
     columns = [m1(params, policy, ks), m2_horizon(params, policy, ks, horizon)]
     if include_gated:
         columns.append(n_func(params, policy, c, ks))
-    admissible = _lhs_curve(params, policy, ks) <= 1e-12
+    admissible = _lhs_curve(params, policy, ks) <= LHS_TOL
     rows = [
         [f"{k:.10g}", *(f"{v:.17g}" for v in vals), int(ok)]
         for k, *vals, ok in zip(ks, *columns, admissible)
@@ -212,39 +251,16 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _pool_config(args, cfg, policy) -> PoolConfig:
-    from .pool_simulator import PoolConfig
-
-    sec = cfg.get("pool", {})
-    ledger_path = _pick(args, "ledger", cfg, "ledger", None, kind=str)
-    ledger = None
-    if ledger_path is not None:
-        ledger = _load_ledger(ledger_path)
-    return PoolConfig(
-        n=_pick(args, "n", sec, "n", 1, kind=int),
-        gamma=_pick(args, "gamma", sec, "gamma", 1.0),
-        pi_ind=_pick(args, "pi_ind", sec, "pi_ind", 0.0),
-        T=_pick(args, "T", sec, "T", 1, kind=int),
-        regime=_pick(args, "regime", sec, "regime", "AlwaysHelp", kind=str),
-        policy=policy,
-        index_source=ledger,
-        v0_ind=_pick(args, "v0", sec, "v0_ind", 1.0),
-        c0=_pick(args, "c0", sec, "c0", 0.0),
-        h0=_pick(args, "h0", sec, "h0", 1.0),
-    )
-
-
 def cmd_simulate(args) -> int:
     from .market_model import sample_return_matrix
-    from .pool_simulator import run_path, simulate
+    from .pool_simulator import PoolConfig, run_path, simulate
 
-    cfg = _load_config(args.config)
-    params = _market(args, cfg)
-    policy = _policy(args, cfg)
-    config = _pool_config(args, cfg, policy)
-    out = _out_dir(args, cfg)
-    seed = _seed(args, cfg)
-    n_paths = _paths(args, cfg)
+    values = _settings(args)
+    params, policy = _market_policy(values)
+    ledger = _load_ledger(values["ledger"]) if "ledger" in values else None
+    config = PoolConfig(**_section(values, "pool"), policy=policy, index_source=ledger)
+    out = _out_dir(values)
+    seed, n_paths = values["seed"], values["paths"]
 
     result = simulate(config, params, n_paths, seed)
 
@@ -293,12 +309,9 @@ def cmd_simulate(args) -> int:
 def cmd_fixed_point(args) -> int:
     from .pool_simulator import fixed_point_barriers
 
-    cfg = _load_config(args.config)
-    params = _market(args, cfg)
-    policy = _policy(args, cfg)
-    sec = cfg.get("fixed_point", {})
-    theta = _pick(args, "theta", sec, "theta", 1.0)
-    eta_raw = _pick(args, "eta", sec, "eta", "1", kind=None)
+    values = _settings(args)
+    params, policy = _market_policy(values)
+    eta_raw = values["eta"]
     if isinstance(eta_raw, str):
         eta_raw = [x for x in eta_raw.split(",") if x.strip()]
     if not isinstance(eta_raw, list):
@@ -307,7 +320,7 @@ def cmd_fixed_point(args) -> int:
     if not eta_vec:
         raise CliError("eta list is empty")
 
-    res = fixed_point_barriers(params, policy, eta_vec, theta, grid=_grid(args, cfg))
+    res = fixed_point_barriers(params, policy, eta_vec, values["theta"], grid=values["grid"])
     _emit(
         {
             "k_bar": res.k_bar,
@@ -352,8 +365,7 @@ def cmd_settle(args) -> int:
         _batch_number(raw["pool"], "pool"),
     )
     result = settle(batch)
-    cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
+    out = _out_dir(_settings(args))
     _write_csv(
         out / "settlement.csv",
         ["claimant", "claim", "index", "allocation"],
@@ -449,21 +461,13 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _add_common(sub):
+def _add_settings(sub, names):
+    # the subcommand reads these settings; no other flag or config key reaches it
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="RNG seed")
-    sub.add_argument("--grid", type=int, help="grid resolution for scans")
-    sub.add_argument("--paths", type=int, help="Monte Carlo path count")
-    sub.add_argument("--mu", type=float, help="per-period log-drift")
-    sub.add_argument("--sigma", type=float, help="per-period log-volatility")
-    sub.add_argument("--k", type=float, help="lower boundary magnitude")
-    sub.add_argument("--p", type=float, help="upper boundary asymmetry factor")
-    sub.add_argument("--give-frac", dest="give_frac", type=float)
-    sub.add_argument("--help-frac", dest="help_frac", type=float)
-    sub.add_argument("--alpha", type=float, help="second-moment penalty weight")
-    sub.add_argument("--j-discount", dest="j_discount", type=float,
-                     help="index discount in the transfer-only objective")
+    for name in names:
+        s = _SETTINGS[name]
+        sub.add_argument(s.flag, dest=name, type=s.kind, help=s.help)
+    sub.set_defaults(reads=names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,40 +477,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("profitability", help="admissibility scan of the boundary")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_profitability)
-
-    sp = subs.add_parser("optimize", help="objective curves and maximizer")
-    _add_common(sp)
-    sp.add_argument("--c", type=float, help="help cutoff for the gated objective")
-    sp.add_argument("--horizon", type=int,
-                    help="periods to retirement; the m2 curve and k_star compound over them")
-    sp.set_defaults(fn=cmd_optimize)
-
-    sp = subs.add_parser("simulate", help="Monte Carlo pool simulation")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, help="number of individuals")
-    sp.add_argument("--gamma", type=float, help="premium split to individuals")
-    sp.add_argument("--pi-ind", dest="pi_ind", type=float, help="per-period premium")
-    sp.add_argument("--T", type=int, help="horizon in periods")
-    sp.add_argument("--regime", choices=["AlwaysHelp", "NoHelpIfInsufficient", "IndexCappedHelp"])
-    sp.add_argument("--ledger", help="ledger JSON for IndexCappedHelp")
-    sp.add_argument("--v0", type=float, help="initial individual value")
-    sp.add_argument("--c0", type=float, help="initial collective value")
-    sp.add_argument("--h0", type=float, help="initial fund price")
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = subs.add_parser("fixed-point", help="common-boundary fixed point")
-    _add_common(sp)
-    sp.add_argument("--theta", type=float, help="collective unit count")
-    sp.add_argument("--eta", help="comma-separated individual unit counts")
-    sp.set_defaults(fn=cmd_fixed_point)
+    # profitability, optimize and fixed-point do not read --k, nor profitability
+    # --alpha; they are accepted because the benchmark's CLI session passes them
+    for name, fn, help_, names in (
+        ("profitability", cmd_profitability, "admissibility scan of the boundary",
+         (*_MARKET_POLICY, "out", "grid")),
+        ("optimize", cmd_optimize, "objective curves and maximizer",
+         (*_MARKET_POLICY, "J", "out", "grid", "c", "horizon")),
+        ("simulate", cmd_simulate, "Monte Carlo pool simulation",
+         (*_MARKET_POLICY, "n", "gamma", "pi_ind", "T", "regime", "ledger", "v0_ind", "c0", "h0",
+          "out", "seed", "paths")),
+        ("fixed-point", cmd_fixed_point, "common-boundary fixed point",
+         (*_MARKET_POLICY, "theta", "eta", "grid")),
+    ):
+        sp = subs.add_parser(name, help=help_)
+        _add_settings(sp, names)
+        sp.set_defaults(fn=fn)
 
     sp = subs.add_parser("settle", help="settle a claim batch")
     sp.add_argument("batch", help="JSON file with claims, indices, pool")
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--out", help="output directory")
+    _add_settings(sp, ("out",))
     sp.set_defaults(fn=cmd_settle)
 
     sp = subs.add_parser("index", help="share ledger operations")

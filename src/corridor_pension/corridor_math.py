@@ -262,11 +262,13 @@ def admissible_min_k(params: GbmParams, policy: CorridorPolicy, tol: float = 1e-
 
 def m1(params: GbmParams, policy: CorridorPolicy, k):
     """Transfer-only objective: the discounted profitability LHS."""
+    _check_k(k)
     return _like(k, (1.0 - policy.J) * _transfer_mean(params, policy, k))
 
 
 def m2(params: GbmParams, policy: CorridorPolicy, k):
     """Mean-minus-weighted-second-moment objective at boundary k."""
+    _check_k(k)
     s1, s2 = _psi(params, policy, k)
     return _like(k, s1 - policy.alpha * s2)
 
@@ -293,6 +295,7 @@ def horizon_objective(
 
 def m2_horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
     """The objective of `horizon_objective` with the boundary held at k for T periods."""
+    _check_k(k)
     return _like(k, horizon_objective([_psi(params, policy, k)] * T, policy.alpha))
 
 
@@ -334,15 +337,6 @@ def maximize_m1(
     return M1Result(float(k_min), v_lo, v_lo, v_hi)
 
 
-def _m1_slope(params, policy, k, k_min, step=1e-5):
-    # central difference, clamped to a forward difference at the left edge
-    lo = max(k - step, k_min)
-    hi = min(k + step, 1.0)
-    if hi <= lo:
-        return 0.0
-    return (m1(params, policy, hi) - m1(params, policy, lo)) / (hi - lo)
-
-
 def _zoom(f: Callable, lo: float, hi: float, tol: float, points: int = 65):
     """Maximize f on [lo, hi] by rescanning around the best point until the bracket is <= tol."""
     while True:
@@ -372,7 +366,9 @@ def _maximize_scalar(
     point if refinement does worse.  Refined candidates within tie_tol of the
     best value and separated by more than TIE_SEPARATION in k count as a tie,
     resolved by the sign of `slope_at` at the smaller maximizer: negative
-    slope keeps the smaller one, nonnegative the larger.
+    slope keeps the smaller one, nonnegative the larger.  The callers pass
+    `_transfer_slope`, which has the sign of m1's slope: m1's slope is it
+    times 1 - J > 0.
     """
     ks = np.linspace(k_min, 1.0, grid)
     vs = f(ks)
@@ -453,7 +449,7 @@ def maximize_m2(
     return _maximize_scalar(
         lambda k: m2_horizon(params, policy, k, T),
         k_min, grid, tol, tie_tol,
-        lambda k: _m1_slope(params, policy, k, k_min),
+        lambda k: _transfer_slope(params, policy.help_frac, policy.give_frac, policy.p, k),
     )
 
 
@@ -503,7 +499,7 @@ def k_of_c(
     return _maximize_scalar(
         lambda k: n_func(params, policy, c, k),
         k_min, grid, tol, tie_tol,
-        lambda k: _m1_slope(params, policy, k, k_min),
+        lambda k: _transfer_slope(params, policy.help_frac, policy.give_frac, policy.p, k),
     )
 
 

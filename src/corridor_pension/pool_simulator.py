@@ -358,7 +358,7 @@ def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray) ->
             break
         total_w = _member_sum(np.where(active, weights, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            slices = np.where(total_w > 0, weights * pool / total_w, 0.0)
+            slices = np.where(total_w > 0, pool * (weights / total_w), 0.0)  # as settle
         fits = active & (claims <= slices)
         # a round where nothing fits pays min(claim, slice) and ends the batch
         last = active & ~fits.any(axis=0)

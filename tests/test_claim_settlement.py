@@ -111,6 +111,13 @@ def test_validation():
             ClaimBatch([4.0, 6.0], [0.5, 0.5], bad)
 
 
+def test_subnormal_pool_is_not_overpaid():
+    # w * pool rounds when the pool is subnormal; the lone claimant gets the pool exactly
+    res = settle(ClaimBatch([1.0, 0.0], [1 / 64, 63 / 64], 2.225073858507e-311))
+    assert res.allocations == (2.225073858507e-311, 0.0)
+    assert res.remaining == 0.0
+
+
 def test_result_type():
     batch = ClaimBatch([1], [F(1)], 5)
     res = settle(batch)

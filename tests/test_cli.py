@@ -187,14 +187,41 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         "--out", str(tmp_path),
     )
     assert base["k_min"] != over["k_min"] or base["stationary_points"] != over["stationary_points"]
-    # a section that is no object, a value of the wrong JSON type, a boolean for a number
+    # one file serves every subcommand: keys another subcommand reads are accepted
+    others = {"paths": 10, "pool": {"n": 3}, "fixed_point": {"eta": "1,1"}}
+    path.write_text(json.dumps({**cfg, **others}))
+    _, shared = run(capsys, "profitability", "--config", str(path), "--out", str(tmp_path))
+    assert shared == base
+    # a section that is no object, a value of the wrong JSON type, a boolean for a
+    # number, and a section or key that no subcommand reads
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({"claims": [1], "indices": [1], "pool": 2}))
     for command, bad in (("profitability", {"market": "mu"}),
                          ("fixed-point", {"fixed_point": {"eta": 3}}),
                          ("profitability", {"market": {"mu": True}}),
-                         ("profitability", {"grid": [101]})):
+                         ("profitability", {"grid": [101]}),
+                         ("profitability", {"policy": {"alfa": 4}}),
+                         ("optimize", {"horizn": 20}),
+                         ("simulate", {"markets": {"mu": 0.01}}),
+                         ("settle", {"market": {"n": 2}})):
         path.write_text(json.dumps(bad))
-        code, out = run(capsys, command, "--config", str(path), "--out", str(tmp_path))
+        argv = [str(batch)] if command == "settle" else []
+        code, out = run(capsys, command, *argv, "--config", str(path))
         assert (code, out) == (2, None), bad
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("profitability", "--seed"), ("profitability", "--paths"), ("profitability", "--j-discount"),
+    ("optimize", "--seed"), ("optimize", "--paths"),
+    ("simulate", "--grid"), ("simulate", "--j-discount"),
+    ("fixed-point", "--out"), ("fixed-point", "--seed"), ("fixed-point", "--paths"),
+    ("fixed-point", "--j-discount"),
+])
+def test_flags_a_subcommand_does_not_read_exit_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, "0"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
 
 def test_fixed_point(capsys):
@@ -336,11 +363,15 @@ def test_invalid_parameter_exit(capsys):
     code, _ = run(capsys, "fixed-point", "--eta", "")
     assert code == 2
     # NaN fails numeric validation: exit 2, not a NaN summary or a traceback
-    for argv in (["simulate", "--pi-ind", "nan"], ["simulate", "--v0", "nan"],
-                 ["simulate", "--c0", "nan"], ["simulate", "--h0", "nan"],
-                 ["fixed-point", "--theta", "nan"], ["fixed-point", "--eta", "1,nan"],
-                 ["optimize", "--alpha", "nan"], ["optimize", "--p", "nan"]):
-        code, _ = run(capsys, *argv, "--paths", "10", "--grid", "101")
+    for argv in (["simulate", "--pi-ind", "nan", "--paths", "10"],
+                 ["simulate", "--v0", "nan", "--paths", "10"],
+                 ["simulate", "--c0", "nan", "--paths", "10"],
+                 ["simulate", "--h0", "nan", "--paths", "10"],
+                 ["fixed-point", "--theta", "nan", "--grid", "101"],
+                 ["fixed-point", "--eta", "1,nan", "--grid", "101"],
+                 ["optimize", "--alpha", "nan", "--grid", "101"],
+                 ["optimize", "--p", "nan", "--grid", "101"]):
+        code, _ = run(capsys, *argv)
         assert code == 2, argv
 
 

@@ -179,6 +179,10 @@ def test_array_k_matches_scalar_calls():
         n_func(A, pol, -0.1, np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         xi(A, xp, np.array([-0.1, 0.5]))
+    for name in ("m1", "m2", "m2_horizon"):
+        for bad in (1.5, -0.2, np.array([0.5, 1.5]), np.array([np.nan])):
+            with pytest.raises(ValueError):
+                curves[name](bad)
 
 
 def test_n_func_array_cutoff_matches_scalar_calls():

@@ -711,17 +711,21 @@ def settle_columns(claims, weights, pools):
 
 def test_settle_rounds_named_cases():
     # columns: README batch (three rounds), all fit in one round, terminal
-    # pro rata, zero claims and zero weights mixed in
-    claims = np.array([[4.0, 1.0, 10.0, 0.0], [6.0, 2.0, 10.0, 3.0], [20.0, 0.0, 10.0, 5.0],
-                       [35.0, 0.0, 10.0, 4.0], [80.0, 0.0, 10.0, 2.0]])
-    weights = np.array([[0.2, 0.5, 0.1, 0.4], [0.2, 0.5, 0.2, 0.0], [0.2, 0.0, 0.3, 0.3],
-                        [0.2, 0.0, 0.2, 0.3], [0.2, 0.0, 0.2, 0.0]])
-    pools = np.array([100.0, 100.0, 10.0, 6.0])
+    # pro rata, zero claims and zero weights mixed in, and a lone claimant of
+    # weight 1/64 against a subnormal pool
+    claims = np.array([[4.0, 1.0, 10.0, 0.0, 1.0], [6.0, 2.0, 10.0, 3.0, 0.0],
+                       [20.0, 0.0, 10.0, 5.0, 0.0], [35.0, 0.0, 10.0, 4.0, 0.0],
+                       [80.0, 0.0, 10.0, 2.0, 0.0]])
+    weights = np.array([[0.2, 0.5, 0.1, 0.4, 1 / 64], [0.2, 0.5, 0.2, 0.0, 63 / 64],
+                        [0.2, 0.0, 0.3, 0.3, 0.0], [0.2, 0.0, 0.2, 0.3, 0.0],
+                        [0.2, 0.0, 0.2, 0.0, 0.0]])
+    pools = np.array([100.0, 100.0, 10.0, 6.0, 2.225073858507e-311])
     got = _settle_rounds(claims, weights, pools)
     assert got[:, 0].tolist() == [4.0, 6.0, 20.0, 35.0, 35.0]
     assert got[:, 1].tolist() == [1.0, 2.0, 0.0, 0.0, 0.0]
     assert got[:, 2] == pytest.approx([1.0, 2.0, 3.0, 2.0, 2.0], rel=1e-15)
     assert got[:, 3] == pytest.approx([0.0, 0.0, 3.0, 3.0, 0.0], rel=1e-15)  # weight 0: nothing
+    assert got[:, 4].tolist() == [2.225073858507e-311, 0.0, 0.0, 0.0, 0.0]  # the pool, no more
     assert np.array_equal(got, settle_columns(claims, weights, pools))
 
 
@@ -740,8 +744,8 @@ def test_settle_rounds_match_settle(members, batches, data):
     weights = np.array(data.draw(st.lists(weight, min_size=members * batches,
                                           max_size=members * batches))).reshape(shape)
     weights[0, weights.sum(axis=0) == 0] = 1.0  # ClaimBatch needs weights summing to 1
-    pools = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=batches,
-                                        max_size=batches)))
+    pool = st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 2.3e-308))  # subnormals too
+    pools = np.array(data.draw(st.lists(pool, min_size=batches, max_size=batches)))
     got = _settle_rounds(claims, weights, pools)
     want = settle_columns(claims, weights, pools)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * max(pools.max(), 1e-300))
