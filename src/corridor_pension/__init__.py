@@ -28,8 +28,7 @@ _EXPORTS = {
         "ALWAYS_HELP", "INDEX_CAPPED_HELP", "NO_HELP_IF_INSUFFICIENT", "CollectiveAccount",
         "DpVerdict", "FixedPointResult", "IndividualAccount", "PoolConfig", "PoolState",
         "SimulationResult", "StepReport", "best_response_gain", "dp_check",
-        "fixed_point_barriers", "improvement_bound", "init_pool", "run_path", "simulate",
-        "step", "z_star",
+        "fixed_point_barriers", "improvement_bound", "run_path", "simulate", "z_star",
     ),
     "redistribution_index": (
         "CheckResult", "EventRecord", "Ledger", "check_add", "check_cont", "check_fix",

@@ -4,7 +4,9 @@ Each claimant holds a redistribution weight.  Rounds proceed as follows: every
 claim no larger than its weighted slice of the pool is paid in full and
 removed, the weights of the survivors are renormalized, and the process
 repeats.  Once no remaining claim fits inside its slice, each survivor gets
-min(claim, slice) and the pool is exhausted pro rata.
+min(claim, slice) and the pool is exhausted pro rata.  Payments are made in
+claimant order, and none is more than the pool left: float slices can sum to
+an ulp more than the pool.
 
 Arithmetic is type-transparent: feed `fractions.Fraction` inputs and every
 intermediate and output stays exact; feed floats and a 1e-9 conservation
@@ -71,9 +73,9 @@ class SettlementResult:
 def settle(batch: ClaimBatch) -> SettlementResult:
     """Allocate the pool across claims by the round structure above.
 
-    Guarantees 0 <= allocation <= claim pointwise, conservation
-    sum(allocations) + remaining == pool, and termination within one round per
-    claimant.
+    Guarantees 0 <= allocation <= claim pointwise, remaining >= 0,
+    conservation sum(allocations) + remaining == pool, and termination within
+    one round per claimant.
     """
     n = len(batch.claims)
     zero = batch.pool_shares - batch.pool_shares  # additive zero of the input type
@@ -92,17 +94,13 @@ def settle(batch: ClaimBatch) -> SettlementResult:
         # loses bits when the pool is subnormal
         slices = {j: pool * (batch.indices[j] / total_w) for j in active}
         fits = [j for j in active if batch.claims[j] <= slices[j]]
+        # the fitting claims are paid; if none fits, a terminal round pays
+        # every survivor min(claim, slice)
+        for j in fits or active:
+            alloc[j] = min(batch.claims[j], slices[j], pool)
+            pool = pool - alloc[j]
         if not fits:
-            # terminal round: pro-rata min(claim, slice)
-            for j in active:
-                pay = batch.claims[j] if batch.claims[j] < slices[j] else slices[j]
-                alloc[j] = pay
-                pool = pool - pay
-            active = []
             break
-        for j in fits:
-            alloc[j] = batch.claims[j]
-            pool = pool - batch.claims[j]
         active = [j for j in active if j not in fits]
 
     return SettlementResult(tuple(alloc), pool, rounds)

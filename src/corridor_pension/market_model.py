@@ -7,8 +7,10 @@ consumes either the closed-form partial moments computed here or sampled return
 paths.
 
 Three evaluation routes are provided and kept deliberately independent so they
-can cross-check each other: closed forms (`partial_moment`), adaptive
-quadrature (`expect_quad`), and Monte Carlo (`expect_mc`).
+can cross-check each other: closed forms (`_cum_moment`, which the boundary
+functionals evaluate over arrays of cutoffs), adaptive quadrature
+(`expect_quad`), and Monte Carlo (`expect_mc`).  `partial_moment` stays public
+as the scalar closed form that the tests use as an independent check.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ def partial_moment(params: GbmParams, order: int, lo: float, hi: float) -> float
     """E[Y^n 1{lo < Y <= hi}] in closed form, for n in {0, 1, 2}.
 
     Uses E[Y^n 1{Y <= c}] = exp(n mu + n^2 sigma^2 / 2) * Phi((ln c - mu)/sigma - n sigma).
-    `hi` may be inf.  Degenerate or inverted intervals raise.
+    `hi` may be inf.  Degenerate or inverted intervals raise.  Nothing in the
+    package calls it: it is public API, the scalar form of the formula the
+    boundary functionals evaluate over arrays.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")

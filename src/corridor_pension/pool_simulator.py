@@ -16,8 +16,9 @@ cover:
   claim settlement.
 
 One period rule, `_period`, works on (columns, paths) arrays for every
-regime: `simulate` runs it over blocks of paths, and `step` and `run_path` run
-it on one path with a column per member to give per-member step logs.
+regime, and one loop, `_trajectory`, runs it from the initial state:
+`simulate` over blocks of paths, and `run_path` on one path with a column per
+member to give per-member step logs.
 Members 0..n-1 match ledger ids by `str(id)`.
 
 The coverage indicator collapses to a threshold on the net return (`z_star`),
@@ -57,8 +58,6 @@ __all__ = [
     "SimulationResult",
     "FixedPointResult",
     "DpVerdict",
-    "init_pool",
-    "step",
     "run_path",
     "simulate",
     "z_star",
@@ -216,18 +215,6 @@ class DpVerdict:
     tol: float
 
 
-def init_pool(config: PoolConfig) -> PoolState:
-    """Fresh pool at t = 0 with values priced at h0."""
-    values = config.initial_values
-    ks = config.boundaries
-    accounts = tuple(
-        IndividualAccount(eta=v / config.h0, value=v, k=k, owner_id=i)
-        for i, (v, k) in enumerate(zip(values, ks))
-    )
-    theta0 = config.c0 / config.h0
-    return PoolState(0, config.h0, accounts, CollectiveAccount(theta0, config.c0))
-
-
 def z_star(
     k_vec: Sequence[float],
     eta_vec: Sequence[float],
@@ -273,63 +260,6 @@ def _coverage_ok(theta_prev, rho, claims_weighted, help_frac):
     return (claims_weighted <= 0) | (theta_prev * (1.0 + rho) > help_frac * claims_weighted)
 
 
-def step(pool: PoolState, gross_return: float, config: PoolConfig):
-    """Advance one period: growth, premium purchases, corridor transfers.
-
-    Returns the new state and a per-agent report.  Transfers are computed from
-    the pre-step values and the period's net return; premia buy units at the
-    post-growth price.  Runs the period rule of `simulate` on one path.
-    """
-    if not gross_return > 0:
-        raise ValueError("gross return must be positive")
-    accounts, theta_prev, t = pool.accounts, pool.collective.theta, pool.t + 1
-    owners = [a.owner_id for a in accounts]
-    ks = [a.k for a in accounts]
-    eta_prev = np.array([a.eta for a in accounts])
-    z = z_star(ks, eta_prev, max(theta_prev, 0.0), config.policy.help_frac)
-    price, v, eta, theta, claim, net, covered, _, support = _period(
-        config, _rule(config, ks, config.premiums, _member_sum, owners), t, np.array([float(gross_return)]), np.array([pool.price]),
-        np.array([[a.value] for a in accounts]), eta_prev[:, None], np.array([theta_prev]),
-    )
-    price, theta, support_added = float(price[0]), float(theta[0]), float(support[0])
-    v, eta, net = v[:, 0].tolist(), eta[:, 0].tolist(), net[:, 0].tolist()
-    collective = CollectiveAccount(theta, theta * price)
-    rows = tuple(
-        {
-            "t": t,
-            "owner_id": owners[i],
-            "V": v[i],
-            "eta": eta[i],
-            "transfer_units": net[i] / price,
-            "transfer_value": net[i],
-            "help_granted": net[i] > 0,  # nobody gives and claims in one period
-            "z_star": z,
-            "theta": theta,
-            "C": collective.value,
-        }
-        for i in range(len(accounts))
-    )
-    state = PoolState(
-        t,
-        price,
-        tuple(IndividualAccount(e, x, k, o) for e, x, k, o in zip(eta, v, ks, owners)),
-        collective,
-        pool.external_support + support_added,
-    )
-    claims_total = float(_member_sum(claim)[0])
-    return state, StepReport(t, z, bool(covered[0]), claims_total, rows, support_added)
-
-
-def run_path(config: PoolConfig, gross_returns: Sequence[float]):
-    """Run one full trajectory; returns the final state and all step reports."""
-    pool = init_pool(config)
-    reports = []
-    for y in gross_returns:
-        pool, rep = step(pool, float(y), config)
-        reports.append(rep)
-    return pool, reports
-
-
 # paths drawn and run together: memory stays flat in the path count and a
 # period's row of a block stays in cache
 _BLOCK_PATHS = 8192
@@ -345,11 +275,12 @@ def _member_sum(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
 
 
-def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray) -> np.ndarray:
+def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray):
     """The round rule of `claim_settlement.settle` on many batches at once.
 
     Column b of `claims` and `weights` (members x batches; weights need not sum
     to 1) with `pool[b]` is one batch.  Each batch ends within `members` rounds.
+    Returns the allocations and the pool left, as `settle` computes them.
     """
     alloc = np.zeros_like(claims)
     active = claims > 0
@@ -361,11 +292,17 @@ def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray) ->
             slices = np.where(total_w > 0, pool * (weights / total_w), 0.0)  # as settle
         fits = active & (claims <= slices)
         # a round where nothing fits pays min(claim, slice) and ends the batch
-        last = active & ~fits.any(axis=0)
-        alloc = np.where(fits, claims, np.where(last, np.minimum(claims, slices), alloc))
-        pool = pool - _member_sum(np.where(fits, claims, 0.0))
-        active &= ~(fits | last)
-    return alloc
+        paying = fits | (active & ~fits.any(axis=0))
+        due = np.where(paying, np.minimum(claims, slices), 0.0)
+        # settle pays member after member, none more than the pool left.  The
+        # running pool, unclamped, first goes below 0 at the payment that
+        # overdraws it; clamped at 0, it pays that one what was left, and the
+        # later ones nothing
+        left = np.subtract.accumulate(np.concatenate((pool[None], due)), axis=0)
+        alloc += np.minimum(due, np.maximum(left[:-1], 0.0))  # 0 where not paying
+        pool = np.maximum(left[-1], 0.0)
+        active &= ~paying
+    return alloc, pool
 
 
 def _rule(config: PoolConfig, ks, prem, total, owners) -> tuple:
@@ -411,17 +348,82 @@ def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
         # collective by the claimants' lagged ledger shares
         paths = np.flatnonzero(failed & (theta_prev > 0))
         if paths.size:
-            units = _settle_rounds(claim[:, paths] / price[paths], weights(t), theta_prev[paths])
+            units, left = _settle_rounds(claim[:, paths] / price[paths], weights(t), theta_prev[paths])
             paid[:, paths] = units * price[paths]
 
     deficit_before = np.maximum(0.0, -theta)
     net = paid - give
     eta = eta + net / price
     theta = theta - total(net) / price
+    if regime == INDEX_CAPPED_HELP and paths.size:
+        # the units settlement left, not a round trip of the paid units
+        # through their value, which can leave the collective an ulp below 0
+        theta[paths] = left + (inflow + total(give[:, paths])) / price[paths]
     support = np.maximum(0.0, np.maximum(0.0, -theta) - deficit_before)
     if regime != ALWAYS_HELP and theta.min() < -1e-12:
         raise RuntimeError("collective went negative outside AlwaysHelp")
     return price, eta * price, eta, theta, claim, net, covered, failed, support
+
+
+def _trajectory(config: PoolConfig, rule, v0, returns):
+    """The period loop: `_period` with `rule` over the rows of `returns` (periods x paths).
+
+    The one place the initial state is set: each column's value v0 priced at
+    h0, and c0 / h0 units in the collective.  Yields, for each period, the
+    (price, values, units, collective) it started from and what `_period`
+    returned; then the final state with None.
+    """
+    paths = returns.shape[1]
+    v = np.repeat(np.array(v0, dtype=float)[:, None], paths, axis=1)
+    state = np.full(paths, config.h0), v, v / config.h0, np.full(paths, config.c0 / config.h0)
+    for t, y in enumerate(returns, 1):
+        out = _period(config, rule, t, y, *state)
+        yield state, out
+        state = out[:4]
+    yield state, None
+
+
+def run_path(config: PoolConfig, gross_returns: Sequence[float]):
+    """Run one trajectory with a column per member; returns the final state and a report per period.
+
+    The period rule is that of `simulate`.  With no returns, the final state
+    is the initial one.  Every gross return must be > 0 (NaN is not).
+    """
+    returns = np.array(gross_returns, dtype=float).reshape(-1, 1)
+    if not np.all(returns > 0):
+        raise ValueError("gross returns must be positive")
+    ks, owners = config.boundaries, range(config.n)
+    rule = _rule(config, ks, config.premiums, _member_sum, owners)
+    reports, external_support = [], 0.0
+    for t, (state, out) in enumerate(_trajectory(config, rule, config.initial_values, returns), 1):
+        if out is None:
+            break
+        z = z_star(ks, state[2][:, 0], max(float(state[3][0]), 0.0), config.policy.help_frac)
+        price, v, eta, theta, claim, net, covered, _, support = out
+        price, theta, support = float(price[0]), float(theta[0]), float(support[0])
+        v, eta, net = v[:, 0].tolist(), eta[:, 0].tolist(), net[:, 0].tolist()
+        rows = tuple(
+            {
+                "t": t,
+                "owner_id": i,
+                "V": v[i],
+                "eta": eta[i],
+                "transfer_units": net[i] / price,
+                "transfer_value": net[i],
+                "help_granted": net[i] > 0,  # nobody gives and claims in one period
+                "z_star": z,
+                "theta": theta,
+                "C": theta * price,
+            }
+            for i in owners
+        )
+        external_support += support
+        claims_total = float(_member_sum(claim)[0])
+        reports.append(StepReport(t, z, bool(covered[0]), claims_total, rows, support))
+    price, v, eta, theta = (x[..., 0].tolist() for x in state)
+    accounts = tuple(IndividualAccount(*acct) for acct in zip(eta, v, ks, owners))
+    collective = CollectiveAccount(theta, theta * price)
+    return PoolState(len(reports), price, accounts, collective, external_support), reports
 
 
 def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
@@ -443,28 +445,23 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
     shortfall_steps, lo = 0, 0
     for block in blocks:
         hi = lo + len(block)
-        price = np.full(hi - lo, config.h0)
-        v = np.repeat(np.array(v0)[:, None], hi - lo, axis=1)
-        eta = v / config.h0
-        theta = np.full(hi - lo, config.c0 / config.h0)
         path_rv, path_support = rv[lo:hi], support[lo:hi]  # views the periods add into
 
         # period-major, so each period's returns are contiguous (no copy for
         # the blocks of `simulate`'s pipeline, which are stored that way)
-        for t, y in enumerate(np.ascontiguousarray(block.T), 1):
-            v_prev = v
-            price, v, eta, theta, _, _, _, failed, added = _period(
-                config, rule, t, y, price, v, eta, theta
-            )
+        for (_, v, _, _), out in _trajectory(config, rule, v0, np.ascontiguousarray(block.T)):
+            if out is None:
+                break
+            _, v_next, _, _, _, _, _, failed, added = out
             shortfall_steps += int(np.count_nonzero(failed))
             path_support += added
             # a member holding nothing adds the limit of its term, 0: with
             # V_{t-1} = eps the numerator is O(eps^2)
-            sq = (v - v_prev - gp) ** 2
-            path_rv += mean(np.divide(sq, v_prev, out=np.zeros_like(sq), where=v_prev > 0))
+            sq = (v_next - v - gp) ** 2
+            path_rv += mean(np.divide(sq, v, out=np.zeros_like(sq), where=v > 0))
         terminal[lo:hi] = mean(v)
         lo = hi
-        del block, y  # a finished block is freed before the next is asked for
+        del block  # a finished block is freed before the next is asked for
 
     mean_vt, mean_rv = float(terminal.mean()), float(rv.mean())
     return SimulationResult(
@@ -507,7 +504,7 @@ def simulate(
 ) -> SimulationResult:
     """Monte Carlo wealth statistics over n_paths independent trajectories.
 
-    Every regime runs the period rule of `step` over blocks of paths; when
+    Every regime runs the period rule of `run_path` over blocks of paths; when
     members are alike and no ledger tells them apart, one column stands for
     all of them, so the result agrees with `run_path` up to rounding.
     Deterministic for a fixed seed: the returns are those of

@@ -312,20 +312,23 @@ def test_acceptance_8_property_suites(capfd):
     notes.append(f"z* equivalence mismatches={mismatches}/10000")
 
     # transfer conservation in units and currency along a stressed path
-    from corridor_pension.pool_simulator import PoolConfig, init_pool, step
+    from corridor_pension.pool_simulator import PoolConfig, run_path
 
     cfg = PoolConfig(
         n=4, gamma=0.7, pi_ind=0.05, T=1, regime="AlwaysHelp",
         policy=CorridorPolicy(k=0.08), c0=0.2,
     )
-    pool = init_pool(cfg)
-    max_unit_err = 0.0
-    for y in (0.7, 1.25, 0.9, 1.02, 0.85):
-        before = sum(a.eta for a in pool.accounts) + pool.collective.theta
-        pool, rep = step(pool, y, cfg)
-        after = sum(a.eta for a in pool.accounts) + pool.collective.theta
-        err = abs(after - before - cfg.premium_total / pool.price)
+    returns = (0.7, 1.25, 0.9, 1.02, 0.85)
+    start, _ = run_path(cfg, [])
+    _, reports = run_path(cfg, returns)
+    before = sum(a.eta for a in start.accounts) + start.collective.theta
+    price, max_unit_err = cfg.h0, 0.0
+    for y, rep in zip(returns, reports, strict=True):
+        price *= y
+        after = sum(r["eta"] for r in rep.rows) + rep.rows[0]["theta"]
+        err = abs(after - before - cfg.premium_total / price)
         max_unit_err = max(max_unit_err, err)
+        before = after
     cons_ok = max_unit_err <= 1e-9
     notes.append(f"conservation err={max_unit_err:.1e}")
 

@@ -118,6 +118,22 @@ def test_subnormal_pool_is_not_overpaid():
     assert res.remaining == 0.0
 
 
+def test_float_rounding_never_overdraws_the_pool():
+    # float slices can sum to an ulp more than the pool; no payment is more
+    # than the pool left, in a terminal round and in a round where all fit
+    terminal = settle(ClaimBatch([1.0, 1.0], [1 / 1.015625, 0.015625 / 1.015625], 1.0))
+    assert terminal.remaining == 0.0 and terminal.rounds == 1
+    assert terminal.allocations[1] < 0.015625 / 1.015625  # its slice, less what was not left
+    claims = [0.9251583110112886, 2.0626488404442447, 2.986439832655913, 2.023594785678333,
+              1.002160978655896]
+    indices = [0.10279533649821007, 0.22918313450520555, 0.33182654673874173,
+               0.22484379641193036, 0.11135118584591233]
+    fitting = settle(ClaimBatch(claims, indices, 9.000002748445674))
+    assert fitting.remaining == 0.0 and fitting.rounds == 1
+    assert fitting.allocations[:4] == tuple(claims[:4])
+    assert 0 < claims[4] - fitting.allocations[4] < 1e-14  # the last is paid what is left
+
+
 def test_result_type():
     batch = ClaimBatch([1], [F(1)], 5)
     res = settle(batch)

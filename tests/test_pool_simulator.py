@@ -37,10 +37,8 @@ from corridor_pension.pool_simulator import (
     dp_check,
     fixed_point_barriers,
     improvement_bound,
-    init_pool,
     run_path,
     simulate,
-    step,
     z_star,
 )
 from corridor_pension import pool_simulator
@@ -53,7 +51,7 @@ A = GbmParams(0.045, 0.06)
 
 def _scalar_step(pool, gross_return, config):
     # the period rule written out member by member with the exact `settle`,
-    # kept as the oracle for the array rule that `step` and `simulate` share
+    # kept as the oracle for the array rule that `run_path` and `simulate` share
     if gross_return <= 0:
         raise ValueError("gross return must be positive")
     pol = config.policy
@@ -142,7 +140,10 @@ def _scalar_step(pool, gross_return, config):
 
 
 def _scalar_run_path(config, gross_returns):
-    pool = init_pool(config)
+    h0, values = config.h0, config.initial_values
+    accounts = tuple(IndividualAccount(v / h0, v, k, i)
+                     for i, (v, k) in enumerate(zip(values, config.boundaries)))
+    pool = PoolState(0, h0, accounts, CollectiveAccount(config.c0 / h0, config.c0))
     reports = []
     for y in gross_returns:
         pool, rep = _scalar_step(pool, float(y), config)
@@ -211,16 +212,19 @@ def test_config_validation():
             base_config(**bad)
 
 
-def test_init_pool():
+def test_run_path_without_returns_is_the_initial_state():
     cfg = base_config(v0_ind=2.0, c0=0.5, h0=2.0)
-    pool = init_pool(cfg)
-    assert pool.t == 0 and pool.price == 2.0
-    for acct in pool.accounts:
-        assert acct.value == 2.0
-        assert acct.eta == 1.0
-        assert acct.k == 0.1
-    assert pool.collective.theta == 0.25
-    assert pool.collective.value == 0.5
+    pool, reports = run_path(cfg, [])
+    assert reports == []
+    assert pool.t == 0 and pool.price == 2.0 and pool.external_support == 0.0
+    assert pool.accounts == tuple(IndividualAccount(1.0, 2.0, 0.1, i) for i in range(3))
+    assert pool.collective == CollectiveAccount(0.25, 0.5)
+
+
+def test_run_path_rejects_returns_that_are_not_positive():
+    for bad in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            run_path(base_config(), [1.01, bad, 1.02])
 
 
 def test_z_star_edges():
@@ -318,9 +322,9 @@ def test_indicator_matches_z_star(n, theta, rho, data):
 
 def test_step_conservation_and_accounting():
     cfg = base_config()
-    pool = init_pool(cfg)
+    pool, _ = run_path(cfg, [])
     y = 0.8  # breach below: -0.2 < -k
-    new, rep = step(pool, y, cfg)
+    new, (rep,) = run_path(cfg, [y])
     price = cfg.h0 * y
     # unit conservation: transfers move units, premia add them
     units_before = sum(a.eta for a in pool.accounts) + pool.collective.theta
@@ -338,8 +342,8 @@ def test_step_conservation_and_accounting():
 
 def test_step_give_direction():
     cfg = base_config(policy=CorridorPolicy(k=0.1, give_frac=0.25))
-    pool = init_pool(cfg)
-    new, rep = step(pool, 1.3, cfg)  # +30% breaches the upper boundary
+    pool, _ = run_path(cfg, [])
+    new, (rep,) = run_path(cfg, [1.3])  # +30% breaches the upper boundary
     give = 0.25 * 1.0 * 0.2
     for r in rep.rows:
         assert r["transfer_value"] == pytest.approx(-give, abs=1e-12)
@@ -348,8 +352,7 @@ def test_step_give_direction():
 
 def test_step_inside_corridor_no_transfer():
     cfg = base_config()
-    pool = init_pool(cfg)
-    _, rep = step(pool, 1.05, cfg)
+    _, (rep,) = run_path(cfg, [1.05])
     for r in rep.rows:
         assert r["transfer_value"] == 0.0
         assert not r["help_granted"]
@@ -358,8 +361,7 @@ def test_step_inside_corridor_no_transfer():
 def test_always_help_support_counter():
     # tiny buffer, certain breach: collective goes negative, support recorded
     cfg = base_config(c0=0.01, gamma=1.0)
-    pool = init_pool(cfg)
-    new, rep = step(pool, 0.7, cfg)
+    new, (rep,) = run_path(cfg, [0.7])
     assert new.collective.theta < 0
     assert new.external_support == pytest.approx(-new.collective.theta, abs=1e-12)
     assert rep.support_added == new.external_support
@@ -367,8 +369,7 @@ def test_always_help_support_counter():
 
 def test_no_help_regime_blocks_uncovered_claims():
     cfg = base_config(regime=NO_HELP_IF_INSUFFICIENT, c0=0.01, gamma=1.0)
-    pool = init_pool(cfg)
-    new, rep = step(pool, 0.7, cfg)
+    new, (rep,) = run_path(cfg, [0.7])
     assert not rep.covered
     assert all(not r["help_granted"] for r in rep.rows)
     assert new.collective.theta >= 0
@@ -396,13 +397,12 @@ def test_index_capped_regime_caps_by_lagged_shares():
         n=2, gamma=1.0, pi_ind=0.0, T=1, regime=INDEX_CAPPED_HELP,
         policy=pol, index_source=led, c0=0.05,
     )
-    pool = init_pool(cfg)
     y = 0.7  # claims: 0.5 * 1.0 * 0.2 = 0.1 each in value, pool holds 0.05 units
-    new, rep = step(pool, y, cfg)
+    new, (rep,) = run_path(cfg, [y])
     assert not rep.covered
     paid = [r["transfer_value"] for r in rep.rows]
     # entire buffer distributed, nothing more
-    assert sum(paid) == pytest.approx(0.05 * pool.price * y, abs=1e-12)
+    assert sum(paid) == pytest.approx(0.05 * cfg.h0 * y, abs=1e-12)
     # agent 0 holds 3/4 of the index, agent 1 one quarter
     assert paid[0] == pytest.approx(3 * paid[1], rel=1e-9)
     assert new.collective.theta == pytest.approx(0.0, abs=1e-12)
@@ -491,9 +491,10 @@ def fraction_ledger(ids, T=12):
 
 
 @pytest.mark.parametrize("name, config", KERNEL_CONFIGS + [
-    ("IndexCappedHelp, Fraction ledger", PoolConfig(
-        regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05,
-        index_source=fraction_ledger(range(5)), **KERNEL_POOL)),
+    # unit prices other than 1 and unequal initial values check the initial state too
+    ("IndexCappedHelp, Fraction ledger, h0 = 1.7", PoolConfig(
+        regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05), c0=0.05, h0=1.7,
+        v0_ind=(1.0, 2.0, 0.5, 1.0, 1.5), index_source=fraction_ledger(range(5)), **KERNEL_POOL)),
 ])
 def test_run_path_matches_scalar_oracle_row_by_row(name, config):
     flags = set()
@@ -649,9 +650,8 @@ def test_json_ledger_acts_like_python_ledger():
                            index_source=led, **KERNEL_POOL)
     as_json = replace(as_python, index_source=Ledger.from_json(led.to_json()))
     assert simulate(as_json, STRESSED, 60, 2) == simulate(as_python, STRESSED, 60, 2)
-    # one period through the scalar step pays the same under both ledgers
-    pool = init_pool(as_python)
-    assert step(pool, 0.7, as_json)[1].rows == step(pool, 0.7, as_python)[1].rows
+    # one path, member by member, pays the same under both ledgers
+    assert run_path(as_json, [0.7, 1.1, 0.8]) == run_path(as_python, [0.7, 1.1, 0.8])
 
 
 def test_index_capped_needs_a_member_in_the_ledger():
@@ -687,32 +687,46 @@ def test_invariants_raise_real_exceptions():
     cfg = base_config(regime=NO_HELP_IF_INSUFFICIENT)
     object.__setattr__(cfg, "c0", -0.5)
     with pytest.raises(RuntimeError, match="collective went negative"):
-        step(init_pool(cfg), 1.0, cfg)
+        run_path(cfg, [1.0])
     with pytest.raises(RuntimeError, match="collective went negative"):
         simulate(cfg, A, 10, seed=1)
     # negative unit counts, reached the same way
     cfg = base_config()
     object.__setattr__(cfg, "v0_ind", (1.0, -0.5, 1.0))
-    with pytest.raises(ValueError):
-        step(init_pool(cfg), 1.0, cfg)
+    with pytest.raises(ValueError, match="negative unit count"):
+        run_path(cfg, [1.0])
     with pytest.raises(ValueError, match="negative unit count"):
         simulate(cfg, A, 10, seed=1)
 
 
 def settle_columns(claims, weights, pools):
-    """`settle` on each column of (claims, weights), with weights normalized over the column."""
-    out = np.zeros_like(claims)
+    """`settle` on each column of (claims, weights), with weights normalized over the column.
+
+    Returns the allocations and the pool left of each column.
+    """
+    out, left = np.zeros_like(claims), np.zeros_like(pools)
     for b in range(claims.shape[1]):
         total = weights[:, b].sum()
-        batch = ClaimBatch(claims[:, b], weights[:, b] / total, pools[b])
-        out[:, b] = settle(batch).allocations
-    return out
+        res = settle(ClaimBatch(claims[:, b], weights[:, b] / total, pools[b]))
+        out[:, b], left[b] = res.allocations, res.remaining
+    return out, left
+
+
+# float slices that sum to more than the pool: a terminal round, and a round
+# where every claim fits (columns 5 and 6 of the named cases)
+TERMINAL_OVERDRAW = ([1.0, 1.0, 0.0, 0.0, 0.0], [1 / 1.015625, 0.015625 / 1.015625, 0.0, 0.0, 0.0], 1.0)
+FITTING_OVERDRAW = (
+    [0.9251583110112886, 2.0626488404442447, 2.986439832655913, 2.023594785678333, 1.002160978655896],
+    [0.10279533649821007, 0.22918313450520555, 0.33182654673874173, 0.22484379641193036,
+     0.11135118584591233],
+    9.000002748445674,
+)
 
 
 def test_settle_rounds_named_cases():
     # columns: README batch (three rounds), all fit in one round, terminal
-    # pro rata, zero claims and zero weights mixed in, and a lone claimant of
-    # weight 1/64 against a subnormal pool
+    # pro rata, zero claims and zero weights mixed in, a lone claimant of
+    # weight 1/64 against a subnormal pool, and the two overdraws above
     claims = np.array([[4.0, 1.0, 10.0, 0.0, 1.0], [6.0, 2.0, 10.0, 3.0, 0.0],
                        [20.0, 0.0, 10.0, 5.0, 0.0], [35.0, 0.0, 10.0, 4.0, 0.0],
                        [80.0, 0.0, 10.0, 2.0, 0.0]])
@@ -720,13 +734,24 @@ def test_settle_rounds_named_cases():
                         [0.2, 0.0, 0.3, 0.3, 0.0], [0.2, 0.0, 0.2, 0.3, 0.0],
                         [0.2, 0.0, 0.2, 0.0, 0.0]])
     pools = np.array([100.0, 100.0, 10.0, 6.0, 2.225073858507e-311])
-    got = _settle_rounds(claims, weights, pools)
+    for c, w, pool in (TERMINAL_OVERDRAW, FITTING_OVERDRAW):
+        claims, weights = np.column_stack([claims, c]), np.column_stack([weights, w])
+        pools = np.append(pools, pool)
+    got, left = _settle_rounds(claims, weights, pools)
     assert got[:, 0].tolist() == [4.0, 6.0, 20.0, 35.0, 35.0]
     assert got[:, 1].tolist() == [1.0, 2.0, 0.0, 0.0, 0.0]
     assert got[:, 2] == pytest.approx([1.0, 2.0, 3.0, 2.0, 2.0], rel=1e-15)
     assert got[:, 3] == pytest.approx([0.0, 0.0, 3.0, 3.0, 0.0], rel=1e-15)  # weight 0: nothing
     assert got[:, 4].tolist() == [2.225073858507e-311, 0.0, 0.0, 0.0, 0.0]  # the pool, no more
-    assert np.array_equal(got, settle_columns(claims, weights, pools))
+    assert left[:2].tolist() == [0.0, 97.0]
+    want, want_left = settle_columns(claims[:, :5], weights[:, :5], pools[:5])
+    assert np.array_equal(got[:, :5], want) and np.array_equal(left[:5], want_left)
+    # the overdraws as `settle` pays them: the last payment is what is left
+    for b, batch in enumerate((TERMINAL_OVERDRAW, FITTING_OVERDRAW), 5):
+        res = settle(ClaimBatch(*batch))
+        assert got[:, b].tolist() == list(res.allocations) and left[b] == res.remaining == 0.0
+    assert got[:4, 6].tolist() == FITTING_OVERDRAW[0][:4]
+    assert 0 < FITTING_OVERDRAW[0][4] - got[4, 6] < 1e-14
 
 
 @given(
@@ -746,12 +771,35 @@ def test_settle_rounds_match_settle(members, batches, data):
     weights[0, weights.sum(axis=0) == 0] = 1.0  # ClaimBatch needs weights summing to 1
     pool = st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 2.3e-308))  # subnormals too
     pools = np.array(data.draw(st.lists(pool, min_size=batches, max_size=batches)))
-    got = _settle_rounds(claims, weights, pools)
-    want = settle_columns(claims, weights, pools)
+    got, left = _settle_rounds(claims, weights, pools)
+    want, want_left = settle_columns(claims, weights, pools)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * max(pools.max(), 1e-300))
     assert np.all((got >= 0) & (got <= claims))
-    # a subnormal pool can be overpaid by a few of the smallest subnormals
-    assert np.all(got.sum(axis=0) <= pools * (1 + 1e-12) + members * 5e-324)
+    # pays at most the pool: no payment is more than the pool left, which
+    # never goes below 0, here or in `settle`
+    assert np.all(left >= 0) and np.all(want_left >= 0)
+    assert np.allclose(left, want_left, rtol=1e-12, atol=1e-12 * max(pools.max(), 1e-300))
+
+
+def test_index_capped_at_money_scale_keeps_the_collective_nonnegative():
+    # about 1000 units in the collective, where an ulp is more than the -1e-12
+    # check: an overdrawn settlement, or settled units priced into a value and
+    # back, left it an ulp below 0 on every seed
+    led = Ledger(mode="proportional")
+    led.record(0, {i: 1.0 + i for i in range(8)}, 0.0)
+    cfg = PoolConfig(n=8, gamma=1.0, pi_ind=0.0, T=20, regime=INDEX_CAPPED_HELP,
+                     policy=CorridorPolicy(k=0.05), index_source=led, c0=1000.0, v0_ind=10000.0)
+    for seed in range(10):
+        assert simulate(cfg, STRESSED, 2000, seed).shortfall_freq > 0
+    # the paths of seed 0 on which it went below 0 member by member
+    failed_rows = [371, 522, 552, 613, 1007, 1026, 1183, 1740, 1762, 1948]
+    rows = sample_return_matrix(STRESSED, cfg.T, 2000, 0)[failed_rows]
+    settled = 0
+    for row in rows:
+        _, reports = run_path(cfg, row)
+        settled += sum(not rep.covered and any(r["help_granted"] for r in rep.rows) for rep in reports)
+        assert min(rep.rows[0]["theta"] for rep in reports) >= 0
+    assert settled > 0
 
 
 def test_simulate_heterogeneous_routes_to_general():
@@ -901,22 +949,21 @@ def test_dp_check_long_horizon_schedule_narrows():
 def test_transfer_conservation_along_path():
     cfg = base_config(T=8, gamma=0.6)
     returns = [0.75, 1.2, 1.0, 0.85, 1.4, 0.95, 1.1, 0.7]
-    pool = init_pool(cfg)
-    for y in returns:
-        theta_before = pool.collective.theta
-        before = sum(a.eta for a in pool.accounts) + theta_before
-        pool, rep = step(pool, y, cfg)
-        after = sum(a.eta for a in pool.accounts) + pool.collective.theta
-        inflow = cfg.premium_total / pool.price
-        assert after == pytest.approx(before + inflow, abs=1e-9)
+    start, _ = run_path(cfg, [])
+    final, reports = run_path(cfg, returns)
+    eta_before, theta_before = [a.eta for a in start.accounts], start.collective.theta
+    price = cfg.h0
+    for y, rep in zip(returns, reports, strict=True):
+        price *= y
+        eta, theta = [r["eta"] for r in rep.rows], rep.rows[0]["theta"]
+        inflow = cfg.premium_total / price
+        assert sum(eta) + theta == pytest.approx(sum(eta_before) + theta_before + inflow, abs=1e-9)
         # what the agents received in units is exactly what the collective lost
         net_units = sum(r["transfer_units"] for r in rep.rows)
-        theta_transfer = (
-            pool.collective.theta
-            - theta_before
-            - (1.0 - cfg.gamma) * cfg.premium_total / pool.price
-        )
+        theta_transfer = theta - theta_before - (1.0 - cfg.gamma) * cfg.premium_total / price
         assert net_units == pytest.approx(-theta_transfer, abs=1e-9)
         assert sum(r["transfer_value"] for r in rep.rows) == pytest.approx(
-            net_units * pool.price, abs=1e-9
+            net_units * price, abs=1e-9
         )
+        eta_before, theta_before = eta, theta
+    assert final.price == price and [a.eta for a in final.accounts] == eta_before
