@@ -365,22 +365,24 @@ def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
     return price, eta * price, eta, theta, claim, net, covered, failed, support
 
 
+def _initial_state(config: PoolConfig, v0, paths: int) -> tuple:
+    """(price, values, units, collective) at t = 0: v0 priced at h0, c0 / h0 collective units."""
+    v = np.repeat(np.array(v0, dtype=float)[:, None], paths, axis=1)
+    return np.full(paths, config.h0), v, v / config.h0, np.full(paths, config.c0 / config.h0)
+
+
 def _trajectory(config: PoolConfig, rule, v0, returns):
     """The period loop: `_period` with `rule` over the rows of `returns` (periods x paths).
 
-    The one place the initial state is set: each column's value v0 priced at
-    h0, and c0 / h0 units in the collective.  Yields, for each period, the
-    (price, values, units, collective) it started from and what `_period`
-    returned; then the final state with None.
+    Yields, for each period, the (price, values, units, collective) it started
+    from and what `_period` returned; the first four of that are the state
+    the next period starts from.
     """
-    paths = returns.shape[1]
-    v = np.repeat(np.array(v0, dtype=float)[:, None], paths, axis=1)
-    state = np.full(paths, config.h0), v, v / config.h0, np.full(paths, config.c0 / config.h0)
+    state = _initial_state(config, v0, returns.shape[1])
     for t, y in enumerate(returns, 1):
         out = _period(config, rule, t, y, *state)
         yield state, out
         state = out[:4]
-    yield state, None
 
 
 def run_path(config: PoolConfig, gross_returns: Sequence[float]):
@@ -395,9 +397,9 @@ def run_path(config: PoolConfig, gross_returns: Sequence[float]):
     ks, owners = config.boundaries, range(config.n)
     rule = _rule(config, ks, config.premiums, _member_sum, owners)
     reports, external_support = [], 0.0
+    final = _initial_state(config, config.initial_values, 1)
     for t, (state, out) in enumerate(_trajectory(config, rule, config.initial_values, returns), 1):
-        if out is None:
-            break
+        final = out[:4]
         z = z_star(ks, state[2][:, 0], max(float(state[3][0]), 0.0), config.policy.help_frac)
         price, v, eta, theta, claim, net, covered, _, support = out
         price, theta, support = float(price[0]), float(theta[0]), float(support[0])
@@ -420,7 +422,7 @@ def run_path(config: PoolConfig, gross_returns: Sequence[float]):
         external_support += support
         claims_total = float(_member_sum(claim)[0])
         reports.append(StepReport(t, z, bool(covered[0]), claims_total, rows, support))
-    price, v, eta, theta = (x[..., 0].tolist() for x in state)
+    price, v, eta, theta = (x[..., 0].tolist() for x in final)
     accounts = tuple(IndividualAccount(*acct) for acct in zip(eta, v, ks, owners))
     collective = CollectiveAccount(theta, theta * price)
     return PoolState(len(reports), price, accounts, collective, external_support), reports
@@ -450,8 +452,6 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         # period-major, so each period's returns are contiguous (no copy for
         # the blocks of `simulate`'s pipeline, which are stored that way)
         for (_, v, _, _), out in _trajectory(config, rule, v0, np.ascontiguousarray(block.T)):
-            if out is None:
-                break
             _, v_next, _, _, _, _, _, failed, added = out
             shortfall_steps += int(np.count_nonzero(failed))
             path_support += added
@@ -459,7 +459,7 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
             # V_{t-1} = eps the numerator is O(eps^2)
             sq = (v_next - v - gp) ** 2
             path_rv += mean(np.divide(sq, v, out=np.zeros_like(sq), where=v > 0))
-        terminal[lo:hi] = mean(v)
+        terminal[lo:hi] = mean(v_next)  # T >= 1, so the loop ran
         lo = hi
         del block  # a finished block is freed before the next is asked for
 

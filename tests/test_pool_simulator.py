@@ -775,9 +775,13 @@ def test_settle_rounds_match_settle(members, batches, data):
     want, want_left = settle_columns(claims, weights, pools)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * max(pools.max(), 1e-300))
     assert np.all((got >= 0) & (got <= claims))
-    # pays at most the pool: no payment is more than the pool left, which
-    # never goes below 0, here or in `settle`
-    assert np.all(left >= 0) and np.all(want_left >= 0)
+    # pays at most the pool, and what is paid plus what is left is the pool,
+    # both up to the rounding of at most `members` payments subtracted from
+    # the pool and of summing them here (exact for a subnormal pool)
+    ulps = pools * members * 2**-52
+    for paid, rest in ((got, left), (want, want_left)):
+        assert np.all(paid.sum(axis=0) <= pools + ulps)
+        assert np.all(np.abs(paid.sum(axis=0) + rest - pools) <= ulps)
     assert np.allclose(left, want_left, rtol=1e-12, atol=1e-12 * max(pools.max(), 1e-300))
 
 
