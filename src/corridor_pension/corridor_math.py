@@ -140,32 +140,40 @@ def _payoff(k, help_frac, give_frac, p, c=-1.0, with_return=True):
 
     The transfer t(y) is help_frac*(L - y) on (G, L] and -give_frac*(y - U) on
     (U, inf), zero elsewhere, with L = 1 - k, U = 1 + k*p and the help gate
-    G = clip(1 + c, 0, L); c = -1 means no gate.  Returns the edges
-    0 <= G <= L <= U < inf of the four intervals and each interval's constant
-    and slope, stacked along a first axis in front of the broadcast shape of
-    k and c.
+    G = clip(1 + c, 0, L); c = -1 means no gate.  Returns the inner edges
+    G <= L <= U of the intervals splitting (0, inf), without G and the empty
+    (0, G] when ungated, and each interval's constant and slope, stacked along
+    a first axis in front of the broadcast shape of k and c.
     """
     k = np.asarray(k, dtype=float)
     if not np.isscalar(c):
         k, c = np.broadcast_arrays(k, np.asarray(c, dtype=float))
     L, U = 1.0 - k, 1.0 + k * p
-    zero = np.zeros_like(k)
     r = 1.0 if with_return else 0.0
-    # np.clip(1 + c, 0, L) costs several times as much per call
-    edges = np.array([zero, np.minimum(np.maximum(1.0 + c, 0.0), L), L, U, zero + math.inf])
-    const = np.array([zero - r, help_frac * L - r, zero - r, give_frac * U - r])
-    slope = np.array([r, r - help_frac, r, r - give_frac]).reshape((4,) + (1,) * k.ndim)
-    return edges, const, slope
+    edges, const = [L, U], [help_frac * L - r, np.full_like(k, -r), give_frac * U - r]
+    slope = [r - help_frac, r, r - give_frac]
+    if not (np.isscalar(c) and c == -1.0):
+        # np.clip(1 + c, 0, L) costs several times as much per call
+        edges = [np.minimum(np.maximum(1.0 + c, 0.0), L)] + edges
+        const, slope = [np.full_like(k, -r)] + const, [r] + slope
+    slope = np.array(slope).reshape((len(slope),) + (1,) * k.ndim)
+    return np.array(edges), np.array(const), slope
 
 
 def _moments(params: GbmParams, pieces, second: bool = True):
-    """E[f(Y)] and (when `second`, else 0) E[f(Y)^2] for the pieces of `_payoff`."""
+    """E[f(Y)] and (when `second`, else 0) E[f(Y)^2] for the pieces of `_payoff`.
+
+    Interval masses are `_cum_moment` differences, from one log of the inner
+    edges for every order; the edges 0 and inf need no normal CDF.
+    """
     edges, a, b = pieces
+    with np.errstate(divide="ignore"):  # an edge at 0 gives -inf
+        z = (np.log(edges) - params.mu) / params.sigma
 
     def mass(n):
-        # E[Y^n 1{Y in interval}] for each interval between consecutive edges
-        cum = _cum_moment(params, n, edges)
-        return cum[1:] - cum[:-1]
+        full = math.exp(n * params.mu + 0.5 * n * n * params.sigma**2)
+        cum = full * ndtr(z - n * params.sigma)
+        return np.concatenate((cum[:1], cum[1:] - cum[:-1], full - cum[-1:]))
 
     p0, p1 = mass(0), mass(1)
     first = (a * p0 + b * p1).sum(axis=0)
@@ -246,7 +254,7 @@ def admissible_min_k(params: GbmParams, policy: CorridorPolicy, tol: float = 1e-
     -give_frac * E[(Y-1-p)+] <= 0.  Coarse scan for the first sign change,
     then bisection to `tol`.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
 
     def admissible(k):
@@ -348,6 +356,28 @@ def _zoom(f: Callable, lo: float, hi: float, tol: float, points: int = 65):
         lo, hi = ks[max(i - 1, 0)], ks[min(i + 1, points - 1)]
 
 
+def _grid_peaks(vs, tie_tol: float) -> list[int]:
+    """Indices of the candidates of `_maximize_scalar` among the values vs of its grid."""
+    margin = max(10.0 * tie_tol, 1e-3)
+    rising = np.r_[True, vs[1:] >= vs[:-1]]
+    falling = np.r_[vs[:-1] >= vs[1:], True]
+    peaks = np.flatnonzero(rising & falling & (vs >= vs.max() - margin))
+
+    # merge peaks with no real dip between them: one plateau, one candidate; low is
+    # the lowest value from kept peak j to peak m (a peak is not below its left neighbour)
+    top, gaps = vs[peaks].tolist(), np.minimum.reduceat(vs, peaks).tolist()
+    merged, low = [0], math.inf
+    for m in range(1, len(top)):
+        j, low = merged[-1], min(low, gaps[m - 1])
+        if min(top[j], top[m]) - low > tie_tol:
+            merged.append(m)
+        elif top[m] > top[j]:
+            merged[-1] = m
+        if merged[-1] != j:
+            low = math.inf
+    return peaks[merged].tolist()
+
+
 def _maximize_scalar(
     f: Callable,
     k_min: float,
@@ -372,24 +402,8 @@ def _maximize_scalar(
     """
     ks = np.linspace(k_min, 1.0, grid)
     vs = f(ks)
-    margin = max(10.0 * tie_tol, 1e-3)
-    rising = np.r_[True, vs[1:] >= vs[:-1]]
-    falling = np.r_[vs[:-1] >= vs[1:], True]
-    peaks = np.flatnonzero(rising & falling & (vs >= vs.max() - margin))
-
-    # merge peaks with no real dip between them: one plateau, one candidate
-    merged: list[int] = [int(peaks[0])]
-    for i in peaks[1:]:
-        j = merged[-1]
-        dip = min(vs[j], vs[i]) - vs[j : i + 1].min()
-        if dip <= tie_tol:
-            if vs[i] > vs[j]:
-                merged[-1] = int(i)
-        else:
-            merged.append(int(i))
-
     cands: list[tuple[float, float]] = []
-    for best in merged:
+    for best in _grid_peaks(vs, tie_tol):
         cand = float(ks[best]), float(vs[best])
         lo, hi = ks[max(best - 1, 0)], ks[min(best + 1, grid - 1)]
         if hi > lo:
@@ -414,12 +428,12 @@ def _maximize_scalar(
     return OptResult(k_large, v_large, True, tuple(cands))
 
 
-def _search_args(params, policy, k_min, grid, tol):
+def _search_args(params, policy, k_min, grid, tol, tie_tol):
     # validation shared by maximize_m2 and k_of_c; returns the resolved k_min
     if grid < 100:
         raise ValueError("grid must be >= 100")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not (tol > 0 and tie_tol >= 0):
+        raise ValueError("need tol > 0 and tie_tol >= 0")
     if k_min is None:
         k_min = admissible_min_k(params, policy)
     return float(k_min)
@@ -445,7 +459,7 @@ def maximize_m2(
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    k_min = _search_args(params, policy, k_min, grid, tol)
+    k_min = _search_args(params, policy, k_min, grid, tol, tie_tol)
     return _maximize_scalar(
         lambda k: m2_horizon(params, policy, k, T),
         k_min, grid, tol, tie_tol,
@@ -495,7 +509,7 @@ def k_of_c(
 
     Same search machinery as `maximize_m2` applied to the gated objective.
     """
-    k_min = _search_args(params, policy, k_min, grid, tol)
+    k_min = _search_args(params, policy, k_min, grid, tol, tie_tol)
     return _maximize_scalar(
         lambda k: n_func(params, policy, c, k),
         k_min, grid, tol, tie_tol,

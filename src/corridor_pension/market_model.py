@@ -7,10 +7,11 @@ consumes either the closed-form partial moments computed here or sampled return
 paths.
 
 Three evaluation routes are provided and kept deliberately independent so they
-can cross-check each other: closed forms (`_cum_moment`, which the boundary
-functionals evaluate over arrays of cutoffs), adaptive quadrature
-(`expect_quad`), and Monte Carlo (`expect_mc`).  `partial_moment` stays public
-as the scalar closed form that the tests use as an independent check.
+can cross-check each other: closed forms (`_cum_moment`; the boundary
+functionals evaluate its formula over arrays of cutoffs, sharing one log per
+cutoff across orders), adaptive quadrature (`expect_quad`), and Monte Carlo
+(`expect_mc`).  `partial_moment` stays public as the scalar closed form that
+the tests use as an independent check.
 """
 
 from __future__ import annotations

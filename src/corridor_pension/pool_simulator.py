@@ -543,7 +543,7 @@ def fixed_point_barriers(
     with the larger gated objective and sets cycle_flag; hitting max_iter
     returns converged = False.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     n = len(eta_vec)
     k_min = admissible_min_k(params, policy)
@@ -643,8 +643,8 @@ def dp_check(
     """
     if not (T >= 1 and 0 <= v0 < math.inf and 0 <= gamma_pi < math.inf):
         raise ValueError("dp_check needs T >= 1 and finite nonnegative v0 and gamma_pi")
-    if not grid >= 1:
-        raise ValueError("dp_check needs grid >= 1")
+    if not (grid >= 1 and tol >= 0):
+        raise ValueError("dp_check needs grid >= 1 and tol >= 0")
     k_min = admissible_min_k(params, policy)
     ks = np.linspace(k_min, 1.0, grid)
     s1, s2 = _psi(params, policy, ks)

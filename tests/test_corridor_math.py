@@ -3,15 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corridor_pension.corridor_math import (
     LHS_TOL,
     CorridorPolicy,
     XiParams,
+    _grid_peaks,
+    _psi,
+    _transfer_mean,
     admissible_min_k,
     h_payoff,
+    horizon_objective,
     k_of_c,
     m1,
     m2,
@@ -27,7 +31,7 @@ from corridor_pension.corridor_math import (
     xi_d1,
     xi_d2,
 )
-from corridor_pension.market_model import GbmParams, expect_quad, partial_moment
+from corridor_pension.market_model import GbmParams, _cum_moment, expect_quad, partial_moment
 
 A = GbmParams(0.045, 0.06)
 POL4 = CorridorPolicy(alpha=4.0)
@@ -240,6 +244,109 @@ def test_lhs_and_xi_match_partial_moment_formulas():
             assert xi(params, xp, k) == pytest.approx(want, rel=1e-13, abs=1e-16)
 
 
+def _moments_by_cum_moment(params, help_frac, give_frac, p, k, c=-1.0, with_return=True):
+    # (E[f], E[f^2]) of the corridor payoff r*(y - 1) + t(y), gated at c, over
+    # its four intervals with every edge, 0 and inf included, through
+    # `_cum_moment` once per order: the reference the closed forms reproduce
+    k = np.asarray(k, dtype=float)
+    if not np.isscalar(c):
+        k, c = np.broadcast_arrays(k, np.asarray(c, dtype=float))
+    L, U = 1.0 - k, 1.0 + k * p
+    zero = np.zeros_like(k)
+    r = 1.0 if with_return else 0.0
+    edges = np.array([zero, np.minimum(np.maximum(1.0 + c, 0.0), L), L, U, zero + math.inf])
+    a = np.array([zero - r, help_frac * L - r, zero - r, give_frac * U - r])
+    b = np.array([r, r - help_frac, r, r - give_frac]).reshape((4,) + (1,) * k.ndim)
+    p0, p1, p2 = (np.diff(_cum_moment(params, n, edges), axis=0) for n in (0, 1, 2))
+    return (a * p0 + b * p1).sum(axis=0), (a * a * p0 + 2.0 * a * b * p1 + b * b * p2).sum(axis=0)
+
+
+def _same(got, want):
+    # the same floats in the same shape: no tolerance, not even the last ulp
+    return np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+@given(
+    mu=st.floats(-0.2, 0.3),
+    sigma=st.floats(0.01, 0.8),
+    give=st.floats(0.0, 1.0),
+    helpf=st.floats(0.0, 1.0),
+    p=st.floats(1.0, 3.0),
+    alpha=st.floats(0.0, 5.0),
+    k=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).map(np.array)),
+    c=st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(-1.0, 0.0)),
+)
+@example(mu=0.045, sigma=0.06, give=0.25, helpf=0.5, p=1.0, alpha=4.0,
+         k=np.array([0.0, 0.05, 0.1215, 0.5, 1.0]), c=-0.08)  # 1 + c above and below 1 - k
+@example(mu=0.045, sigma=0.06, give=0.25, helpf=0.5, p=1.0, alpha=4.0, k=0.2, c=-0.5)
+@example(mu=0.045, sigma=0.06, give=0.25, helpf=0.5, p=1.0, alpha=4.0, k=0.2, c=-0.1)
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_are_the_floats_of_cum_moment_per_edge(mu, sigma, give, helpf, p, alpha, k, c):
+    params = GbmParams(mu, sigma)
+    pol = CorridorPolicy(p=p, give_frac=give, help_frac=helpf, alpha=alpha)
+    xp = XiParams(1.0 / helpf, 1.0 / give) if 0 < give < helpf < 1 else XiParams(2.0, 4.0)
+
+    def ref(c=-1.0, **kw):
+        return _moments_by_cum_moment(params, helpf, give, p, k, c, **kw)
+
+    for got, want in zip(_psi(params, pol, k), ref()):
+        assert _same(got, want)
+    for got, want in zip(_psi(params, pol, k, c), ref(c)):
+        assert _same(got, want)
+    gated, ungated = ref(c), ref()
+    assert _same(n_func(params, pol, c, k), gated[0] - alpha * gated[1])
+    assert _same(n_func(params, pol, -1.0, k), ungated[0] - alpha * ungated[1])
+    assert _same(_transfer_mean(params, pol, k), ref(with_return=False)[0])
+    for T in (1, 20):
+        assert _same(m2_horizon(params, pol, k, T), horizon_objective([ungated] * T, alpha))
+    xi_ref = _moments_by_cum_moment(params, 1.0 / xp.a, 1.0 / xp.b, 1.0, k)[0]
+    assert _same(xi(params, xp, k), xi_ref)
+    # a cutoff per k, as the best-response scan passes them
+    cs = np.linspace(-1.0, 0.0, np.size(k))
+    assert _same(_psi(params, pol, k, cs)[1], ref(cs)[1])
+
+
+def _merge_by_slices(vs, tie_tol):
+    # the candidates of `_maximize_scalar` in their direct form, one slice
+    # minimum per pair of peaks compared: the oracle for `_grid_peaks`
+    margin = max(10.0 * tie_tol, 1e-3)
+    rising = np.r_[True, vs[1:] >= vs[:-1]]
+    falling = np.r_[vs[:-1] >= vs[1:], True]
+    peaks = np.flatnonzero(rising & falling & (vs >= vs.max() - margin))
+    merged = [int(peaks[0])]
+    for i in peaks[1:]:
+        j = merged[-1]
+        dip = min(vs[j], vs[i]) - vs[j : i + 1].min()
+        if dip <= tie_tol:
+            if vs[i] > vs[j]:
+                merged[-1] = int(i)
+        else:
+            merged.append(int(i))
+    return merged
+
+
+TIE = 1e-6
+# offsets from a base value: level, a step up, and dips just inside, at and
+# just beyond tie_tol, or far below it
+_OFFSETS = [0.0, 0.0, 2e-7, 5e-7, -5e-7, -TIE * (1 - 1e-9), -TIE, -TIE * (1 + 1e-9), -3e-6, -2e-3]
+
+
+@given(
+    runs=st.lists(st.tuples(st.sampled_from(_OFFSETS), st.integers(1, 6)), min_size=1, max_size=40),
+    base=st.sampled_from([0.0, 0.0243, -1.7, 12.5]),
+    tie_tol=st.sampled_from([TIE, 0.0, 1e-4]),
+)
+@example(runs=[(0.0, 30)], base=0.0243, tie_tol=TIE)  # one plateau
+@example(runs=[(0.0, 3), (-2e-3, 5), (0.0, 2)], base=0.0243, tie_tol=TIE)  # two separated maxima
+@example(runs=[(0.0, 2), (-TIE * (1 - 1e-9), 1), (0.0, 2)], base=0.0243, tie_tol=TIE)  # dip below tie_tol
+@example(runs=[(0.0, 2), (-TIE * (1 + 1e-9), 1), (0.0, 2)], base=0.0243, tie_tol=TIE)  # dip above tie_tol
+@settings(max_examples=1000, deadline=None)
+def test_grid_peaks_match_the_slice_merge(runs, base, tie_tol):
+    vs = np.repeat([base + off for off, _ in runs], [n for _, n in runs])
+    assert _grid_peaks(vs, tie_tol) == _merge_by_slices(vs, tie_tol)
+
+
 def test_maximize_m2_frozen_anchor_a():
     res = maximize_m2(A, POL4)
     assert res.value == pytest.approx(0.024304277993192416, rel=1e-12)
@@ -288,6 +395,25 @@ def test_maximize_m2_validation():
     for T in (0, -1):
         with pytest.raises(ValueError):
             maximize_m2(A, POL4, T=T)
+
+
+@pytest.mark.parametrize("search", [
+    lambda **kw: maximize_m2(A, POL4, **kw),
+    lambda **kw: maximize_m2(A, POL4, T=20, **kw),
+    lambda **kw: k_of_c(B, POLB, -0.02, **kw),
+], ids=["maximize_m2", "maximize_m2_T20", "k_of_c"])
+def test_nan_tolerances_raise(search):
+    # NaN used to make _zoom loop forever (tol) or raise IndexError (tie_tol)
+    for bad in ({"tol": math.nan}, {"tie_tol": math.nan}, {"tie_tol": -1e-6}):
+        with pytest.raises(ValueError, match="tol"):
+            search(**bad)
+
+
+def test_admissible_min_k_rejects_nan_tol():
+    # NaN used to skip the bisection: 0.2785, the grid point, instead of 0.278444
+    pol = CorridorPolicy(give_frac=0.0, help_frac=0.5)
+    with pytest.raises(ValueError, match="tol"):
+        admissible_min_k(A, pol, tol=math.nan)
 
 
 def test_maximize_m2_respects_k_min():

@@ -834,6 +834,19 @@ def test_fixed_point_validation():
         fixed_point_barriers(A, CorridorPolicy(), [1.0], 1.0, tol=0.0)
 
 
+def test_fixed_point_rejects_nan_tol():
+    # NaN used to run all 100 iterations and report converged=False
+    with pytest.raises(ValueError, match="tol"):
+        fixed_point_barriers(A, CorridorPolicy(alpha=4.0), [1.0] * 10, 0.2, tol=math.nan)
+
+
+def test_dp_check_rejects_nan_and_negative_tol():
+    # NaN used to report stationary=False; a negative tol could never hold
+    for bad in (math.nan, -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            dp_check(A, CorridorPolicy(alpha=4.0), T=2, grid=21, tol=bad)
+
+
 def test_improvement_bound_formula():
     pol = CorridorPolicy(alpha=1.5, help_frac=0.5)
     eta = [1.0, 2.0, 0.5]
