@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -290,16 +290,7 @@ def cmd_simulate(args) -> int:
          "help_granted", "z_star", "theta", "C"],
         rows,
     )
-    summary = {
-        "mean_terminal_value": result.mean_terminal_value,
-        "penalized_objective": result.penalized_objective,
-        "realized_variation": result.realized_variation,
-        "shortfall_freq": result.shortfall_freq,
-        "external_support": result.external_support,
-        "n_paths": result.n_paths,
-        "seed": seed,
-        "csv": str(out / "steps.csv"),
-    }
+    summary = {**asdict(result), "seed": seed, "csv": str(out / "steps.csv")}
     with open(out / "simulate.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     _emit(summary)
@@ -321,15 +312,7 @@ def cmd_fixed_point(args) -> int:
         raise CliError("eta list is empty")
 
     res = fixed_point_barriers(params, policy, eta_vec, values["theta"], grid=values["grid"])
-    _emit(
-        {
-            "k_bar": res.k_bar,
-            "c": res.c,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "cycle_flag": res.cycle_flag,
-        }
-    )
+    _emit(asdict(res))
     return 0 if res.converged else 1
 
 

@@ -71,6 +71,15 @@ LHS_TOL = 1e-12
 # candidates closer than this in k are one plateau, not a tie
 TIE_SEPARATION = 1e-3
 
+# fixed tolerances and grid sizes of the boundary searches: admissible_min_k
+# bisects to K_MIN_TOL; maximize_m2 and k_of_c zoom each peak to ZOOM_TOL and
+# count maxima within TIE_TOL of the best as tied; mp_stationary_points scans
+# STATIONARY_GRID points for sign changes
+K_MIN_TOL = 1e-6
+ZOOM_TOL = 1e-10
+TIE_TOL = 1e-6
+STATIONARY_GRID = 4001
+
 
 @dataclass(frozen=True)
 class CorridorPolicy:
@@ -247,15 +256,13 @@ def _bisect(inside: Callable, lo, hi, tol: float):
     return hi
 
 
-def admissible_min_k(params: GbmParams, policy: CorridorPolicy, tol: float = 1e-6) -> float:
+def admissible_min_k(params: GbmParams, policy: CorridorPolicy) -> float:
     """Smallest admissible boundary in [0, 1].
 
     k = 1 always qualifies: its help leg is empty, so the LHS is
     -give_frac * E[(Y-1-p)+] <= 0.  Coarse scan for the first sign change,
-    then bisection to `tol`.
+    then bisection to K_MIN_TOL.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
 
     def admissible(k):
         return _transfer_mean(params, policy, k) <= LHS_TOL
@@ -265,7 +272,7 @@ def admissible_min_k(params: GbmParams, policy: CorridorPolicy, tol: float = 1e-
     i = int(np.argmax(ok))
     if i == 0:
         return 0.0
-    return float(_bisect(admissible, ks[i - 1], ks[i], tol))
+    return float(_bisect(admissible, ks[i - 1], ks[i], K_MIN_TOL))
 
 
 def m1(params: GbmParams, policy: CorridorPolicy, k):
@@ -307,20 +314,18 @@ def m2_horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
     return _like(k, horizon_objective([_psi(params, policy, k)] * T, policy.alpha))
 
 
-def mp_stationary_points(
-    params: GbmParams, policy: CorridorPolicy, grid: int = 4001
-) -> list[tuple[float, str]]:
+def mp_stationary_points(params: GbmParams, policy: CorridorPolicy) -> list[tuple[float, str]]:
     """Interior stationary points of the unconstrained transfer-only objective.
 
-    Scans the closed-form derivative for sign changes on (0, 1) and bisects
-    each bracket to 1e-12.  Returns (k, kind) pairs with kind "max" for a
-    +/- derivative change and "min" for -/+.
+    Scans the closed-form derivative for sign changes on STATIONARY_GRID
+    points of [0, 1] and bisects each bracket to 1e-12.  Returns (k, kind)
+    pairs with kind "max" for a +/- derivative change and "min" for -/+.
     """
 
     def slope(k):
         return _transfer_slope(params, policy.help_frac, policy.give_frac, policy.p, k)
 
-    ks = np.linspace(0.0, 1.0, grid)
+    ks = np.linspace(0.0, 1.0, STATIONARY_GRID)
     dv = slope(ks)
     i = np.flatnonzero((dv[:-1] != 0.0) & (dv[:-1] * dv[1:] < 0.0))
     up = dv[i] > 0
@@ -345,15 +350,15 @@ def maximize_m1(
     return M1Result(float(k_min), v_lo, v_lo, v_hi)
 
 
-def _zoom(f: Callable, lo: float, hi: float, tol: float, points: int = 65):
-    """Maximize f on [lo, hi] by rescanning around the best point until the bracket is <= tol."""
+def _zoom(f: Callable, lo: float, hi: float):
+    """Maximize f on [lo, hi], rescanning 65 points around the best to a bracket <= ZOOM_TOL."""
     while True:
-        ks = np.linspace(lo, hi, points)
+        ks = np.linspace(lo, hi, 65)
         vs = f(ks)
         i = int(np.argmax(vs))
-        if hi - lo <= tol:
+        if hi - lo <= ZOOM_TOL:
             return float(ks[i]), float(vs[i])
-        lo, hi = ks[max(i - 1, 0)], ks[min(i + 1, points - 1)]
+        lo, hi = ks[max(i - 1, 0)], ks[min(i + 1, 64)]
 
 
 def _grid_peaks(vs, tie_tol: float) -> list[int]:
@@ -379,42 +384,41 @@ def _grid_peaks(vs, tie_tol: float) -> list[int]:
 
 
 def _maximize_scalar(
-    f: Callable,
-    k_min: float,
-    grid: int,
-    tol: float,
-    tie_tol: float,
-    slope_at: Callable[[float], float],
+    f: Callable, params: GbmParams, policy: CorridorPolicy, k_min: float | None, grid: int
 ) -> OptResult:
-    """Grid scan + local zoom refinement with tie detection.
+    """Grid scan of `grid` points on [k_min, 1] + local zoom refinement with tie detection.
 
-    `f` maps an array of k to an array of values.  Candidates are competitive
-    grid-local maxima; two of them are distinct only when the grid dips below
-    both by more than tie_tol in between, so a numerically flat plateau
-    collapses to one candidate while genuinely separated maxima survive.
-    Each candidate is refined by `_zoom` to max(tol, 1e-12) and keeps its grid
-    point if refinement does worse.  Refined candidates within tie_tol of the
-    best value and separated by more than TIE_SEPARATION in k count as a tie,
-    resolved by the sign of `slope_at` at the smaller maximizer: negative
-    slope keeps the smaller one, nonnegative the larger.  The callers pass
-    `_transfer_slope`, which has the sign of m1's slope: m1's slope is it
-    times 1 - J > 0.
+    `f` maps an array of k to an array of values; k_min defaults to
+    `admissible_min_k`.  Candidates are competitive grid-local maxima; two of
+    them are distinct only when the grid dips below both by more than TIE_TOL
+    in between, so a numerically flat plateau collapses to one candidate while
+    genuinely separated maxima survive.  Each candidate is refined by `_zoom`
+    to ZOOM_TOL and keeps its grid point if refinement does worse.  Refined
+    candidates within TIE_TOL of the best value and separated by more than
+    TIE_SEPARATION in k count as a tie, resolved by the sign of
+    `_transfer_slope` at the smaller maximizer: negative slope keeps the
+    smaller one, nonnegative the larger.  `_transfer_slope` has the sign of
+    m1's slope: m1's slope is it times 1 - J > 0.
     """
-    ks = np.linspace(k_min, 1.0, grid)
+    if grid < 100:
+        raise ValueError("grid must be >= 100")
+    if k_min is None:
+        k_min = admissible_min_k(params, policy)
+    ks = np.linspace(float(k_min), 1.0, grid)
     vs = f(ks)
     cands: list[tuple[float, float]] = []
-    for best in _grid_peaks(vs, tie_tol):
+    for best in _grid_peaks(vs, TIE_TOL):
         cand = float(ks[best]), float(vs[best])
         lo, hi = ks[max(best - 1, 0)], ks[min(best + 1, grid - 1)]
         if hi > lo:
-            zoomed = _zoom(f, lo, hi, max(tol, 1e-12))
+            zoomed = _zoom(f, lo, hi)
             if zoomed[1] >= cand[1]:
                 cand = zoomed
         cands.append(cand)
 
     cands.sort(key=lambda kv: kv[0])
     best_v = max(v for _, v in cands)
-    tied = [(k, v) for k, v in cands if best_v - v <= tie_tol]
+    tied = [(k, v) for k, v in cands if best_v - v <= TIE_TOL]
     tie = len(tied) >= 2 and (tied[-1][0] - tied[0][0]) > TIE_SEPARATION
 
     if not tie:
@@ -423,20 +427,9 @@ def _maximize_scalar(
 
     k_small, v_small = tied[0]
     k_large, v_large = tied[-1]
-    if slope_at(k_small) < 0.0:
+    if _transfer_slope(params, policy.help_frac, policy.give_frac, policy.p, k_small) < 0.0:
         return OptResult(k_small, v_small, True, tuple(cands))
     return OptResult(k_large, v_large, True, tuple(cands))
-
-
-def _search_args(params, policy, k_min, grid, tol, tie_tol):
-    # validation shared by maximize_m2 and k_of_c; returns the resolved k_min
-    if grid < 100:
-        raise ValueError("grid must be >= 100")
-    if not (tol > 0 and tie_tol >= 0):
-        raise ValueError("need tol > 0 and tie_tol >= 0")
-    if k_min is None:
-        k_min = admissible_min_k(params, policy)
-    return float(k_min)
 
 
 def maximize_m2(
@@ -444,8 +437,6 @@ def maximize_m2(
     policy: CorridorPolicy,
     k_min: float | None = None,
     grid: int = 2001,
-    tol: float = 1e-10,
-    tie_tol: float = 1e-6,
     T: int = 1,
 ) -> OptResult:
     """Maximize the mean-minus-weighted-second-moment objective on [k_min, 1].
@@ -454,17 +445,12 @@ def maximize_m2(
     is held constant and the objective is compounded by `m2_horizon`, which at
     the default T = 1 is the one-period `m2`.  Dense scan plus local
     refinement; the objective can have two separated maxima, in which case
-    near-equal values (within tie_tol) set tie_flag and the slope rule of
+    near-equal values (within TIE_TOL) set tie_flag and the slope rule of
     `_maximize_scalar` picks the winner.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    k_min = _search_args(params, policy, k_min, grid, tol, tie_tol)
-    return _maximize_scalar(
-        lambda k: m2_horizon(params, policy, k, T),
-        k_min, grid, tol, tie_tol,
-        lambda k: _transfer_slope(params, policy.help_frac, policy.give_frac, policy.p, k),
-    )
+    return _maximize_scalar(lambda k: m2_horizon(params, policy, k, T), params, policy, k_min, grid)
 
 
 def h_payoff(rho, c: float, k: float, policy: CorridorPolicy):
@@ -501,20 +487,13 @@ def k_of_c(
     policy: CorridorPolicy,
     c: float,
     grid: int = 2001,
-    tol: float = 1e-10,
     k_min: float | None = None,
-    tie_tol: float = 1e-6,
 ) -> OptResult:
     """Best-response boundary against a fixed help cutoff c.
 
     Same search machinery as `maximize_m2` applied to the gated objective.
     """
-    k_min = _search_args(params, policy, k_min, grid, tol, tie_tol)
-    return _maximize_scalar(
-        lambda k: n_func(params, policy, c, k),
-        k_min, grid, tol, tie_tol,
-        lambda k: _transfer_slope(params, policy.help_frac, policy.give_frac, policy.p, k),
-    )
+    return _maximize_scalar(lambda k: n_func(params, policy, c, k), params, policy, k_min, grid)
 
 
 def xi(params: GbmParams, xp: XiParams, k):

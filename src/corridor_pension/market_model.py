@@ -36,6 +36,10 @@ __all__ = [
 # lognormal mass beyond 10 sigma is below 1e-20; quadrature windows use this
 _Z_CUT = 10.0
 
+# absolute error target of expect_quad; paths expect_mc draws at a time
+_QUAD_EPSABS = 1e-13
+_MC_CHUNK = 1_000_000
+
 
 @dataclass(frozen=True)
 class GbmParams:
@@ -146,13 +150,13 @@ def expect_quad(
     params: GbmParams,
     fn: Callable[[np.ndarray], np.ndarray],
     breakpoints: Sequence[float] = (),
-    epsabs: float = 1e-13,
 ) -> float:
     """Adaptive quadrature of E[fn(Y)].
 
     Substitutes y = exp(mu + sigma z) so the integral becomes one against the
-    standard normal density on |z| <= 10.  `breakpoints` are y-space kinks of
-    fn; they are mapped into z and handed to quad as interior points.
+    standard normal density on |z| <= 10, to an absolute error of
+    _QUAD_EPSABS.  `breakpoints` are y-space kinks of fn; they are mapped into
+    z and handed to quad as interior points.
     scipy's quadrature is imported here, on first use, not with the package.
     """
     from scipy import integrate
@@ -169,7 +173,7 @@ def expect_quad(
         if b > 0 and abs((math.log(b) - mu) / sg) < _Z_CUT
     )
     val, _ = integrate.quad(
-        integrand, -_Z_CUT, _Z_CUT, points=pts or None, epsabs=epsabs, epsrel=1e-12, limit=200
+        integrand, -_Z_CUT, _Z_CUT, points=pts or None, epsabs=_QUAD_EPSABS, epsrel=1e-12, limit=200
     )
     return val
 
@@ -179,19 +183,18 @@ def expect_mc(
     fn: Callable[[np.ndarray], np.ndarray],
     n_paths: int,
     seed: int,
-    chunk: int = 1_000_000,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[fn(Y)] with its standard error.
 
-    Draws in chunks so n_paths can exceed memory; accumulates count, sum and
-    sum of squares only.
+    Draws in chunks of _MC_CHUNK paths so n_paths can exceed memory;
+    accumulates count, sum and sum of squares only.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     remaining, total, total_sq = n_paths, 0.0, 0.0
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_MC_CHUNK, remaining)
         y = np.exp(params.mu + params.sigma * _standard_normals(rng, m))
         v = np.asarray(fn(y), dtype=float)
         total += float(v.sum())

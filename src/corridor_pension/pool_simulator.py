@@ -87,6 +87,15 @@ class CollectiveAccount:
     value: float
 
 
+def _per_member(value, n: int, name: str) -> tuple:
+    """The setting `name` as n floats: one scalar for every member, or one value each."""
+    if np.isscalar(value):
+        return (float(value),) * n
+    if len(value) != n:
+        raise ValueError(f"{name} needs n entries")
+    return tuple(float(x) for x in value)
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     """Static pool description.
@@ -141,11 +150,7 @@ class PoolConfig:
 
     @property
     def premiums(self) -> tuple:
-        if np.isscalar(self.pi_ind):
-            return tuple(float(self.pi_ind) for _ in range(self.n))
-        if len(self.pi_ind) != self.n:
-            raise ValueError("pi_ind needs n entries")
-        return tuple(float(p) for p in self.pi_ind)
+        return _per_member(self.pi_ind, self.n, "pi_ind")
 
     @property
     def premium_total(self) -> float:
@@ -153,11 +158,7 @@ class PoolConfig:
 
     @property
     def initial_values(self) -> tuple:
-        if np.isscalar(self.v0_ind):
-            return tuple(float(self.v0_ind) for _ in range(self.n))
-        if len(self.v0_ind) != self.n:
-            raise ValueError("v0_ind needs n entries")
-        return tuple(float(v) for v in self.v0_ind)
+        return _per_member(self.v0_ind, self.n, "v0_ind")
 
     @property
     def boundaries(self) -> tuple:
@@ -263,6 +264,15 @@ def _coverage_ok(theta_prev, rho, claims_weighted, help_frac):
 # paths drawn and run together: memory stays flat in the path count and a
 # period's row of a block stays in cache
 _BLOCK_PATHS = 8192
+
+# fixed_point_barriers stops once an iterate moves k by less than
+# _FIXED_POINT_TOL, or reports no convergence after _FIXED_POINT_MAX_ITER
+# iterations; best_response_gain scans _RESPONSE_GRID own boundaries; dp_check
+# calls a schedule stationary within _DP_TOL of the best constant boundary
+_FIXED_POINT_TOL = 1e-6
+_FIXED_POINT_MAX_ITER = 100
+_RESPONSE_GRID = 201
+_DP_TOL = 1e-9
 
 
 def _member_sum(x: np.ndarray) -> np.ndarray:
@@ -533,30 +543,28 @@ def fixed_point_barriers(
     policy: CorridorPolicy,
     eta_vec: Sequence[float],
     theta: float,
-    tol: float = 1e-6,
-    max_iter: int = 100,
     grid: int = 2001,
 ) -> FixedPointResult:
     """Iterate c <- threshold(common k), k <- best response to c, to a fixed point.
 
-    Starts at k = 1 (nobody claims).  A detected 2-cycle returns the iterate
-    with the larger gated objective and sets cycle_flag; hitting max_iter
-    returns converged = False.
+    Starts at k = 1 (nobody claims) and stops when k moves by less than
+    _FIXED_POINT_TOL.  A detected 2-cycle returns the iterate with the larger
+    gated objective and sets cycle_flag; running _FIXED_POINT_MAX_ITER
+    iterations without either returns converged = False.  `grid` is the scan
+    of each best response (`k_of_c`).
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
     n = len(eta_vec)
     k_min = admissible_min_k(params, policy)
     k_bar = 1.0
     history = [k_bar]
     c = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FIXED_POINT_MAX_ITER + 1):
         c = z_star([k_bar] * n, eta_vec, theta, policy.help_frac)
         k_next = k_of_c(params, policy, c, grid=grid, k_min=k_min).k_star
-        if abs(k_next - k_bar) < tol:
+        if abs(k_next - k_bar) < _FIXED_POINT_TOL:
             c_final = z_star([k_next] * n, eta_vec, theta, policy.help_frac)
             return FixedPointResult(k_next, c_final, it, True, False)
-        if len(history) >= 2 and abs(k_next - history[-2]) < tol:
+        if len(history) >= 2 and abs(k_next - history[-2]) < _FIXED_POINT_TOL:
             # 2-cycle: keep whichever iterate scores higher on its own gated objective
             cand = []
             for kk in (k_bar, k_next):
@@ -566,7 +574,7 @@ def fixed_point_barriers(
             return FixedPointResult(kk, cz, it, True, True)
         history.append(k_next)
         k_bar = k_next
-    return FixedPointResult(k_bar, c, max_iter, False, False)
+    return FixedPointResult(k_bar, c, _FIXED_POINT_MAX_ITER, False, False)
 
 
 def improvement_bound(
@@ -602,17 +610,19 @@ def best_response_gain(
     theta: float,
     j: int,
     k_bar: float,
-    grid: int = 201,
 ) -> float:
     """Empirical best-response improvement of agent j over the common barrier.
 
-    Scans the agent's own boundary while everyone else stays at k_bar; the
-    gated objective sees the threshold produced by the deviated pool.
+    Scans _RESPONSE_GRID values of the agent's own boundary on [0, 1] while
+    everyone else stays at k_bar; the gated objective sees the threshold
+    produced by the deviated pool.
     """
     n = len(eta_vec)
+    if not 0 <= j < n:
+        raise ValueError("agent index out of range")
     common = n_func(params, policy, z_star([k_bar] * n, eta_vec, theta, policy.help_frac), k_bar)
-    own = np.linspace(0.0, 1.0, grid)
-    profiles = np.full((grid, n), float(k_bar))
+    own = np.linspace(0.0, 1.0, _RESPONSE_GRID)
+    profiles = np.full((_RESPONSE_GRID, n), float(k_bar))
     profiles[:, j] = own
     cutoffs = z_star(profiles, eta_vec, theta, policy.help_frac)
     return float(np.max(n_func(params, policy, cutoffs, own))) - common
@@ -625,7 +635,6 @@ def dp_check(
     grid: int = 21,
     gamma_pi: float = 0.0,
     v0: float = 1.0,
-    tol: float = 1e-9,
 ) -> DpVerdict:
     """Best per-period boundary schedule against the best constant boundary.
 
@@ -639,12 +648,11 @@ def dp_check(
     of A_{t+1} (1 + psi1) - alpha psi2 per period (Bellman): exact on the
     grid for any T, in O(T * grid); best_profile lists the schedule from the
     first period to the last.  Verdict is value-based: stationary means no
-    schedule beats the best constant boundary by more than tol.
+    schedule beats the best constant boundary by more than _DP_TOL, reported
+    as `tol`.
     """
-    if not (T >= 1 and 0 <= v0 < math.inf and 0 <= gamma_pi < math.inf):
-        raise ValueError("dp_check needs T >= 1 and finite nonnegative v0 and gamma_pi")
-    if not (grid >= 1 and tol >= 0):
-        raise ValueError("dp_check needs grid >= 1 and tol >= 0")
+    if not (T >= 1 and grid >= 1 and 0 <= v0 < math.inf and 0 <= gamma_pi < math.inf):
+        raise ValueError("dp_check needs T, grid >= 1 and finite nonnegative v0 and gamma_pi")
     k_min = admissible_min_k(params, policy)
     ks = np.linspace(k_min, 1.0, grid)
     s1, s2 = _psi(params, policy, ks)
@@ -663,11 +671,11 @@ def dp_check(
         schedule, best_value = [c] * T, best_constant_value
     gap = best_value - best_constant_value
     return DpVerdict(
-        stationary=gap <= tol,
+        stationary=gap <= _DP_TOL,
         best_profile=tuple(float(ks[i]) for i in reversed(schedule)),
         best_value=best_value,
         best_constant_k=float(ks[c]),
         best_constant_value=best_constant_value,
         gap=gap,
-        tol=tol,
+        tol=_DP_TOL,
     )

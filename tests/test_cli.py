@@ -3,12 +3,12 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from corridor_pension import CorridorPolicy, GbmParams, Ledger, PoolConfig, cli, pool_simulator, simulate
 from corridor_pension.market_model import sample_return_matrix
-from corridor_pension.pool_simulator import FixedPointResult
 from test_pool_simulator import _scalar_run_path
 
 
@@ -235,14 +235,18 @@ def test_fixed_point(capsys):
 
 
 def test_fixed_point_nonconvergence_exit(monkeypatch, capsys):
-    # the handler binds fixed_point_barriers from pool_simulator when it runs
-    monkeypatch.setattr(
-        pool_simulator, "fixed_point_barriers",
-        lambda *a, **kw: FixedPointResult(0.5, -0.1, 100, False, False),
+    # this pool converges in 2 iterations; capped at 1, the search gives up
+    monkeypatch.setattr(pool_simulator, "_FIXED_POINT_MAX_ITER", 1)
+    res = pool_simulator.fixed_point_barriers(
+        GbmParams(0.045, 0.06), CorridorPolicy(k=0.05), [1.0] * 5, 2.0, grid=301
     )
-    code, out = run(capsys, "fixed-point", "--theta", "1", "--eta", "1")
+    assert res.converged is False and res.iterations == 1
+    code, out = run(
+        capsys, "fixed-point", "--mu", "0.045", "--sigma", "0.06", "--k", "0.05",
+        "--theta", "2", "--eta", "1,1,1,1,1", "--grid", "301",
+    )
     assert code == 1
-    assert out["converged"] is False
+    assert out == asdict(res)
 
 
 def test_settle(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corridor_pension import market_model
 from corridor_pension.market_model import (
     GbmParams,
     density,
@@ -127,9 +128,11 @@ def test_expect_mc_agrees_with_closed_form():
     assert abs(mean - A.mean_return) <= 4 * se
 
 
-def test_expect_mc_chunking_invariance():
-    one = expect_mc(A, lambda y: y * y, 50_000, seed=3, chunk=50_000)
-    many = expect_mc(A, lambda y: y * y, 50_000, seed=3, chunk=7_000)
+def test_expect_mc_chunking_invariance(monkeypatch):
+    monkeypatch.setattr(market_model, "_MC_CHUNK", 50_000)
+    one = expect_mc(A, lambda y: y * y, 50_000, seed=3)
+    monkeypatch.setattr(market_model, "_MC_CHUNK", 7_000)
+    many = expect_mc(A, lambda y: y * y, 50_000, seed=3)
     assert one[0] == pytest.approx(many[0], rel=1e-12)
     with pytest.raises(ValueError):
         expect_mc(A, lambda y: y, 1, seed=0)

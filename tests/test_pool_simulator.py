@@ -210,6 +210,12 @@ def test_config_validation():
                 {"v0_ind": math.nan}, {"v0_ind": (1.0, 1.0, math.nan)}, {"k_vec": (0.1, math.nan, 0.1)}):
         with pytest.raises(ValueError):
             base_config(**bad)
+    # a scalar stands for every member; a sequence needs one entry each
+    config = base_config(pi_ind=0.1, v0_ind=(1.0, 2, 0.5))
+    assert config.premiums == (0.1, 0.1, 0.1) and config.initial_values == (1.0, 2.0, 0.5)
+    for field in ("pi_ind", "v0_ind"):
+        with pytest.raises(ValueError, match=f"{field} needs n entries"):
+            base_config(**{field: (1.0, 1.0)})
 
 
 def test_run_path_without_returns_is_the_initial_state():
@@ -829,24 +835,6 @@ def test_fixed_point_converges_and_is_consistent():
     assert n_func(A, pol, res.c, res.k_bar) >= max(vals) - 1e-9
 
 
-def test_fixed_point_validation():
-    with pytest.raises(ValueError):
-        fixed_point_barriers(A, CorridorPolicy(), [1.0], 1.0, tol=0.0)
-
-
-def test_fixed_point_rejects_nan_tol():
-    # NaN used to run all 100 iterations and report converged=False
-    with pytest.raises(ValueError, match="tol"):
-        fixed_point_barriers(A, CorridorPolicy(alpha=4.0), [1.0] * 10, 0.2, tol=math.nan)
-
-
-def test_dp_check_rejects_nan_and_negative_tol():
-    # NaN used to report stationary=False; a negative tol could never hold
-    for bad in (math.nan, -1e-9):
-        with pytest.raises(ValueError, match="tol"):
-            dp_check(A, CorridorPolicy(alpha=4.0), T=2, grid=21, tol=bad)
-
-
 def test_improvement_bound_formula():
     pol = CorridorPolicy(alpha=1.5, help_frac=0.5)
     eta = [1.0, 2.0, 0.5]
@@ -871,6 +859,14 @@ def test_best_response_gain_bounded_at_fixed_point():
     for j in (0, 3):
         gain = best_response_gain(A, pol, eta, theta, j, fp.k_bar)
         assert gain <= improvement_bound(j, eta, theta, pol, A) + 1e-12
+
+
+def test_best_response_gain_rejects_agent_index_out_of_range():
+    # -1 used to score the last member, and n raised IndexError
+    pol, eta = CorridorPolicy(alpha=0.5), [1.0] * 3
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match="agent index"):
+            best_response_gain(A, pol, eta, 1.2, j, 0.3)
 
 
 def test_dp_check_frozen_values():
