@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "redistribution_index": (
         "CheckResult", "EventRecord", "Ledger", "check_add", "check_cont", "check_fix",
-        "check_lin", "check_mon", "index_for_pool", "update_monotone", "update_proportional",
+        "check_lin", "check_mon", "index_for_pool",
     ),
     "cli": (),
 }

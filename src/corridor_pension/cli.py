@@ -401,8 +401,6 @@ def cmd_index(args) -> int:
         if args.t is None or args.c_pre is None:
             raise CliError("update needs --t and --c-pre")
         contributions = _parse_kv(args.contribution, "--contribution")
-        if not contributions and not ledger.events:
-            raise CliError("first update needs at least one --contribution")
         a = _parse_kv(args.a, "--a") or None
         shares = ledger.record(args.t, contributions, args.c_pre, a=a)
         path.write_text(ledger.to_json())

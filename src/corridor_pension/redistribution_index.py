@@ -2,7 +2,8 @@
 
 Tracks which fraction of the collective pot is attributable to each individual
 as contributions arrive at discrete event times while the pot itself is
-revalued by the market in between.  Two update rules are provided:
+revalued by the market in between.  `Ledger.record` adds every event, under
+one of two update rules fixed by the ledger's mode:
 
 * proportional: a newcomer euro buys exactly its proportion of the current pot,
   so an individual's absolute share moves with contributions only.  This is the
@@ -32,8 +33,6 @@ __all__ = [
     "Ledger",
     "EventRecord",
     "CheckResult",
-    "update_proportional",
-    "update_monotone",
     "check_cont",
     "check_fix",
     "check_mon",
@@ -76,7 +75,17 @@ class CheckResult:
 
 @dataclass
 class Ledger:
-    """Event-sourced share ledger; `mode` fixes the update rule for its lifetime."""
+    """Event-sourced share ledger; `mode` fixes the rule `record` applies to every event.
+
+    proportional: each contributor's index grows by (J / C_pre) times the index
+    total; the first event sets it to norm * J / (first positive J).  The direct
+    recursion (share * C_pre + J) / C_post runs alongside and must agree,
+    exactly for rational inputs and to 1e-12 otherwise.  No interest `a`.
+
+    monotone: I <- I*(1 + a) + J with a >= 0, where `a` is a mapping per
+    individual, a scalar, or None for `default_a`.  The first event starts
+    indices at the raw contributions.
+    """
 
     mode: str = MODE_PROPORTIONAL
     norm: object = 100
@@ -88,17 +97,14 @@ class Ledger:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (_finite(self.norm) and self.norm > 0):
             raise ValueError("norm must be a finite positive number")
+        if not (_finite(self.default_a) and self.default_a >= 0):
+            raise ValueError("default_a must be a finite nonnegative number")
 
     # -- state views ------------------------------------------------------
 
     @property
     def ids(self) -> list:
-        seen = []
-        for ev in self.events:
-            for j in ev.indices_after:
-                if j not in seen:
-                    seen.append(j)
-        return seen
+        return list(dict.fromkeys(j for ev in self.events for j in ev.indices_after))
 
     @property
     def indices(self) -> dict:
@@ -109,11 +115,28 @@ class Ledger:
         return dict(self.events[-1].shares_after) if self.events else {}
 
     def record(self, t, contributions: dict, c_pre, a=None) -> dict:
+        """Validate one event, apply the ledger's rule, append it and return the new shares."""
+        if self.mode == MODE_PROPORTIONAL and a is not None:
+            raise ValueError("proportional ledgers take no interest factors")
+        _validate_event(self, t, contributions, c_pre)
+        prev = self.events[-1] if self.events else None
         if self.mode == MODE_PROPORTIONAL:
-            if a is not None:
-                raise ValueError("proportional ledgers take no interest factors")
-            return update_proportional(self, t, contributions, c_pre)
-        return update_monotone(self, t, contributions, a, c_pre)
+            a_map, indices = None, _proportional_indices(prev, contributions, c_pre, self.norm)
+        else:
+            a_map = _interest_factors(prev, contributions, a, self.default_a)
+            indices = _monotone_indices(prev, contributions, a_map)
+        shares = _normalize(indices)
+
+        # the direct share recursion must reproduce the index route (undefined if C_post = 0)
+        c_post = c_pre + sum(contributions.values())
+        if self.mode == MODE_PROPORTIONAL and prev is not None and c_post > 0:
+            for j in indices:
+                direct = (prev.shares_after.get(j, 0) * c_pre + contributions.get(j, 0)) / c_post
+                if not _close(shares[j], direct, 1e-12):
+                    raise RuntimeError(f"dual share recursions disagree at {j}")
+
+        self.events.append(EventRecord(t, c_pre, dict(contributions), a_map, indices, shares))
+        return shares
 
     # -- serialization ----------------------------------------------------
 
@@ -187,6 +210,10 @@ def _validate_event(ledger: Ledger, t, contributions: dict, c_pre):
             raise ValueError("first event needs a positive contribution")
     elif t <= ledger.events[-1].t:
         raise ValueError("event times must be strictly increasing")
+    # str(id) is the JSON key: else a round trip merges 1 and "1" or splits 1 from 1.0
+    ids = [*(ledger.events[-1].indices_after if ledger.events else ()), *contributions]
+    if not len(set(ids)) == len({str(j) for j in ids}) == len({(j, str(j)) for j in ids}):
+        raise ValueError("ids must match their JSON keys str(id) one to one")
 
 
 def _normalize(indices: dict) -> dict:
@@ -196,90 +223,38 @@ def _normalize(indices: dict) -> dict:
     return {j: v / total for j, v in indices.items()}
 
 
-def update_proportional(ledger: Ledger, t, contributions: dict, c_pre) -> dict:
-    """Apply one proportional-rule event and return the new shares.
-
-    The index recursion adds (J / C_pre) times the index total to each
-    contributor; the equivalent direct share recursion
-    (share * C_pre + J) / C_post is computed alongside and both paths must
-    agree, exactly for rational inputs and to 1e-12 otherwise.
-    """
-    if ledger.mode != MODE_PROPORTIONAL:
-        raise ValueError("ledger mode is not proportional")
-    _validate_event(ledger, t, contributions, c_pre)
-
-    if not ledger.events:
-        first = next(j for j, v in contributions.items() if v > 0)
-        base = contributions[first]
-        indices = {j: (v / base) * ledger.norm for j, v in contributions.items()}
-        shares = _normalize(indices)
-        ledger.events.append(EventRecord(t, c_pre, dict(contributions), None, indices, shares))
-        return shares
-
-    prev = ledger.events[-1]
-    total_j = sum(contributions.values())
-    if total_j > 0 and c_pre <= 0:
+def _proportional_indices(prev: EventRecord | None, contributions: dict, c_pre, norm) -> dict:
+    if prev is None:
+        base = next(v for v in contributions.values() if v > 0)
+        return {j: (v / base) * norm for j, v in contributions.items()}
+    if sum(contributions.values()) > 0 and c_pre <= 0:
         raise ValueError("collective value non-positive; proportional rule undefined")
-
     indices = dict(prev.indices_after)
     idx_total = sum(indices.values())
     for j, v in contributions.items():
         if v == 0 and j in indices:
             continue
         indices[j] = indices.get(j, 0) + (v / c_pre) * idx_total
-    shares = _normalize(indices)
-
-    # direct share recursion must reproduce the index route (undefined on an
-    # empty pot with no inflow, where nothing changed anyway)
-    if c_pre + total_j > 0:
-        direct = {
-            j: (prev.shares_after.get(j, 0) * c_pre + contributions.get(j, 0)) / (c_pre + total_j)
-            for j in indices
-        }
-        for j in indices:
-            if not _close(shares[j], direct[j], 1e-12):
-                raise RuntimeError(f"dual share recursions disagree at {j}")
-
-    ledger.events.append(EventRecord(t, c_pre, dict(contributions), None, indices, shares))
-    return shares
+    return indices
 
 
-def update_monotone(ledger: Ledger, t, contributions: dict, a=None, c_pre=0) -> dict:
-    """Apply one monotone-rule event: I <- I*(1 + a) + J, with a >= 0.
-
-    `a` may be a mapping per individual, a scalar, or None for the ledger
-    default.  The first event starts indices at the raw contributions.
-    """
-    if ledger.mode != MODE_MONOTONE:
-        raise ValueError("ledger mode is not monotone")
-    _validate_event(ledger, t, contributions, c_pre)
-
-    known = set().union(*(ev.indices_after for ev in ledger.events)) if ledger.events else set()
-    everyone = sorted(known | set(contributions), key=str)
-    if a is None:
-        a_map = {j: ledger.default_a for j in everyone}
-    elif isinstance(a, dict):
-        a_map = {j: a.get(j, ledger.default_a) for j in everyone}
-    else:
-        a_map = {j: a for j in everyone}
+def _interest_factors(prev: EventRecord | None, contributions: dict, a, default_a) -> dict:
+    # every event's indices carry every id seen so far
+    known = prev.indices_after.keys() if prev else set()
+    everyone = sorted(known | contributions.keys(), key=str)
+    if not isinstance(a, dict):
+        a = dict.fromkeys(everyone, default_a if a is None else a)
+    a_map = {j: a.get(j, default_a) for j in everyone}
     if not all(_finite(v) and v >= 0 for v in a_map.values()):
         raise ValueError("interest factors must be finite and nonnegative")
+    return a_map
 
-    if not ledger.events:
-        indices = dict(contributions)
-        shares = _normalize(indices)
-        ledger.events.append(
-            EventRecord(t, c_pre, dict(contributions), a_map, indices, shares)
-        )
-        return shares
 
-    prev = ledger.events[-1].indices_after
-    indices = {
-        j: prev.get(j, 0) * (1 + a_map[j]) + contributions.get(j, 0) for j in everyone
-    }
-    shares = _normalize(indices)
-    ledger.events.append(EventRecord(t, c_pre, dict(contributions), a_map, indices, shares))
-    return shares
+def _monotone_indices(prev: EventRecord | None, contributions: dict, a_map: dict) -> dict:
+    if prev is None:
+        return dict(contributions)
+    old = prev.indices_after
+    return {j: old.get(j, 0) * (1 + a_map[j]) + contributions.get(j, 0) for j in a_map}
 
 
 # -- checkers -------------------------------------------------------------
@@ -369,7 +344,7 @@ def check_add(ledger: Ledger, join_index: int, new_id, amount) -> CheckResult:
     """
     if not 0 <= join_index < len(ledger.events):
         raise ValueError("join_index out of range")
-    if new_id in ledger.ids:
+    if new_id in ledger.ids or str(new_id) in map(str, ledger.ids):
         raise ValueError("new contributor must be fresh")
     if amount <= 0:
         raise ValueError("amount must be positive")

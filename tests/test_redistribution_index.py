@@ -18,8 +18,6 @@ from corridor_pension.redistribution_index import (
     check_lin,
     check_mon,
     index_for_pool,
-    update_monotone,
-    update_proportional,
 )
 
 
@@ -138,11 +136,6 @@ def test_mode_dispatch_guards():
     prop = Ledger(mode="proportional")
     with pytest.raises(ValueError):
         prop.record(1, {1: F(10)}, F(0), a=F(1, 10))
-    mono = Ledger(mode="monotone")
-    with pytest.raises(ValueError):
-        update_proportional(mono, 1, {1: F(10)}, F(0))
-    with pytest.raises(ValueError):
-        update_monotone(prop, 1, {1: F(10)}, None, F(0))
     with pytest.raises(ValueError):
         Ledger(mode="other")
 
@@ -195,6 +188,35 @@ def test_json_round_trip_preserves_exactness():
     # ids become strings in JSON; values stay exact rationals
     assert back.shares == {"1": F(75, 155), "2": F(80, 155)}
     assert isinstance(back.indices["2"], F)
+
+
+def test_ids_that_collide_as_json_keys_rejected():
+    led = Ledger(mode="proportional")
+    led.record(1, {1: 100.0, 2: 50.0}, 0.0)
+    back = Ledger.from_json(led.to_json())
+    # "1" and 1 would be one member after the next round trip
+    with pytest.raises(ValueError, match="JSON keys"):
+        back.record(2, {1: 30.0}, 160.0)
+    with pytest.raises(ValueError, match="fresh"):
+        check_add(back, 0, 1, 5.0)
+    # 1.0 is the member 1 in memory but a new member "1.0" once reloaded
+    with pytest.raises(ValueError, match="JSON keys"):
+        led.record(2, {1.0: 30.0}, 160.0)
+    with pytest.raises(ValueError, match="JSON keys"):
+        Ledger(mode="monotone").record(1, {1: 10.0, "1": 5.0}, 0.0)
+    assert len(led.events) == len(back.events) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -3, True, "x"])
+def test_bad_default_interest_rejected(bad):
+    for mode in ("proportional", "monotone"):
+        with pytest.raises(ValueError, match="default_a"):
+            Ledger(mode=mode, default_a=bad)
+    raw = json.loads(reference_ledger().to_json())
+    raw["default_a"] = bad
+    with pytest.raises(ValueError, match="default_a"):
+        Ledger.from_json(json.dumps(raw))
+    assert Ledger(mode="monotone", default_a=F(1, 10)).default_a == F(1, 10)
 
 
 def test_index_for_pool_lag():
@@ -322,3 +344,16 @@ def _ledgers(draw):
 @settings(max_examples=300, deadline=None)
 def test_check_mon_matches_the_prefix_rescan(led):
     assert check_mon(led) == _check_mon_rescan(led)
+
+
+@given(led=_ledgers())
+@settings(max_examples=200, deadline=None)
+def test_json_round_trip_on_every_kind_of_ledger(led):
+    back = Ledger.from_json(led.to_json())
+    assert (back.mode, len(back.events)) == (led.mode, len(led.events))
+    for ev, got in zip(led.events, back.events):
+        assert got.indices_after == {str(j): v for j, v in ev.indices_after.items()}
+        assert got.shares_after == {str(j): v for j, v in ev.shares_after.items()}
+    for check in (check_cont, check_fix, check_mon, check_lin):
+        assert check(back).ok == check(led).ok
+    assert check_add(back, 0, "new", 7).ok == check_add(led, 0, "new", 7).ok
