@@ -15,7 +15,6 @@ from corridor_pension import (
     mp_stationary_points,
     profitability_lhs,
 )
-from dataclasses import replace
 
 params = GbmParams(mu=0.015, sigma=0.03)
 policy = CorridorPolicy(p=2.0, give_frac=0.25, help_frac=0.5)
@@ -27,7 +26,7 @@ print()
 ks = np.linspace(0.0, 0.3, 13)
 print(f"{'k':>6} {'lhs':>12}  admissible")
 for k in ks:
-    lhs = profitability_lhs(params, replace(policy, k=float(k)))
+    lhs = profitability_lhs(params, policy, float(k))
     print(f"{k:6.3f} {lhs:12.3e}  {'yes' if lhs <= 1e-12 else 'NO'}")
 
 print()
@@ -35,7 +34,7 @@ k_min = admissible_min_k(params, policy)
 print(f"smallest admissible boundary: {k_min}")
 
 for k, kind in mp_stationary_points(params, policy):
-    lhs = profitability_lhs(params, replace(policy, k=k))
+    lhs = profitability_lhs(params, policy, k)
     print(
         f"stationary {kind} of the transfer-only objective at k={k:.5f} "
         f"(upper boundary {policy.p * k:.5f}), where lhs={lhs:.3e}"

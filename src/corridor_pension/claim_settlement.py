@@ -15,10 +15,11 @@ tolerance applies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Rational
 from typing import Sequence
+
+from .redistribution_index import _finite
 
 __all__ = ["ClaimBatch", "SettlementResult", "settle"]
 
@@ -44,9 +45,8 @@ class ClaimBatch:
             raise ValueError("batch must contain at least one claim")
         if len(claims) != len(indices):
             raise ValueError("claims and indices must have equal length")
-        if not all(isinstance(v, Rational) or math.isfinite(v)
-                   for v in (*claims, *indices, pool_shares)):
-            raise ValueError("claims, indices and pool_shares must be finite")
+        if not all(_finite(v) for v in (*claims, *indices, pool_shares)):
+            raise ValueError("claims, indices and pool_shares must be finite numbers")
         if any(c < 0 for c in claims) or any(w < 0 for w in indices):
             raise ValueError("claims and indices must be nonnegative")
         if pool_shares < 0:

@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -168,23 +168,16 @@ def _emit(obj):
     print(json.dumps(obj, indent=2, default=str))
 
 
-def _lhs_curve(params, policy, ks):
-    from .corridor_math import m1
-
-    # profitability_lhs at each k: the transfer-only objective without discount
-    return m1(params, replace(policy, J=0.0), ks)
-
-
 def cmd_profitability(args) -> int:
     import numpy as np
 
-    from .corridor_math import LHS_TOL, admissible_min_k, mp_stationary_points
+    from .corridor_math import LHS_TOL, admissible_min_k, mp_stationary_points, profitability_lhs
 
     values = _settings(args)
     params, policy = _market_policy(values)
     out = _out_dir(values)
     ks = np.linspace(0.0, 1.0, values["grid"])
-    lhs = _lhs_curve(params, policy, ks)
+    lhs = profitability_lhs(params, policy, ks)
     rows = [[f"{k:.10g}", f"{v:.17g}", int(v <= LHS_TOL)] for k, v in zip(ks, lhs)]
     _write_csv(out / "profitability.csv", ["k", "lhs", "admissible"], rows)
     k_min = admissible_min_k(params, policy)
@@ -204,6 +197,7 @@ def cmd_optimize(args) -> int:
 
     from .corridor_math import (
         LHS_TOL, admissible_min_k, k_of_c, m1, m2_horizon, maximize_m2, n_func,
+        profitability_lhs,
     )
 
     values = _settings(args)
@@ -222,7 +216,7 @@ def cmd_optimize(args) -> int:
     columns = [m1(params, policy, ks), m2_horizon(params, policy, ks, horizon)]
     if include_gated:
         columns.append(n_func(params, policy, c, ks))
-    admissible = _lhs_curve(params, policy, ks) <= LHS_TOL
+    admissible = profitability_lhs(params, policy, ks) <= LHS_TOL
     rows = [
         [f"{k:.10g}", *(f"{v:.17g}" for v in vals), int(ok)]
         for k, *vals, ok in zip(ks, *columns, admissible)
@@ -264,31 +258,15 @@ def cmd_simulate(args) -> int:
 
     result = simulate(config, params, n_paths, seed)
 
-    # step log from the first sampled path, deterministic for the seed
+    # step log from the first sampled path, deterministic for the seed; its
+    # columns are run_path's row keys, ints and bools written as ints
     returns = sample_return_matrix(params, config.T, 1, seed)[0]
     _, reports = run_path(config, returns)
-    rows = []
-    for rep in reports:
-        for r in rep.rows:
-            rows.append(
-                [
-                    r["t"],
-                    r["owner_id"],
-                    f"{r['V']:.12g}",
-                    f"{r['eta']:.12g}",
-                    f"{r['transfer_units']:.12g}",
-                    f"{r['transfer_value']:.12g}",
-                    int(r["help_granted"]),
-                    f"{r['z_star']:.12g}",
-                    f"{r['theta']:.12g}",
-                    f"{r['C']:.12g}",
-                ]
-            )
+    rows = [r for rep in reports for r in rep.rows]
     _write_csv(
         out / "steps.csv",
-        ["t", "owner_id", "V", "eta", "transfer_units", "transfer_value",
-         "help_granted", "z_star", "theta", "C"],
-        rows,
+        rows[0].keys(),
+        [[int(v) if isinstance(v, int) else f"{v:.12g}" for v in r.values()] for r in rows],
     )
     summary = {**asdict(result), "seed": seed, "csv": str(out / "steps.csv")}
     with open(out / "simulate.json", "w") as fh:

@@ -18,8 +18,9 @@ evaluates, in closed form over lognormal partial moments:
 * the auxiliary convex functional `xi` with its closed-form derivatives.
 
 Every one of them is a moment of one piecewise-affine payoff of the gross
-return (`_payoff`, turned into moments by `_moments`), and the functionals
-taking a boundary k accept an array of k as well, returning an array.
+return (`_payoff`, turned into moments by `_moments`).  Each one of a boundary
+takes k as an argument, a scalar (returning a float) or an array (returning an
+array); none reads the k field of `CorridorPolicy`, the boundary a pool runs.
 
 Optimizers are grid scans with a zoomed rescan around each peak because the
 objectives can be bimodal; near-equal maxima are reported as ties and resolved
@@ -85,11 +86,12 @@ STATIONARY_GRID = 4001
 class CorridorPolicy:
     """Corridor configuration.
 
-    k is the lower-boundary magnitude, k*p the upper boundary (p >= 1,
-    symmetric at p = 1).  give_frac of the excess above the upper boundary is
-    handed to the collective; help_frac of the shortfall below -k is claimed
-    from it.  alpha weights the second-moment penalty; J is the prefactor
-    discount applied to the transfer-only objective m1.
+    k is the lower-boundary magnitude a pool runs, k*p the upper boundary
+    (p >= 1, symmetric at p = 1); the closed forms take k as an argument.
+    give_frac of the excess above the upper boundary is handed to the
+    collective; help_frac of the shortfall below -k is claimed from it.  alpha
+    weights the second-moment penalty; J is the prefactor discount applied to
+    the transfer-only objective m1.
     """
 
     k: float = 0.0
@@ -225,23 +227,26 @@ def _check_k(k):
         raise ValueError("k must be in [0, 1]")
 
 
-def psi1(params: GbmParams, policy: CorridorPolicy) -> float:
+def psi1(params: GbmParams, policy: CorridorPolicy, k):
     """Mean of the transfer-adjusted relative account change over one period."""
-    return float(_psi(params, policy, policy.k)[0])
+    _check_k(k)
+    return _like(k, _psi(params, policy, k)[0])
 
 
-def psi2(params: GbmParams, policy: CorridorPolicy) -> float:
+def psi2(params: GbmParams, policy: CorridorPolicy, k):
     """Raw second moment of the transfer-adjusted relative account change."""
-    return float(_psi(params, policy, policy.k)[1])
+    _check_k(k)
+    return _like(k, _psi(params, policy, k)[1])
 
 
-def profitability_lhs(params: GbmParams, policy: CorridorPolicy) -> float:
+def profitability_lhs(params: GbmParams, policy: CorridorPolicy, k):
     """Expected net outflow of the collective account per unit of account value.
 
-    help_frac * E[(1-k-Y)+] - give_frac * E[(Y-1-k*p)+]; the policy is
+    help_frac * E[(1-k-Y)+] - give_frac * E[(Y-1-k*p)+]; boundary k is
     admissible iff this is <= 0 (the collective does not lose in expectation).
     """
-    return float(_transfer_mean(params, policy, policy.k))
+    _check_k(k)
+    return _like(k, _transfer_mean(params, policy, k))
 
 
 def _bisect(inside: Callable, lo, hi, tol: float):
@@ -277,8 +282,7 @@ def admissible_min_k(params: GbmParams, policy: CorridorPolicy) -> float:
 
 def m1(params: GbmParams, policy: CorridorPolicy, k):
     """Transfer-only objective: the discounted profitability LHS."""
-    _check_k(k)
-    return _like(k, (1.0 - policy.J) * _transfer_mean(params, policy, k))
+    return (1.0 - policy.J) * profitability_lhs(params, policy, k)
 
 
 def m2(params: GbmParams, policy: CorridorPolicy, k):
@@ -310,6 +314,8 @@ def horizon_objective(
 
 def m2_horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
     """The objective of `horizon_objective` with the boundary held at k for T periods."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
     _check_k(k)
     return _like(k, horizon_objective([_psi(params, policy, k)] * T, policy.alpha))
 
@@ -448,8 +454,6 @@ def maximize_m2(
     near-equal values (within TIE_TOL) set tie_flag and the slope rule of
     `_maximize_scalar` picks the winner.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
     return _maximize_scalar(lambda k: m2_horizon(params, policy, k, T), params, policy, k_min, grid)
 
 
@@ -505,11 +509,13 @@ def xi(params: GbmParams, xp: XiParams, k):
 
 def xi_d1(params: GbmParams, xp: XiParams, k):
     """First derivative of `xi` in k."""
+    _check_k(k)
     return _like(k, _transfer_slope(params, 1.0 / xp.a, 1.0 / xp.b, 1.0, k))
 
 
 def xi_d2(params: GbmParams, xp: XiParams, k: float) -> float:
     """Second derivative of `xi` in k; positive at 0 whenever a < b."""
+    _check_k(k)
     L, U = 1.0 - k, 1.0 + k
     f_lo = density(params, L) if L > 0 else 0.0
     return f_lo / xp.a - density(params, U) / xp.b

@@ -118,7 +118,7 @@ class Ledger:
         """Validate one event, apply the ledger's rule, append it and return the new shares."""
         if self.mode == MODE_PROPORTIONAL and a is not None:
             raise ValueError("proportional ledgers take no interest factors")
-        _validate_event(self, t, contributions, c_pre)
+        _validate_event(self, t, contributions, c_pre, a)
         prev = self.events[-1] if self.events else None
         if self.mode == MODE_PROPORTIONAL:
             a_map, indices = None, _proportional_indices(prev, contributions, c_pre, self.norm)
@@ -196,7 +196,7 @@ def _finite(x) -> bool:
     return isinstance(x, Rational) or (isinstance(x, Real) and math.isfinite(x))
 
 
-def _validate_event(ledger: Ledger, t, contributions: dict, c_pre):
+def _validate_event(ledger: Ledger, t, contributions: dict, c_pre, a=None):
     if not all(_finite(v) for v in (t, c_pre, *contributions.values())):
         raise ValueError("event time, C_pre and contributions must be finite numbers")
     if any(v < 0 for v in contributions.values()):
@@ -210,8 +210,10 @@ def _validate_event(ledger: Ledger, t, contributions: dict, c_pre):
             raise ValueError("first event needs a positive contribution")
     elif t <= ledger.events[-1].t:
         raise ValueError("event times must be strictly increasing")
-    # str(id) is the JSON key: else a round trip merges 1 and "1" or splits 1 from 1.0
-    ids = [*(ledger.events[-1].indices_after if ledger.events else ()), *contributions]
+    # str(id) is the JSON key: else a round trip merges 1 and "1" or splits 1 from 1.0;
+    # a mapping a may name ids that join later, but not one that prints as another
+    ids = [*(ledger.events[-1].indices_after if ledger.events else ()), *contributions,
+           *(a if isinstance(a, dict) else ())]
     if not len(set(ids)) == len({str(j) for j in ids}) == len({(j, str(j)) for j in ids}):
         raise ValueError("ids must match their JSON keys str(id) one to one")
 

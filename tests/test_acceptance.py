@@ -6,7 +6,6 @@ The assertions are strict: a criterion that does not hold fails its test.
 """
 
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -60,7 +59,7 @@ def test_acceptance_1_asymmetric_stationary_point(capfd):
     pts = mp_stationary_points(params, pol)
     maxima = [k for k, kind in pts if kind == "max"]
     k = maxima[0] if maxima else float("nan")
-    lhs = profitability_lhs(params, replace(pol, k=k)) if maxima else float("nan")
+    lhs = profitability_lhs(params, pol, k) if maxima else float("nan")
     elapsed = time.perf_counter() - t0
     ok = (
         len(maxima) == 1
@@ -85,10 +84,7 @@ def test_acceptance_2_mean_variance_maximizer(capfd):
     params = GbmParams(0.045, 0.06)
     pol = CorridorPolicy(alpha=4.0)
     res = maximize_m2(params, pol, T=20)
-    worst_lhs = max(
-        profitability_lhs(params, replace(pol, k=float(k)))
-        for k in np.linspace(0.0, 1.0, 2001)
-    )
+    worst_lhs = float(profitability_lhs(params, pol, np.linspace(0.0, 1.0, 2001)).max())
     elapsed = time.perf_counter() - t0
     k_ok = abs(res.k_star - 0.1215) <= 2e-3
     prof_ok = worst_lhs <= LHS_TOL
@@ -239,8 +235,8 @@ def test_acceptance_6_oracle_agreement(capfd):
             return r - pol.give_frac * np.maximum(r - k, 0.0) + gated
 
         targets = [
-            (psi1(params, pol), g),
-            (psi2(params, pol), lambda y: g(y) ** 2),
+            (psi1(params, pol, k), g),
+            (psi2(params, pol, k), lambda y: g(y) ** 2),
             (n_func(params, pol, c, k), lambda y: h(y) - alpha * h(y) ** 2),
         ]
         for i, (closed, fn) in enumerate(targets):
@@ -381,7 +377,7 @@ def test_acceptance_8_property_suites(capfd):
         grid_best = max(
             m1(params, pol, float(k))
             for k in np.linspace(k_min, 1.0, 101)
-            if profitability_lhs(params, replace(pol, k=float(k))) <= LHS_TOL
+            if profitability_lhs(params, pol, float(k)) <= LHS_TOL
         )
         bang_ok = bang_ok and res.value >= grid_best - 1e-9
     notes.append(f"bang-bang={'ok' if bang_ok else 'MISS'}")

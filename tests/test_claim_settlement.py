@@ -109,6 +109,14 @@ def test_validation():
             ClaimBatch([4.0, 6.0], [bad, 0.5], 10.0)
         with pytest.raises(ValueError, match="finite"):
             ClaimBatch([4.0, 6.0], [0.5, 0.5], bad)
+    # the ledger's number rule: a bool is not a number, nor is a string
+    for bad in (True, "2"):
+        with pytest.raises(ValueError, match="finite numbers"):
+            ClaimBatch([bad, 2], [0.5, 0.5], 3)
+        with pytest.raises(ValueError, match="finite numbers"):
+            ClaimBatch([1, 2], [bad, 0.5], 3)
+        with pytest.raises(ValueError, match="finite numbers"):
+            ClaimBatch([1, 2], [0.5, 0.5], bad)
 
 
 def test_subnormal_pool_is_not_overpaid():

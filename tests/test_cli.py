@@ -5,9 +5,11 @@ import subprocess
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from corridor_pension import CorridorPolicy, GbmParams, Ledger, PoolConfig, cli, pool_simulator, simulate
+from corridor_pension.corridor_math import LHS_TOL, profitability_lhs
 from corridor_pension.market_model import sample_return_matrix
 from test_pool_simulator import _scalar_run_path
 
@@ -48,6 +50,21 @@ def test_profitability_pure_help_admissible_only_near_the_top(tmp_path, capsys):
     assert isinstance(out["k_min"], float) and 0.3 < out["k_min"] < 0.4
     rows = read_csv(tmp_path / "profitability.csv")
     assert rows[0]["admissible"] == "0" and rows[-1]["admissible"] == "1"
+
+
+def test_lhs_columns_are_profitability_lhs(tmp_path, capsys):
+    # both curve files take the LHS from the closed form over the grid of k
+    argv = ("--mu", "-0.4", "--sigma", "0.01", "--give-frac", "0", "--help-frac", "1",
+            "--grid", "101", "--out", str(tmp_path))
+    lhs = profitability_lhs(GbmParams(-0.4, 0.01), CorridorPolicy(give_frac=0.0, help_frac=1.0),
+                            np.linspace(0.0, 1.0, 101))
+    assert run(capsys, "profitability", *argv)[0] == 0
+    assert run(capsys, "optimize", *argv)[0] == 0
+    rows = read_csv(tmp_path / "profitability.csv")
+    assert [r["lhs"] for r in rows] == [f"{v:.17g}" for v in lhs]
+    admissible = [str(int(v <= LHS_TOL)) for v in lhs]
+    assert set(admissible) == {"0", "1"}
+    assert [r["admissible"] for r in read_csv(tmp_path / "optimize_curves.csv")] == admissible
 
 
 def test_optimize_tie_anchor(tmp_path, capsys):

@@ -62,19 +62,19 @@ def test_policy_validation():
 
 
 def test_psi_frozen_values():
-    assert psi1(A, replace(POL4, k=0.1215)) == pytest.approx(0.046877451288030156, rel=1e-13)
-    assert psi1(A, replace(POL4, k=1.0)) == pytest.approx(0.04791240563888244, rel=1e-13)
-    assert psi2(A, POL4) == pytest.approx(0.003385319364540458, rel=1e-13)
-    assert psi2(A, replace(POL4, k=0.1215)) == pytest.approx(0.005886101906773182, rel=1e-13)
-    assert psi1(B, replace(POLB, k=0.1897)) == pytest.approx(0.06488962555377938, rel=1e-13)
-    assert psi2(B, replace(POLB, k=0.1897)) == pytest.approx(0.013309352681658063, rel=1e-13)
+    assert psi1(A, POL4, 0.1215) == pytest.approx(0.046877451288030156, rel=1e-13)
+    assert psi1(A, POL4, 1.0) == pytest.approx(0.04791240563888244, rel=1e-13)
+    assert psi2(A, POL4, 0.0) == pytest.approx(0.003385319364540458, rel=1e-13)
+    assert psi2(A, POL4, 0.1215) == pytest.approx(0.005886101906773182, rel=1e-13)
+    assert psi1(B, POLB, 0.1897) == pytest.approx(0.06488962555377938, rel=1e-13)
+    assert psi2(B, POLB, 0.1897) == pytest.approx(0.013309352681658063, rel=1e-13)
 
 
 def test_lhs_frozen_values():
-    assert profitability_lhs(A, POL4) == pytest.approx(-0.010066850187528245, rel=1e-13)
-    assert profitability_lhs(AS, ASYM) == pytest.approx(-0.002432279222317202, rel=1e-13)
+    assert profitability_lhs(A, POL4, 0.0) == pytest.approx(-0.010066850187528245, rel=1e-13)
+    assert profitability_lhs(AS, ASYM, 0.0) == pytest.approx(-0.002432279222317202, rel=1e-13)
     # wide boundaries put both legs outside the support
-    assert profitability_lhs(AS, replace(ASYM, k=1.0)) == 0.0
+    assert profitability_lhs(AS, ASYM, 1.0) == 0.0
 
 
 def test_m2_frozen_values():
@@ -87,14 +87,13 @@ def test_m2_frozen_values():
 
 def test_m2_equals_psi_combination():
     for k in (0.0, 0.07, 0.3, 1.0):
-        pol = replace(POL4, k=k)
         assert m2(A, POL4, k) == pytest.approx(
-            psi1(A, pol) - POL4.alpha * psi2(A, pol), rel=1e-14
+            psi1(A, POL4, k) - POL4.alpha * psi2(A, POL4, k), rel=1e-14
         )
 
 
 def test_psi_matches_quadrature():
-    pol = replace(POL4, k=0.15)
+    pol = POL4
     L, U = 1.0 - 0.15, 1.0 + 0.15
 
     def g(y):
@@ -104,15 +103,15 @@ def test_psi_matches_quadrature():
             + pol.help_frac * np.maximum(1.0 - 0.15 - y, 0.0)
         )
 
-    assert psi1(A, pol) == pytest.approx(expect_quad(A, g, (L, U)), abs=1e-11)
-    assert psi2(A, pol) == pytest.approx(expect_quad(A, lambda y: g(y) ** 2, (L, U)), abs=1e-11)
+    assert psi1(A, pol, 0.15) == pytest.approx(expect_quad(A, g, (L, U)), abs=1e-11)
+    assert psi2(A, pol, 0.15) == pytest.approx(expect_quad(A, lambda y: g(y) ** 2, (L, U)), abs=1e-11)
 
 
 def test_m1_is_discounted_lhs():
     pol = replace(POL4, J=0.3)
     for k in (0.0, 0.2, 0.8):
         assert m1(A, pol, k) == pytest.approx(
-            0.7 * profitability_lhs(A, replace(pol, k=k)), rel=1e-14
+            0.7 * profitability_lhs(A, pol, k), rel=1e-14
         )
     assert m1(A, POL4, 1.0) == 0.0
 
@@ -121,7 +120,7 @@ def test_admissible_min_k():
     assert admissible_min_k(A, POL4) == 0.0
     # asymmetric case: admissible at 0, inadmissible band in the interior
     assert admissible_min_k(AS, ASYM) == 0.0
-    assert profitability_lhs(AS, replace(ASYM, k=0.08)) > 0
+    assert profitability_lhs(AS, ASYM, 0.08) > 0
 
 
 def test_admissible_min_k_interior_crossing():
@@ -129,8 +128,8 @@ def test_admissible_min_k_interior_crossing():
     pol = CorridorPolicy(give_frac=0.0, help_frac=0.5)
     k_min = admissible_min_k(A, pol)
     assert k_min > 0.2
-    assert profitability_lhs(A, replace(pol, k=k_min)) <= LHS_TOL
-    assert profitability_lhs(A, replace(pol, k=k_min - 0.01)) > LHS_TOL
+    assert profitability_lhs(A, pol, k_min) <= LHS_TOL
+    assert profitability_lhs(A, pol, k_min - 0.01) > LHS_TOL
 
 
 def test_mp_stationary_points_asymmetric():
@@ -139,7 +138,7 @@ def test_mp_stationary_points_asymmetric():
     assert len(maxima) == 1
     assert maxima[0] == pytest.approx(0.03257706417389133, abs=1e-9)
     # the stationary point sits inside the inadmissible band
-    assert profitability_lhs(AS, replace(ASYM, k=maxima[0])) == pytest.approx(
+    assert profitability_lhs(AS, ASYM, maxima[0]) == pytest.approx(
         1.4431714088788267e-4, rel=1e-9
     )
 
@@ -167,6 +166,9 @@ def test_array_k_matches_scalar_calls():
         "n_func": lambda k: n_func(A, pol, -0.1, k),
         "xi": lambda k: xi(A, xp, k),
         "xi_d1": lambda k: xi_d1(A, xp, k),
+        "psi1": lambda k: psi1(A, pol, k),
+        "psi2": lambda k: psi2(A, pol, k),
+        "profitability_lhs": lambda k: profitability_lhs(A, pol, k),
     }
     for name, f in curves.items():
         scalars = [f(float(k)) for k in ks]
@@ -174,17 +176,18 @@ def test_array_k_matches_scalar_calls():
         vec = f(ks)
         assert isinstance(vec, np.ndarray) and vec.shape == ks.shape, name
         assert vec == pytest.approx(scalars, rel=1e-14, abs=1e-17), name
-    lhs = [profitability_lhs(A, replace(pol, k=float(k))) for k in ks]
+        if name in ("psi1", "psi2", "profitability_lhs"):
+            assert vec.tolist() == scalars, name
+    lhs = [profitability_lhs(A, pol, float(k)) for k in ks]
     assert m1(A, replace(pol, J=0.0), ks) == pytest.approx(lhs, rel=1e-14, abs=1e-17)
-    assert type(psi1(A, pol)) is float and type(psi2(A, pol)) is float
     with pytest.raises(ValueError):
         n_func(A, pol, -0.1, np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         xi(A, xp, np.array([-0.1, 0.5]))
-    for name in ("m1", "m2", "m2_horizon"):
+    for f in (*curves.values(), lambda k: xi_d2(A, xp, k)):
         for bad in (1.5, -0.2, np.array([0.5, 1.5]), np.array([np.nan])):
             with pytest.raises(ValueError):
-                curves[name](bad)
+                f(bad)
 
 
 def test_n_func_array_cutoff_matches_scalar_calls():
@@ -212,8 +215,8 @@ def test_n_func_array_cutoff_matches_scalar_calls():
 def test_k_one_is_always_admissible(mu, sigma, give, helpf, p):
     # at k = 1 nobody is helped, so the LHS is -give * E[(Y-1-p)+] <= 0
     params = GbmParams(mu, sigma)
-    pol = CorridorPolicy(k=1.0, p=p, give_frac=give, help_frac=helpf)
-    assert profitability_lhs(params, pol) <= LHS_TOL
+    pol = CorridorPolicy(p=p, give_frac=give, help_frac=helpf)
+    assert profitability_lhs(params, pol, 1.0) <= LHS_TOL
     k_min = admissible_min_k(params, pol)
     assert type(k_min) is float and 0.0 <= k_min <= 1.0
 
@@ -236,7 +239,7 @@ def test_lhs_and_xi_match_partial_moment_formulas():
             for pol in (POL4, ASYM, CorridorPolicy(give_frac=0.1, help_frac=0.9, p=1.5)):
                 short, excess = short_excess(params, 1.0 - k, 1.0 + k * pol.p)
                 want = pol.help_frac * short - pol.give_frac * excess
-                assert profitability_lhs(params, replace(pol, k=k)) == pytest.approx(want, rel=1e-13, abs=1e-16)
+                assert profitability_lhs(params, pol, k) == pytest.approx(want, rel=1e-13, abs=1e-16)
             short, excess = short_excess(params, 1.0 - k, 1.0 + k)
             want = mean_rho + short / xp.a - excess / xp.b
             assert xi(params, xp, k) == pytest.approx(want, rel=1e-13, abs=1e-16)
@@ -380,7 +383,7 @@ def test_m2_horizon_one_period_is_m2():
     for k in (0.0, 0.1215, 0.9):
         assert m2_horizon(A, POL4, k, 1) == m2(A, POL4, k)
     # compounding: the second period starts from 1 + psi1 and pays its penalty on it
-    s1, s2 = psi1(A, replace(POL4, k=0.1)), psi2(A, replace(POL4, k=0.1))
+    s1, s2 = psi1(A, POL4, 0.1), psi2(A, POL4, 0.1)
     two = (1.0 + s1) ** 2 - 1.0 - POL4.alpha * (s2 + (1.0 + s1) * s2)
     assert m2_horizon(A, POL4, 0.1, 2) == pytest.approx(two, rel=1e-13)
 
@@ -391,6 +394,8 @@ def test_maximize_m2_validation():
     for T in (0, -1):
         with pytest.raises(ValueError):
             maximize_m2(A, POL4, T=T)
+        with pytest.raises(ValueError):
+            m2_horizon(A, POL4, 0.1, T)
 
 
 def test_maximize_m2_respects_k_min():
@@ -426,7 +431,7 @@ def test_maximize_m1_bang_bang(mu, sigma, give, helpf, j_disc):
     grid_best = max(
         m1(params, pol, float(k))
         for k in np.linspace(k_min, 1.0, 201)
-        if profitability_lhs(params, replace(pol, k=float(k))) <= LHS_TOL
+        if profitability_lhs(params, pol, float(k)) <= LHS_TOL
     )
     assert res.value >= grid_best - 1e-9
 

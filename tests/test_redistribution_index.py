@@ -207,6 +207,19 @@ def test_ids_that_collide_as_json_keys_rejected():
     assert len(led.events) == len(back.events) == 1
 
 
+def test_interest_factor_keys_must_match_member_ids():
+    led = Ledger(mode="monotone")
+    led.record(0, {1: 10.0}, 0.0)
+    # "1" prints like member 1 but is another id, so its factor would be dropped
+    for a in ({"1": 0.5}, {1.0: 0.5}):
+        with pytest.raises(ValueError, match="JSON keys"):
+            led.record(1, {}, 10.0, a=a)
+    assert len(led.events) == 1
+    # a factor for an id that has not joined yet is accepted
+    led.record(1, {}, 10.0, a={1: 0.5, 2: 0.1})
+    assert led.events[-1].a == {1: 0.5}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -3, True, "x"])
 def test_bad_default_interest_rejected(bad):
     for mode in ("proportional", "monotone"):
