@@ -114,8 +114,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _number(val, where, kind=float):
-    # JSON booleans, lists and objects are invalid input, not numbers
-    if isinstance(val, bool) or not isinstance(val, (int, float, str)):
+    # JSON booleans, lists and objects are invalid input, not numbers, and an
+    # integer setting refuses a fraction (or inf, nan) instead of truncating it
+    if isinstance(val, bool) or not isinstance(val, (int, float, str)) or (
+        kind is int and isinstance(val, float) and not val.is_integer()
+    ):
         raise CliError(f"bad value {val!r} for {where}")
     return kind(val)
 

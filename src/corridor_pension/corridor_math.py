@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -227,6 +228,12 @@ def _check_k(k):
         raise ValueError("k must be in [0, 1]")
 
 
+def _check_count(value, name: str):
+    # a horizon or member count: an integer >= 1 (numpy ints too), not a bool or 2.0
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
 def psi1(params: GbmParams, policy: CorridorPolicy, k):
     """Mean of the transfer-adjusted relative account change over one period."""
     _check_k(k)
@@ -314,8 +321,7 @@ def horizon_objective(
 
 def m2_horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
     """The objective of `horizon_objective` with the boundary held at k for T periods."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    _check_count(T, "T")
     _check_k(k)
     return _like(k, horizon_objective([_psi(params, policy, k)] * T, policy.alpha))
 
@@ -454,6 +460,7 @@ def maximize_m2(
     near-equal values (within TIE_TOL) set tie_flag and the slope rule of
     `_maximize_scalar` picks the winner.
     """
+    _check_count(T, "T")
     return _maximize_scalar(lambda k: m2_horizon(params, policy, k, T), params, policy, k_min, grid)
 
 
@@ -513,9 +520,10 @@ def xi_d1(params: GbmParams, xp: XiParams, k):
     return _like(k, _transfer_slope(params, 1.0 / xp.a, 1.0 / xp.b, 1.0, k))
 
 
-def xi_d2(params: GbmParams, xp: XiParams, k: float) -> float:
+def xi_d2(params: GbmParams, xp: XiParams, k):
     """Second derivative of `xi` in k; positive at 0 whenever a < b."""
     _check_k(k)
+    k = np.asarray(k, dtype=float)
     L, U = 1.0 - k, 1.0 + k
-    f_lo = density(params, L) if L > 0 else 0.0
-    return f_lo / xp.a - density(params, U) / xp.b
+    f_lo = np.where(L > 0, density(params, np.where(L > 0, L, 1.0)), 0.0)
+    return _like(k, f_lo / xp.a - density(params, U) / xp.b)

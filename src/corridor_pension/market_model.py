@@ -12,6 +12,9 @@ functionals evaluate its formula over arrays of cutoffs, sharing one log per
 cutoff across orders), adaptive quadrature (`expect_quad`), and Monte Carlo
 (`expect_mc`).  `partial_moment` stays public as the scalar closed form that
 the tests use as an independent check.
+
+Every sampled return comes from one draw loop, `_return_blocks`: paths from the
+first child of `SeedSequence(seed)`, `expect_mc` from `SeedSequence(seed)`.
 """
 
 from __future__ import annotations
@@ -111,35 +114,35 @@ def _cum_moment(params: GbmParams, n: int, c):
     return scale * ndtr(z)
 
 
-def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    # inverse-CDF draws so any generator with the same uniforms gives the same normals
-    u = rng.random(shape)
-    return ndtri(u, out=u)
-
-
 def sample_return_matrix(params: GbmParams, T: int, n_paths: int, seed: int) -> np.ndarray:
     """Draw `n_paths` i.i.d. paths of T per-period gross returns exp(mu + sigma Z).
 
     Returns an (n_paths, T) array; deterministic for a fixed seed.  All draws
     come from one stream, the first child of `SeedSequence(seed)`.
     """
-    (returns,) = _return_blocks(params, T, n_paths, seed, n_paths)
+    (returns,) = _return_blocks(params, T, n_paths, _path_stream(seed), n_paths)
     return returns
 
 
-def _return_blocks(params: GbmParams, T: int, n_paths: int, seed: int, rows: int):
-    """The rows of `sample_return_matrix(params, T, n_paths, seed)`, `rows` paths at a time.
+def _path_stream(seed: int) -> np.random.SeedSequence:
+    # return paths (`sample_return_matrix`, `simulate`) draw from this child
+    return np.random.SeedSequence(seed).spawn(1)[0]
 
-    Every double takes one draw of the stream, so drawing the rows in order
-    gives blocks that concatenate to that matrix bit for bit.  `simulate`
-    advances this generator on a helper thread, so it calls no public
-    function of the package.
+
+def _return_blocks(params: GbmParams, T: int, n_paths: int, seq, rows: int):
+    """n_paths paths of T gross returns from the SeedSequence `seq`, `rows` paths at a time.
+
+    The one draw loop.  Normals are inverse-CDF draws and every double takes
+    one draw of the stream, so the blocks concatenate to the one block of
+    `rows = n_paths` bit for bit.  `simulate` advances this generator on a
+    helper thread, so it calls no public function of the package.
     """
     if T < 1 or n_paths < 1:
         raise ValueError("T and n_paths must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rng = np.random.default_rng(seq)
     for start in range(0, n_paths, rows):
-        z = _standard_normals(rng, (min(rows, n_paths - start), T))
+        z = rng.random((min(rows, n_paths - start), T))
+        ndtri(z, out=z)
         # exp(mu + sigma z) in place: the same floats without two block-sized temporaries
         z *= params.sigma
         z += params.mu
@@ -186,20 +189,16 @@ def expect_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[fn(Y)] with its standard error.
 
-    Draws in chunks of _MC_CHUNK paths so n_paths can exceed memory;
-    accumulates count, sum and sum of squares only.
+    Draws from `SeedSequence(seed)` in chunks of _MC_CHUNK paths so n_paths
+    can exceed memory; accumulates sum and sum of squares only.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    remaining, total, total_sq = n_paths, 0.0, 0.0
-    while remaining > 0:
-        m = min(_MC_CHUNK, remaining)
-        y = np.exp(params.mu + params.sigma * _standard_normals(rng, m))
-        v = np.asarray(fn(y), dtype=float)
+    total, total_sq = 0.0, 0.0
+    for y in _return_blocks(params, 1, n_paths, np.random.SeedSequence(seed), _MC_CHUNK):
+        v = np.asarray(fn(y[:, 0]), dtype=float)
         total += float(v.sum())
         total_sq += float((v * v).sum())
-        remaining -= m
     mean = total / n_paths
     var = max(total_sq / n_paths - mean * mean, 0.0)
     return mean, math.sqrt(var / n_paths)

@@ -37,13 +37,14 @@ import numpy as np
 
 from .corridor_math import (
     CorridorPolicy,
+    _check_count,
     _psi,
     admissible_min_k,
     horizon_objective,
     k_of_c,
     n_func,
 )
-from .market_model import GbmParams, _return_blocks, density_peak
+from .market_model import GbmParams, _path_stream, _return_blocks, density_peak
 from .redistribution_index import Ledger, index_for_pool
 
 __all__ = [
@@ -122,8 +123,8 @@ class PoolConfig:
     h0: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or self.T < 1:
-            raise ValueError("n and T must be >= 1")
+        _check_count(self.n, "n")
+        _check_count(self.T, "T")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
         if self.regime not in _REGIMES:
@@ -528,7 +529,7 @@ def simulate(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    blocks = _return_blocks(params, config.T, n_paths, seed, _BLOCK_PATHS)
+    blocks = _return_blocks(params, config.T, n_paths, _path_stream(seed), _BLOCK_PATHS)
     if n_paths > _BLOCK_PATHS:
         # each block is stored period-major on the helper thread, off the kernel's path
         blocks = _one_ahead(np.asfortranarray(b) for b in blocks)
@@ -651,8 +652,9 @@ def dp_check(
     schedule beats the best constant boundary by more than _DP_TOL, reported
     as `tol`.
     """
-    if not (T >= 1 and grid >= 1 and 0 <= v0 < math.inf and 0 <= gamma_pi < math.inf):
-        raise ValueError("dp_check needs T, grid >= 1 and finite nonnegative v0 and gamma_pi")
+    _check_count(T, "T")
+    if not (grid >= 1 and 0 <= v0 < math.inf and 0 <= gamma_pi < math.inf):
+        raise ValueError("dp_check needs grid >= 1 and finite nonnegative v0 and gamma_pi")
     k_min = admissible_min_k(params, policy)
     ks = np.linspace(k_min, 1.0, grid)
     s1, s2 = _psi(params, policy, ks)

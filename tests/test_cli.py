@@ -227,6 +227,29 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         assert (code, out) == (2, None), bad
 
 
+def test_config_integer_settings_refuse_fractions(tmp_path, capsys):
+    # an integer setting from a config file is a whole number: 2.0 is 2, while
+    # 2.5 and inf are invalid input, not truncated to 2 or an overflow
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pool": {"T": 2.0, "n": 3.0}, "paths": 10.0}))
+    code, out = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+    assert code == 0 and out["n_paths"] == 10
+    assert len(read_csv(tmp_path / "steps.csv")) == 6
+    path.write_text(json.dumps({"grid": 101.0}))
+    assert run(capsys, "profitability", "--config", str(path), "--out", str(tmp_path))[0] == 0
+    assert len(read_csv(tmp_path / "profitability.csv")) == 101
+    for command, bad in (("simulate", {"pool": {"T": 2.5, "n": 3.7}}),
+                         ("simulate", {"pool": {"n": 3.7}}),
+                         ("profitability", {"grid": 150.9}),
+                         ("profitability", {"grid": math.inf}),
+                         ("optimize", {"horizon": 20.5})):
+        out_dir = tmp_path / "refused"
+        path.write_text(json.dumps(bad))
+        code, out = run(capsys, command, "--config", str(path), "--out", str(out_dir))
+        assert (code, out) == (2, None), bad
+        assert not out_dir.exists(), bad
+
+
 @pytest.mark.parametrize("command, flag", [
     ("profitability", "--seed"), ("profitability", "--paths"), ("profitability", "--j-discount"),
     ("optimize", "--seed"), ("optimize", "--paths"),

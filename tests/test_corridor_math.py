@@ -166,6 +166,7 @@ def test_array_k_matches_scalar_calls():
         "n_func": lambda k: n_func(A, pol, -0.1, k),
         "xi": lambda k: xi(A, xp, k),
         "xi_d1": lambda k: xi_d1(A, xp, k),
+        "xi_d2": lambda k: xi_d2(A, xp, k),
         "psi1": lambda k: psi1(A, pol, k),
         "psi2": lambda k: psi2(A, pol, k),
         "profitability_lhs": lambda k: profitability_lhs(A, pol, k),
@@ -176,7 +177,7 @@ def test_array_k_matches_scalar_calls():
         vec = f(ks)
         assert isinstance(vec, np.ndarray) and vec.shape == ks.shape, name
         assert vec == pytest.approx(scalars, rel=1e-14, abs=1e-17), name
-        if name in ("psi1", "psi2", "profitability_lhs"):
+        if name in ("psi1", "psi2", "profitability_lhs", "xi_d2"):
             assert vec.tolist() == scalars, name
     lhs = [profitability_lhs(A, pol, float(k)) for k in ks]
     assert m1(A, replace(pol, J=0.0), ks) == pytest.approx(lhs, rel=1e-14, abs=1e-17)
@@ -184,7 +185,7 @@ def test_array_k_matches_scalar_calls():
         n_func(A, pol, -0.1, np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         xi(A, xp, np.array([-0.1, 0.5]))
-    for f in (*curves.values(), lambda k: xi_d2(A, xp, k)):
+    for f in curves.values():
         for bad in (1.5, -0.2, np.array([0.5, 1.5]), np.array([np.nan])):
             with pytest.raises(ValueError):
                 f(bad)

@@ -138,6 +138,14 @@ def test_expect_mc_chunking_invariance(monkeypatch):
         expect_mc(A, lambda y: y, 1, seed=0)
 
 
+def test_expect_mc_pinned_values(monkeypatch):
+    # one stream, SeedSequence(seed) itself, summed chunk by chunk; values
+    # pinned when expect_mc came to draw through the pool's sampler
+    assert expect_mc(A, lambda y: y, 50_000, seed=3) == (1.0475882267910297, 0.0002830839674769086)
+    monkeypatch.setattr(market_model, "_MC_CHUNK", 7_000)
+    assert expect_mc(A, lambda y: y * y, 50_000, seed=3) == (1.1014479195432973, 0.0005965488806263196)
+
+
 def test_import_leaves_scipy_optimize_and_integrate_unloaded(tmp_path):
     # the package, and the ledger and settlement subcommands, load neither numpy
     # nor scipy; the numeric subcommands load scipy.special, and only the

@@ -43,3 +43,17 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_one_random_generator_in_the_package():
+    # every sampled return comes from one draw loop, market_model._return_blocks
+    found = []
+    for path in sorted(Path(corridor_pension.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.random.default_rng":
+                owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
+                found.append(f"{path.name}:{owner}")
+    assert found == ["market_model.py:_return_blocks"]

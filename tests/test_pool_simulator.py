@@ -16,6 +16,7 @@ from corridor_pension.corridor_math import (
     _psi,
     admissible_min_k,
     horizon_objective,
+    m2_horizon,
     maximize_m2,
     n_func,
 )
@@ -43,7 +44,7 @@ from corridor_pension.pool_simulator import (
 )
 from corridor_pension import pool_simulator
 from corridor_pension.claim_settlement import ClaimBatch, settle
-from corridor_pension.market_model import _return_blocks, sample_return_matrix
+from corridor_pension.market_model import _path_stream, _return_blocks, sample_return_matrix
 from corridor_pension.redistribution_index import Ledger
 
 A = GbmParams(0.045, 0.06)
@@ -216,6 +217,26 @@ def test_config_validation():
     for field in ("pi_ind", "v0_ind"):
         with pytest.raises(ValueError, match=f"{field} needs n entries"):
             base_config(**{field: (1.0, 1.0)})
+
+
+COUNT_ENTRY_POINTS = {
+    "m2_horizon": lambda T: m2_horizon(A, CorridorPolicy(), 0.1, T),
+    "maximize_m2": lambda T: maximize_m2(A, CorridorPolicy(), T=T),
+    "dp_check": lambda T: dp_check(A, CorridorPolicy(), T),
+    "PoolConfig.T": lambda T: base_config(T=T),
+    "PoolConfig.n": lambda n: base_config(n=n),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2", np.float64(2.0)],
+                         ids=["2.5", "2.0", "True", "str", "float64"])
+def test_counts_must_be_integers(entry, count):
+    # a horizon or member count is refused at entry unless it is an integer,
+    # where 2.5 used to fail late with a TypeError or run as 2
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        COUNT_ENTRY_POINTS[entry](count)
+    COUNT_ENTRY_POINTS[entry](np.int64(2))
 
 
 def test_run_path_without_returns_is_the_initial_state():
@@ -559,7 +580,7 @@ def test_simulate_does_not_depend_on_the_block_size(config, monkeypatch):
 
 def test_return_blocks_concatenate_to_the_matrix():
     for n_paths in (1, BLOCK, 2 * BLOCK + 3):
-        blocks = list(_return_blocks(STRESSED, 5, n_paths, 8, BLOCK))
+        blocks = list(_return_blocks(STRESSED, 5, n_paths, _path_stream(8), BLOCK))
         assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
         assert np.array_equal(np.concatenate(blocks), sample_return_matrix(STRESSED, 5, n_paths, 8))
 
