@@ -32,17 +32,17 @@ for regime in (ALWAYS_HELP, NO_HELP_IF_INSUFFICIENT, INDEX_CAPPED_HELP):
         n=3, gamma=0.9, pi_ind=0.05, T=len(path), regime=regime, policy=policy,
         c0=0.05, index_source=ledger if regime == INDEX_CAPPED_HELP else None,
     )
-    final, reports = run_path(cfg, path)
+    reports = run_path(cfg, path)
     print(f"--- {regime}")
     for rep in reports:
         row = rep.rows[0]
         print(
-            f"  t={rep.t}: covered={str(rep.covered):5} "
+            f"  t={row['t']}: covered={str(rep.covered):5} "
             f"V0={row['V']:.4f} transfer0={row['transfer_value']:+.4f} "
             f"theta={row['theta']:+.5f} z*={row['z_star']:.3f}"
         )
-    print(f"  terminal individual values: {[round(a.value, 4) for a in final.accounts]}")
-    print(f"  external support needed: {final.external_support:.5f} units")
+    print(f"  terminal individual values: {[round(r['V'], 4) for r in reports[-1].rows]}")
+    print(f"  external support needed: {sum(rep.support_added for rep in reports):.5f} units")
     print()
 
 params = GbmParams(0.045, 0.06)

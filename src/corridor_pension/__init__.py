@@ -25,10 +25,10 @@ _EXPORTS = {
         "partial_moment", "sample_return_matrix",
     ),
     "pool_simulator": (
-        "ALWAYS_HELP", "INDEX_CAPPED_HELP", "NO_HELP_IF_INSUFFICIENT", "CollectiveAccount",
-        "DpVerdict", "FixedPointResult", "IndividualAccount", "PoolConfig", "PoolState",
-        "SimulationResult", "StepReport", "best_response_gain", "dp_check",
-        "fixed_point_barriers", "improvement_bound", "run_path", "simulate", "z_star",
+        "ALWAYS_HELP", "INDEX_CAPPED_HELP", "NO_HELP_IF_INSUFFICIENT", "DpVerdict",
+        "FixedPointResult", "PoolConfig", "SimulationResult", "StepReport",
+        "best_response_gain", "dp_check", "fixed_point_barriers", "improvement_bound",
+        "run_path", "simulate", "z_star",
     ),
     "redistribution_index": (
         "CheckResult", "EventRecord", "Ledger", "check_add", "check_cont", "check_fix",

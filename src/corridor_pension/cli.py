@@ -264,8 +264,7 @@ def cmd_simulate(args) -> int:
     # step log from the first sampled path, deterministic for the seed; its
     # columns are run_path's row keys, ints and bools written as ints
     returns = sample_return_matrix(params, config.T, 1, seed)[0]
-    _, reports = run_path(config, returns)
-    rows = [r for rep in reports for r in rep.rows]
+    rows = [r for rep in run_path(config, returns) for r in rep.rows]
     _write_csv(
         out / "steps.csv",
         rows[0].keys(),
@@ -414,7 +413,9 @@ def cmd_index(args) -> int:
         name: {"ok": r.ok, "witness": list(r.witness) if r.witness else None}
         for name, r in results.items()
     }
-    if args.new_id is not None and args.amount is not None:
+    if (args.new_id is None) != (args.amount is None):
+        raise CliError("the add check needs both --new-id and --amount")
+    if args.new_id is not None:
         add = check_add(ledger, args.join_event, args.new_id, args.amount)
         report["add"] = {"ok": add.ok, "witness": list(add.witness) if add.witness else None}
     else:

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
-from .market_model import GbmParams, _cum_moment, density
+from .market_model import GbmParams, _check_count, _cum_moment, density
 
 __all__ = [
     "CorridorPolicy",
@@ -228,12 +227,6 @@ def _check_k(k):
         raise ValueError("k must be in [0, 1]")
 
 
-def _check_count(value, name: str):
-    # a horizon or member count: an integer >= 1 (numpy ints too), not a bool or 2.0
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1")
-
-
 def psi1(params: GbmParams, policy: CorridorPolicy, k):
     """Mean of the transfer-adjusted relative account change over one period."""
     _check_k(k)
@@ -412,8 +405,7 @@ def _maximize_scalar(
     smaller one, nonnegative the larger.  `_transfer_slope` has the sign of
     m1's slope: m1's slope is it times 1 - J > 0.
     """
-    if grid < 100:
-        raise ValueError("grid must be >= 100")
+    _check_count(grid, "grid", 100)
     if k_min is None:
         k_min = admissible_min_k(params, policy)
     ks = np.linspace(float(k_min), 1.0, grid)

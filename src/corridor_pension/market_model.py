@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,6 +115,13 @@ def _cum_moment(params: GbmParams, n: int, c):
     return scale * ndtr(z)
 
 
+def _check_count(value, name: str, least: int = 1):
+    # a horizon, member, path or grid count: an integer >= least (numpy ints
+    # too), not a bool or 2.0
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+
+
 def sample_return_matrix(params: GbmParams, T: int, n_paths: int, seed: int) -> np.ndarray:
     """Draw `n_paths` i.i.d. paths of T per-period gross returns exp(mu + sigma Z).
 
@@ -137,8 +145,10 @@ def _return_blocks(params: GbmParams, T: int, n_paths: int, seq, rows: int):
     `rows = n_paths` bit for bit.  `simulate` advances this generator on a
     helper thread, so it calls no public function of the package.
     """
-    if T < 1 or n_paths < 1:
-        raise ValueError("T and n_paths must be >= 1")
+    if not isinstance(seq, np.random.SeedSequence):
+        raise TypeError("seq must be a numpy SeedSequence")
+    _check_count(T, "T")
+    _check_count(n_paths, "n_paths")
     rng = np.random.default_rng(seq)
     for start in range(0, n_paths, rows):
         z = rng.random((min(rows, n_paths - start), T))
@@ -192,8 +202,7 @@ def expect_mc(
     Draws from `SeedSequence(seed)` in chunks of _MC_CHUNK paths so n_paths
     can exceed memory; accumulates sum and sum of squares only.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
+    _check_count(n_paths, "n_paths", 2)
     total, total_sq = 0.0, 0.0
     for y in _return_blocks(params, 1, n_paths, np.random.SeedSequence(seed), _MC_CHUNK):
         v = np.asarray(fn(y[:, 0]), dtype=float)

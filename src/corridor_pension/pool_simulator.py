@@ -18,7 +18,8 @@ cover:
 One period rule, `_period`, works on (columns, paths) arrays for every
 regime, and one loop, `_trajectory`, runs it from the initial state:
 `simulate` over blocks of paths, and `run_path` on one path with a column per
-member to give per-member step logs.
+member, returning a `StepReport` (price, coverage, claims, support and one row
+per member) for each period.
 Members 0..n-1 match ledger ids by `str(id)`.
 
 The coverage indicator collapses to a threshold on the net return (`z_star`),
@@ -37,24 +38,20 @@ import numpy as np
 
 from .corridor_math import (
     CorridorPolicy,
-    _check_count,
     _psi,
     admissible_min_k,
     horizon_objective,
     k_of_c,
     n_func,
 )
-from .market_model import GbmParams, _path_stream, _return_blocks, density_peak
+from .market_model import GbmParams, _check_count, _path_stream, _return_blocks, density_peak
 from .redistribution_index import Ledger, index_for_pool
 
 __all__ = [
     "ALWAYS_HELP",
     "NO_HELP_IF_INSUFFICIENT",
     "INDEX_CAPPED_HELP",
-    "IndividualAccount",
-    "CollectiveAccount",
     "PoolConfig",
-    "PoolState",
     "StepReport",
     "SimulationResult",
     "FixedPointResult",
@@ -72,20 +69,6 @@ ALWAYS_HELP = "AlwaysHelp"
 NO_HELP_IF_INSUFFICIENT = "NoHelpIfInsufficient"
 INDEX_CAPPED_HELP = "IndexCappedHelp"
 _REGIMES = (ALWAYS_HELP, NO_HELP_IF_INSUFFICIENT, INDEX_CAPPED_HELP)
-
-
-@dataclass(frozen=True)
-class IndividualAccount:
-    eta: float
-    value: float
-    k: float
-    owner_id: object
-
-
-@dataclass(frozen=True)
-class CollectiveAccount:
-    theta: float
-    value: float
 
 
 def _per_member(value, n: int, name: str) -> tuple:
@@ -106,7 +89,8 @@ class PoolConfig:
     boundary per individual.  index_source must be a recorded ledger when the regime is
     IndexCappedHelp, with an event before t = 1 (the first period reads the
     shares before it), and at least one member id 0..n-1 must appear in it
-    (compared as strings, so a JSON ledger's "0" is member 0).  Initial
+    (compared as strings, so a JSON ledger's "0" is member 0); under any
+    other regime it must be None, as no other regime reads it.  Initial
     values must be nonnegative.
     """
 
@@ -148,6 +132,8 @@ class PoolConfig:
                 raise ValueError("the index_source ledger needs an event before t = 1")
             if not {str(j) for j in self.index_source.ids} & {str(i) for i in range(self.n)}:
                 raise ValueError("no pool member (ids 0..n-1) appears in the index_source ledger")
+        elif self.index_source is not None:
+            raise ValueError(f"{self.regime} reads no index_source ledger; pass None")
 
     @property
     def premiums(self) -> tuple:
@@ -169,22 +155,14 @@ class PoolConfig:
 
 
 @dataclass(frozen=True)
-class PoolState:
-    t: int
-    price: float
-    accounts: tuple
-    collective: CollectiveAccount
-    external_support: float = 0.0  # cumulative units an outside sponsor covered
-
-
-@dataclass(frozen=True)
 class StepReport:
-    t: int
-    z_star: float
+    """A period of `run_path`; its rows, one per member, hold t, z_star and the collective."""
+
+    price: float
     covered: bool
     claims_total: float
-    rows: tuple
     support_added: float
+    rows: tuple
 
 
 @dataclass(frozen=True)
@@ -316,12 +294,12 @@ def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray):
     return alloc, pool
 
 
-def _rule(config: PoolConfig, ks, prem, total, owners) -> tuple:
-    """What `_period` holds fixed, for columns with boundaries ks, premia prem and owners."""
+def _rule(config: PoolConfig, ks, prem, total) -> tuple:
+    """What `_period` holds fixed, for columns with boundaries ks and premia prem."""
 
     @functools.cache
-    def weights(t):
-        return np.array(_lagged_shares(config.index_source, t, owners), dtype=float)[:, None]
+    def weights(t):  # read only by IndexCappedHelp, which runs a column per member
+        return np.array(_lagged_shares(config.index_source, t, range(config.n)), dtype=float)[:, None]
 
     gp = config.gamma * np.array(prem)[:, None]
     return np.array(ks)[:, None], gp, (1.0 - config.gamma) * config.premium_total, total, weights
@@ -396,24 +374,24 @@ def _trajectory(config: PoolConfig, rule, v0, returns):
         state = out[:4]
 
 
-def run_path(config: PoolConfig, gross_returns: Sequence[float]):
-    """Run one trajectory with a column per member; returns the final state and a report per period.
+def run_path(config: PoolConfig, gross_returns: Sequence[float]) -> list[StepReport]:
+    """Run one trajectory with a column per member; returns a `StepReport` per period.
 
-    The period rule is that of `simulate`.  With no returns, the final state
-    is the initial one.  Every gross return must be > 0 (NaN is not).
+    The period rule is that of `simulate`.  The rows of the last report hold
+    the terminal accounts and collective; the support an outside sponsor
+    added over the path is the sum of `support_added`.  No returns give no
+    reports.  Every gross return must be > 0 (NaN is not).
     """
     returns = np.array(gross_returns, dtype=float).reshape(-1, 1)
     if not np.all(returns > 0):
         raise ValueError("gross returns must be positive")
-    ks, owners = config.boundaries, range(config.n)
-    rule = _rule(config, ks, config.premiums, _member_sum, owners)
-    reports, external_support = [], 0.0
-    final = _initial_state(config, config.initial_values, 1)
+    ks = config.boundaries
+    rule = _rule(config, ks, config.premiums, _member_sum)
+    reports = []
     for t, (state, out) in enumerate(_trajectory(config, rule, config.initial_values, returns), 1):
-        final = out[:4]
         z = z_star(ks, state[2][:, 0], max(float(state[3][0]), 0.0), config.policy.help_frac)
         price, v, eta, theta, claim, net, covered, _, support = out
-        price, theta, support = float(price[0]), float(theta[0]), float(support[0])
+        price, theta = float(price[0]), float(theta[0])
         v, eta, net = v[:, 0].tolist(), eta[:, 0].tolist(), net[:, 0].tolist()
         rows = tuple(
             {
@@ -428,15 +406,11 @@ def run_path(config: PoolConfig, gross_returns: Sequence[float]):
                 "theta": theta,
                 "C": theta * price,
             }
-            for i in owners
+            for i in range(config.n)
         )
-        external_support += support
         claims_total = float(_member_sum(claim)[0])
-        reports.append(StepReport(t, z, bool(covered[0]), claims_total, rows, support))
-    price, v, eta, theta = (x[..., 0].tolist() for x in final)
-    accounts = tuple(IndividualAccount(*acct) for acct in zip(eta, v, ks, owners))
-    collective = CollectiveAccount(theta, theta * price)
-    return PoolState(len(reports), price, accounts, collective, external_support), reports
+        reports.append(StepReport(price, bool(covered[0]), claims_total, float(support[0]), rows))
+    return reports
 
 
 def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
@@ -452,7 +426,7 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         total, mean = (lambda x: n * x[0]), (lambda x: x[0])
     else:
         total, mean = _member_sum, (lambda x: _member_sum(x) / n)
-    rule = _rule(config, ks, prem, total, range(n))
+    rule = _rule(config, ks, prem, total)
     gp = rule[1]
     terminal, rv, support = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     shortfall_steps, lo = 0, 0
@@ -527,8 +501,7 @@ def simulate(
     A member whose previous value is 0 adds 0 to the realized variation, the
     limit of its term.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    _check_count(n_paths, "n_paths")
     blocks = _return_blocks(params, config.T, n_paths, _path_stream(seed), _BLOCK_PATHS)
     if n_paths > _BLOCK_PATHS:
         # each block is stored period-major on the helper thread, off the kernel's path
@@ -554,6 +527,7 @@ def fixed_point_barriers(
     iterations without either returns converged = False.  `grid` is the scan
     of each best response (`k_of_c`).
     """
+    _check_count(grid, "grid", 100)
     n = len(eta_vec)
     k_min = admissible_min_k(params, policy)
     k_bar = 1.0
@@ -653,8 +627,9 @@ def dp_check(
     as `tol`.
     """
     _check_count(T, "T")
-    if not (grid >= 1 and 0 <= v0 < math.inf and 0 <= gamma_pi < math.inf):
-        raise ValueError("dp_check needs grid >= 1 and finite nonnegative v0 and gamma_pi")
+    _check_count(grid, "grid")
+    if not (0 <= v0 < math.inf and 0 <= gamma_pi < math.inf):
+        raise ValueError("dp_check needs finite nonnegative v0 and gamma_pi")
     k_min = admissible_min_k(params, policy)
     ks = np.linspace(k_min, 1.0, grid)
     s1, s2 = _psi(params, policy, ks)

@@ -315,9 +315,8 @@ def test_acceptance_8_property_suites(capfd):
         policy=CorridorPolicy(k=0.08), c0=0.2,
     )
     returns = (0.7, 1.25, 0.9, 1.02, 0.85)
-    start, _ = run_path(cfg, [])
-    _, reports = run_path(cfg, returns)
-    before = sum(a.eta for a in start.accounts) + start.collective.theta
+    reports = run_path(cfg, returns)
+    before = sum(v / cfg.h0 for v in cfg.initial_values) + cfg.c0 / cfg.h0
     price, max_unit_err = cfg.h0, 0.0
     for y, rep in zip(returns, reports, strict=True):
         price *= y

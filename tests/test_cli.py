@@ -130,7 +130,7 @@ def test_simulate(tmp_path, capsys):
     # the log of sampled path 0, as the scalar oracle steps it
     config = PoolConfig(n=4, gamma=0.9, pi_ind=0.05, T=6, regime="AlwaysHelp",
                         policy=CorridorPolicy(k=0.08))
-    _, reports = _scalar_run_path(config, sample_return_matrix(GbmParams(0.045, 0.06), 6, 1, 11)[0])
+    reports = _scalar_run_path(config, sample_return_matrix(GbmParams(0.045, 0.06), 6, 1, 11)[0])
     want = [
         {name: str(int(value)) if name == "help_granted" else
          str(value) if name in ("t", "owner_id") else f"{value:.12g}"
@@ -187,6 +187,20 @@ def test_simulate_index_capped_from_json_ledger(tmp_path, capsys):
     for field in ("mean_terminal_value", "penalized_objective", "realized_variation",
                   "shortfall_freq", "external_support"):
         assert capped[field] == pytest.approx(getattr(want, field), rel=1e-12), field
+
+
+def test_simulate_refuses_a_ledger_outside_index_capped_help(tmp_path, capsys):
+    led = tmp_path / "led.json"
+    code, _ = run(capsys, "index", "update", str(led), "--mode", "proportional",
+                  "--t", "0", "--c-pre", "0", "--contribution", "0=1")
+    assert code == 0
+    for regime in ("AlwaysHelp", "NoHelpIfInsufficient"):
+        out_dir = tmp_path / regime
+        code = cli.main(["simulate", "--regime", regime, "--ledger", str(led),
+                         "--n", "2", "--T", "3", "--paths", "10", "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), regime
+        assert "index_source" in err and not out_dir.exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -351,6 +365,20 @@ def test_index_update_show_check(tmp_path, capsys):
     assert out["mon"]["ok"] is False
     assert out["mon"]["witness"] == [2, ["1", "2"]]
     assert out["add"]["ok"] is True
+
+
+def test_index_check_add_needs_both_flags(tmp_path, capsys):
+    led = tmp_path / "led.json"
+    code, _ = run(capsys, "index", "update", str(led), "--mode", "proportional",
+                  "--t", "1", "--c-pre", "0", "--contribution", "1=100")
+    assert code == 0
+    # one of the pair used to skip the add check and exit 0
+    for flags in (["--new-id", "9"], ["--amount", "10"]):
+        assert cli.main(["index", "check", str(led), *flags]) == 2, flags
+        out, err = capsys.readouterr()
+        assert out == "" and "--new-id" in err and "--amount" in err
+    code, out = run(capsys, "index", "check", str(led))
+    assert code == 0 and out["add"]["ok"] is None
 
 
 def test_index_errors(tmp_path, capsys):

@@ -16,6 +16,7 @@ from corridor_pension.corridor_math import (
     _psi,
     admissible_min_k,
     horizon_objective,
+    k_of_c,
     m2_horizon,
     maximize_m2,
     n_func,
@@ -25,10 +26,7 @@ from corridor_pension.pool_simulator import (
     ALWAYS_HELP,
     INDEX_CAPPED_HELP,
     NO_HELP_IF_INSUFFICIENT,
-    CollectiveAccount,
-    IndividualAccount,
     PoolConfig,
-    PoolState,
     SimulationResult,
     StepReport,
     _coverage_ok,
@@ -44,27 +42,29 @@ from corridor_pension.pool_simulator import (
 )
 from corridor_pension import pool_simulator
 from corridor_pension.claim_settlement import ClaimBatch, settle
-from corridor_pension.market_model import _path_stream, _return_blocks, sample_return_matrix
+from corridor_pension.market_model import _path_stream, _return_blocks, expect_mc, sample_return_matrix
 from corridor_pension.redistribution_index import Ledger
 
 A = GbmParams(0.045, 0.06)
 
 
-def _scalar_step(pool, gross_return, config):
+def start_units(config):
+    """Unit counts and collective units at t = 0: the initial values and c0 priced at h0."""
+    return [v / config.h0 for v in config.initial_values], config.c0 / config.h0
+
+
+def _scalar_step(state, t, gross_return, config):
     # the period rule written out member by member with the exact `settle`,
-    # kept as the oracle for the array rule that `run_path` and `simulate` share
+    # kept as the oracle for the array rule that `run_path` and `simulate` share;
+    # state is (price, unit counts, values, collective units) before period t
     if gross_return <= 0:
         raise ValueError("gross return must be positive")
+    price_prev, eta_prev, v_prev, theta_prev = state
     pol = config.policy
-    price = pool.price * gross_return
+    price = price_prev * gross_return
     rho = gross_return - 1.0
-    t_new = pool.t + 1
     prem = config.premiums
-
-    eta_prev = [a.eta for a in pool.accounts]
-    v_prev = [a.value for a in pool.accounts]
-    ks = [a.k for a in pool.accounts]
-    theta_prev = pool.collective.theta
+    ks = config.boundaries
 
     # growth + premium
     eta = [e + config.gamma * p / price for e, p in zip(eta_prev, prem)]
@@ -88,10 +88,9 @@ def _scalar_step(pool, gross_return, config):
         paid = [0.0] * config.n
     else:  # IndexCappedHelp, coverage failed: cap by lagged shares, then settle
         paid = [0.0] * config.n
-        claimants = [i for i, c in enumerate(claims) if c > 0]
+        claimants = [i for i, c in enumerate(claims) if c > 0]  # member i has owner id i
         if claimants and theta_prev > 0:
-            owners = [pool.accounts[i].owner_id for i in claimants]
-            weights = _lagged_shares(config.index_source, t_new, owners)
+            weights = _lagged_shares(config.index_source, t, claimants)
             total_w = sum(weights)
             if total_w > 0:
                 batch = ClaimBatch(
@@ -114,15 +113,10 @@ def _scalar_step(pool, gross_return, config):
     if config.regime != ALWAYS_HELP and theta < -1e-12:
         raise RuntimeError("collective went negative outside AlwaysHelp")
 
-    collective = CollectiveAccount(theta, theta * price)
-    accounts = tuple(
-        IndividualAccount(eta[i], values[i], ks[i], pool.accounts[i].owner_id)
-        for i in range(config.n)
-    )
     rows = tuple(
         {
-            "t": t_new,
-            "owner_id": pool.accounts[i].owner_id,
+            "t": t,
+            "owner_id": i,
             "V": values[i],
             "eta": eta[i],
             "transfer_units": (paid[i] - gives[i]) / price,
@@ -130,26 +124,22 @@ def _scalar_step(pool, gross_return, config):
             "help_granted": paid[i] > 0,
             "z_star": z,
             "theta": theta,
-            "C": collective.value,
+            "C": theta * price,
         }
         for i in range(config.n)
     )
-    state = PoolState(
-        t_new, price, accounts, collective, pool.external_support + support_added
-    )
-    return state, StepReport(t_new, z, covered, sum(claims), rows, support_added)
+    state = (price, eta, values, theta)
+    return state, StepReport(price, covered, sum(claims), support_added, rows)
 
 
 def _scalar_run_path(config, gross_returns):
-    h0, values = config.h0, config.initial_values
-    accounts = tuple(IndividualAccount(v / h0, v, k, i)
-                     for i, (v, k) in enumerate(zip(values, config.boundaries)))
-    pool = PoolState(0, h0, accounts, CollectiveAccount(config.c0 / h0, config.c0))
+    eta, theta = start_units(config)
+    state = (config.h0, eta, list(config.initial_values), theta)
     reports = []
-    for y in gross_returns:
-        pool, rep = _scalar_step(pool, float(y), config)
+    for t, y in enumerate(gross_returns, 1):
+        state, rep = _scalar_step(state, t, float(y), config)
         reports.append(rep)
-    return pool, reports
+    return reports
 
 
 def replay(config, returns) -> SimulationResult:
@@ -158,16 +148,16 @@ def replay(config, returns) -> SimulationResult:
     gp = [config.gamma * p for p in config.premiums]
     terminal, rv, support, shortfall_steps = [], [], [], 0
     for row in returns:
-        final, reports = _scalar_run_path(config, row)
+        reports = _scalar_run_path(config, row)
         v_prev, path_rv = config.initial_values, 0.0
         for rep in reports:
             v = [r["V"] for r in rep.rows]
             path_rv += sum((vi - vp - g) ** 2 / vp for vi, vp, g in zip(v, v_prev, gp)) / config.n
             v_prev = v
             shortfall_steps += rep.claims_total > 0 and not rep.covered
-        terminal.append(sum(a.value for a in final.accounts) / config.n)
+        terminal.append(sum(v_prev) / config.n)
         rv.append(path_rv)
-        support.append(final.external_support)
+        support.append(sum(rep.support_added for rep in reports))
     mean_vt, mean_rv = float(np.mean(terminal)), float(np.mean(rv))
     return SimulationResult(
         mean_terminal_value=mean_vt,
@@ -219,12 +209,22 @@ def test_config_validation():
             base_config(**{field: (1.0, 1.0)})
 
 
+# each entry point that takes a count, with the smallest count it accepts
 COUNT_ENTRY_POINTS = {
-    "m2_horizon": lambda T: m2_horizon(A, CorridorPolicy(), 0.1, T),
-    "maximize_m2": lambda T: maximize_m2(A, CorridorPolicy(), T=T),
-    "dp_check": lambda T: dp_check(A, CorridorPolicy(), T),
-    "PoolConfig.T": lambda T: base_config(T=T),
-    "PoolConfig.n": lambda n: base_config(n=n),
+    "m2_horizon": (lambda T: m2_horizon(A, CorridorPolicy(), 0.1, T), 1),
+    "maximize_m2": (lambda T: maximize_m2(A, CorridorPolicy(), T=T), 1),
+    "dp_check": (lambda T: dp_check(A, CorridorPolicy(), T), 1),
+    "PoolConfig.T": (lambda T: base_config(T=T), 1),
+    "PoolConfig.n": (lambda n: base_config(n=n), 1),
+    "maximize_m2.grid": (lambda grid: maximize_m2(A, CorridorPolicy(), grid=grid), 100),
+    "k_of_c.grid": (lambda grid: k_of_c(A, CorridorPolicy(), -0.1, grid=grid), 100),
+    "fixed_point_barriers.grid": (
+        lambda grid: fixed_point_barriers(A, CorridorPolicy(), [1.0] * 3, 0.5, grid=grid), 100),
+    "dp_check.grid": (lambda grid: dp_check(A, CorridorPolicy(), 2, grid=grid), 1),
+    "simulate.n_paths": (lambda n_paths: simulate(base_config(), A, n_paths, 1), 1),
+    "sample_return_matrix.T": (lambda T: sample_return_matrix(A, T, 3, 1), 1),
+    "sample_return_matrix.n_paths": (lambda n_paths: sample_return_matrix(A, 3, n_paths, 1), 1),
+    "expect_mc.n_paths": (lambda n_paths: expect_mc(A, lambda y: y, n_paths, 1), 2),
 }
 
 
@@ -232,20 +232,27 @@ COUNT_ENTRY_POINTS = {
 @pytest.mark.parametrize("count", [2.5, 2.0, True, "2", np.float64(2.0)],
                          ids=["2.5", "2.0", "True", "str", "float64"])
 def test_counts_must_be_integers(entry, count):
-    # a horizon or member count is refused at entry unless it is an integer,
-    # where 2.5 used to fail late with a TypeError or run as 2
-    with pytest.raises(ValueError, match="must be an integer >= 1"):
-        COUNT_ENTRY_POINTS[entry](count)
-    COUNT_ENTRY_POINTS[entry](np.int64(2))
+    # a horizon, member, path or grid count is refused at entry unless it is
+    # an integer, where 2.5 used to fail late with a TypeError or run as 2
+    call, least = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="must be an integer >= "):
+        call(count)
+    with pytest.raises(ValueError, match=f"must be an integer >= {least}"):
+        call(np.int64(least - 1))
+    call(np.int64(least))
 
 
-def test_run_path_without_returns_is_the_initial_state():
-    cfg = base_config(v0_ind=2.0, c0=0.5, h0=2.0)
-    pool, reports = run_path(cfg, [])
-    assert reports == []
-    assert pool.t == 0 and pool.price == 2.0 and pool.external_support == 0.0
-    assert pool.accounts == tuple(IndividualAccount(1.0, 2.0, 0.1, i) for i in range(3))
-    assert pool.collective == CollectiveAccount(0.25, 0.5)
+def test_run_path_starts_from_the_initial_state():
+    # no returns give no reports; one period at y = 1, inside the corridor,
+    # adds only the premia to the initial values and c0, priced at h0
+    v0, c0, h0, gamma, pi = 2.0, 0.5, 2.0, 0.75, 0.25
+    cfg = base_config(v0_ind=v0, c0=c0, h0=h0, gamma=gamma, pi_ind=pi)
+    assert run_path(cfg, []) == []
+    (rep,) = run_path(cfg, [1.0])
+    assert (rep.price, rep.covered, rep.claims_total, rep.support_added) == (h0, True, 0.0, 0.0)
+    assert [r["eta"] for r in rep.rows] == [(v0 + gamma * pi) / h0] * 3
+    assert [r["transfer_value"] for r in rep.rows] == [0.0] * 3
+    assert rep.rows[0]["theta"] == (c0 + (1 - gamma) * 3 * pi) / h0
 
 
 def test_run_path_rejects_returns_that_are_not_positive():
@@ -349,19 +356,20 @@ def test_indicator_matches_z_star(n, theta, rho, data):
 
 def test_step_conservation_and_accounting():
     cfg = base_config()
-    pool, _ = run_path(cfg, [])
+    eta0, theta0 = start_units(cfg)
     y = 0.8  # breach below: -0.2 < -k
-    new, (rep,) = run_path(cfg, [y])
+    (rep,) = run_path(cfg, [y])
     price = cfg.h0 * y
+    assert rep.price == price
     # unit conservation: transfers move units, premia add them
-    units_before = sum(a.eta for a in pool.accounts) + pool.collective.theta
-    units_after = sum(a.eta for a in new.accounts) + new.collective.theta
+    units_before = sum(eta0) + theta0
+    units_after = sum(r["eta"] for r in rep.rows) + rep.rows[0]["theta"]
     premium_units = cfg.premium_total / price
     assert units_after == pytest.approx(units_before + premium_units, abs=1e-12)
     # value identities
-    for acct in new.accounts:
-        assert acct.value == pytest.approx(acct.eta * price, abs=1e-12)
-    assert new.collective.value == pytest.approx(new.collective.theta * price, abs=1e-12)
+    for r in rep.rows:
+        assert r["V"] == pytest.approx(r["eta"] * price, abs=1e-12)
+        assert r["C"] == pytest.approx(r["theta"] * price, abs=1e-12)
     # every agent breached and was helped
     assert all(r["help_granted"] for r in rep.rows)
     assert rep.claims_total == pytest.approx(3 * 0.5 * 1.0 * 0.1, abs=1e-12)
@@ -369,17 +377,16 @@ def test_step_conservation_and_accounting():
 
 def test_step_give_direction():
     cfg = base_config(policy=CorridorPolicy(k=0.1, give_frac=0.25))
-    pool, _ = run_path(cfg, [])
-    new, (rep,) = run_path(cfg, [1.3])  # +30% breaches the upper boundary
+    (rep,) = run_path(cfg, [1.3])  # +30% breaches the upper boundary
     give = 0.25 * 1.0 * 0.2
     for r in rep.rows:
         assert r["transfer_value"] == pytest.approx(-give, abs=1e-12)
-    assert new.collective.theta > pool.collective.theta
+    assert rep.rows[0]["theta"] > start_units(cfg)[1]
 
 
 def test_step_inside_corridor_no_transfer():
     cfg = base_config()
-    _, (rep,) = run_path(cfg, [1.05])
+    (rep,) = run_path(cfg, [1.05])
     for r in rep.rows:
         assert r["transfer_value"] == 0.0
         assert not r["help_granted"]
@@ -388,19 +395,18 @@ def test_step_inside_corridor_no_transfer():
 def test_always_help_support_counter():
     # tiny buffer, certain breach: collective goes negative, support recorded
     cfg = base_config(c0=0.01, gamma=1.0)
-    new, (rep,) = run_path(cfg, [0.7])
-    assert new.collective.theta < 0
-    assert new.external_support == pytest.approx(-new.collective.theta, abs=1e-12)
-    assert rep.support_added == new.external_support
+    (rep,) = run_path(cfg, [0.7])
+    assert rep.rows[0]["theta"] < 0
+    assert rep.support_added == pytest.approx(-rep.rows[0]["theta"], abs=1e-12)
 
 
 def test_no_help_regime_blocks_uncovered_claims():
     cfg = base_config(regime=NO_HELP_IF_INSUFFICIENT, c0=0.01, gamma=1.0)
-    new, (rep,) = run_path(cfg, [0.7])
+    (rep,) = run_path(cfg, [0.7])
     assert not rep.covered
     assert all(not r["help_granted"] for r in rep.rows)
-    assert new.collective.theta >= 0
-    assert new.external_support == 0.0
+    assert rep.rows[0]["theta"] >= 0
+    assert rep.support_added == 0.0
 
 
 def test_coverage_gate_is_strict():
@@ -425,20 +431,19 @@ def test_index_capped_regime_caps_by_lagged_shares():
         policy=pol, index_source=led, c0=0.05,
     )
     y = 0.7  # claims: 0.5 * 1.0 * 0.2 = 0.1 each in value, pool holds 0.05 units
-    new, (rep,) = run_path(cfg, [y])
+    (rep,) = run_path(cfg, [y])
     assert not rep.covered
     paid = [r["transfer_value"] for r in rep.rows]
     # entire buffer distributed, nothing more
     assert sum(paid) == pytest.approx(0.05 * cfg.h0 * y, abs=1e-12)
     # agent 0 holds 3/4 of the index, agent 1 one quarter
     assert paid[0] == pytest.approx(3 * paid[1], rel=1e-9)
-    assert new.collective.theta == pytest.approx(0.0, abs=1e-12)
+    assert rep.rows[0]["theta"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_run_path_step_count_and_rows():
     cfg = base_config(T=6)
-    final, reports = run_path(cfg, [1.01] * 6)
-    assert final.t == 6
+    reports = run_path(cfg, [1.01] * 6)
     assert len(reports) == 6
     assert all(len(rep.rows) == cfg.n for rep in reports)
     assert [r["t"] for r in reports[2].rows] == [3, 3, 3]
@@ -526,13 +531,10 @@ def fraction_ledger(ids, T=12):
 def test_run_path_matches_scalar_oracle_row_by_row(name, config):
     flags = set()
     for row in sample_return_matrix(STRESSED, config.T, 60, 4):
-        final, reports = run_path(config, row)
-        want_final, want_reports = _scalar_run_path(config, row)
-        assert final.t == want_final.t and final.price == want_final.price
-        assert final.external_support == pytest.approx(want_final.external_support, rel=1e-12)
-        for rep, want in zip(reports, want_reports, strict=True):
-            assert (rep.t, rep.covered) == (want.t, want.covered)
-            assert rep.z_star == pytest.approx(want.z_star, rel=0, abs=1e-15)
+        reports = run_path(config, row)
+        for rep, want in zip(reports, _scalar_run_path(config, row), strict=True):
+            assert (rep.price, rep.covered) == (want.price, want.covered)
+            assert rep.support_added == pytest.approx(want.support_added, rel=1e-12)
             assert rep.claims_total == pytest.approx(want.claims_total, rel=1e-12)
             for r, w in zip(rep.rows, want.rows, strict=True):
                 assert (r["t"], r["owner_id"], r["help_granted"]) == (w["t"], w["owner_id"], w["help_granted"])
@@ -583,6 +585,12 @@ def test_return_blocks_concatenate_to_the_matrix():
         blocks = list(_return_blocks(STRESSED, 5, n_paths, _path_stream(8), BLOCK))
         assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
         assert np.array_equal(np.concatenate(blocks), sample_return_matrix(STRESSED, 5, n_paths, 8))
+
+
+def test_return_blocks_need_a_seed_sequence():
+    # a plain int seed would draw the expect_mc stream, not the path stream
+    with pytest.raises(TypeError, match="SeedSequence"):
+        next(_return_blocks(STRESSED, 2, 3, 8, 3))
 
 
 PIPELINE_CONFIGS = [
@@ -679,6 +687,13 @@ def test_json_ledger_acts_like_python_ledger():
     assert simulate(as_json, STRESSED, 60, 2) == simulate(as_python, STRESSED, 60, 2)
     # one path, member by member, pays the same under both ledgers
     assert run_path(as_json, [0.7, 1.1, 0.8]) == run_path(as_python, [0.7, 1.1, 0.8])
+
+
+def test_ledger_outside_index_capped_help_rejected():
+    # no other regime reads a ledger, so passing one is refused, not ignored
+    for regime in (ALWAYS_HELP, NO_HELP_IF_INSUFFICIENT):
+        with pytest.raises(ValueError, match="reads no index_source ledger"):
+            base_config(regime=regime, index_source=capped_ledger(range(3)))
 
 
 def test_index_capped_needs_a_member_in_the_ledger():
@@ -827,7 +842,7 @@ def test_index_capped_at_money_scale_keeps_the_collective_nonnegative():
     rows = sample_return_matrix(STRESSED, cfg.T, 2000, 0)[failed_rows]
     settled = 0
     for row in rows:
-        _, reports = run_path(cfg, row)
+        reports = run_path(cfg, row)
         settled += sum(not rep.covered and any(r["help_granted"] for r in rep.rows) for rep in reports)
         assert min(rep.rows[0]["theta"] for rep in reports) >= 0
     assert settled > 0
@@ -983,12 +998,12 @@ def test_dp_check_long_horizon_schedule_narrows():
 def test_transfer_conservation_along_path():
     cfg = base_config(T=8, gamma=0.6)
     returns = [0.75, 1.2, 1.0, 0.85, 1.4, 0.95, 1.1, 0.7]
-    start, _ = run_path(cfg, [])
-    final, reports = run_path(cfg, returns)
-    eta_before, theta_before = [a.eta for a in start.accounts], start.collective.theta
+    reports = run_path(cfg, returns)
+    eta_before, theta_before = start_units(cfg)
     price = cfg.h0
     for y, rep in zip(returns, reports, strict=True):
         price *= y
+        assert rep.price == price
         eta, theta = [r["eta"] for r in rep.rows], rep.rows[0]["theta"]
         inflow = cfg.premium_total / price
         assert sum(eta) + theta == pytest.approx(sum(eta_before) + theta_before + inflow, abs=1e-9)
@@ -1000,4 +1015,3 @@ def test_transfer_conservation_along_path():
             net_units * price, abs=1e-9
         )
         eta_before, theta_before = eta, theta
-    assert final.price == price and [a.eta for a in final.accounts] == eta_before
