@@ -403,6 +403,10 @@ def cmd_index(args) -> int:
         return 0
 
     # check
+    if (args.new_id is None) != (args.amount is None):
+        raise CliError("the add check needs both --new-id and --amount")
+    if args.new_id is None and args.join_event is not None:
+        raise CliError("--join-event is read only by the add check: pass --new-id and --amount")
     results = {
         "cont": check_cont(ledger),
         "fix": check_fix(ledger),
@@ -413,10 +417,9 @@ def cmd_index(args) -> int:
         name: {"ok": r.ok, "witness": list(r.witness) if r.witness else None}
         for name, r in results.items()
     }
-    if (args.new_id is None) != (args.amount is None):
-        raise CliError("the add check needs both --new-id and --amount")
     if args.new_id is not None:
-        add = check_add(ledger, args.join_event, args.new_id, args.amount)
+        join_event = 0 if args.join_event is None else args.join_event
+        add = check_add(ledger, join_event, args.new_id, args.amount)
         report["add"] = {"ok": add.ok, "witness": list(add.witness) if add.witness else None}
     else:
         report["add"] = {"ok": None, "witness": None, "note": "pass --new-id/--amount to run"}
@@ -462,19 +465,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(sp, ("out",))
     sp.set_defaults(fn=cmd_settle)
 
-    sp = subs.add_parser("index", help="share ledger operations")
-    sp.add_argument("verb", choices=["update", "check", "show"])
-    sp.add_argument("ledger", help="ledger JSON file")
-    sp.add_argument("--mode", choices=["proportional", "monotone"])
-    sp.add_argument("--t", type=float, help="event time")
-    sp.add_argument("--c-pre", dest="c_pre", type=float, help="pot value before contributions")
-    sp.add_argument("--contribution", action="append", metavar="ID=AMT")
-    sp.add_argument("--a", action="append", metavar="ID=RATE", help="interest factors")
-    sp.add_argument("--new-id", dest="new_id", help="fresh contributor for the add check")
-    sp.add_argument("--amount", type=float, help="contribution for the add check")
-    sp.add_argument("--join-event", dest="join_event", type=int, default=0,
-                    help="event index where the fresh contributor joins")
-    sp.set_defaults(fn=cmd_index)
+    # each verb has its own parser, so a flag of another verb exits 2
+    verbs = subs.add_parser("index", help="share ledger operations").add_subparsers(
+        dest="verb", required=True)
+    update = verbs.add_parser("update", help="record a contribution event")
+    check = verbs.add_parser("check", help="audit the ledger's index properties")
+    show = verbs.add_parser("show", help="print the ledger's indices and shares")
+    for sp in (update, check, show):
+        sp.add_argument("ledger", help="ledger JSON file")
+        sp.set_defaults(fn=cmd_index)
+    update.add_argument("--mode", choices=["proportional", "monotone"])
+    update.add_argument("--t", type=float, help="event time")
+    update.add_argument("--c-pre", dest="c_pre", type=float, help="pot value before contributions")
+    update.add_argument("--contribution", action="append", metavar="ID=AMT")
+    update.add_argument("--a", action="append", metavar="ID=RATE", help="interest factors")
+    check.add_argument("--new-id", dest="new_id", help="fresh contributor for the add check")
+    check.add_argument("--amount", type=float, help="contribution for the add check")
+    check.add_argument("--join-event", dest="join_event", type=int,
+                       help="event index where the fresh contributor joins (default 0)")
 
     return parser
 

@@ -18,13 +18,19 @@ evaluates, in closed form over lognormal partial moments:
 * the auxiliary convex functional `xi` with its closed-form derivatives.
 
 Every one of them is a moment of one piecewise-affine payoff of the gross
-return (`_payoff`, turned into moments by `_moments`).  Each one of a boundary
-takes k as an argument, a scalar (returning a float) or an array (returning an
-array); none reads the k field of `CorridorPolicy`, the boundary a pool runs.
+return (`_payoff`, turned into moments by `_moments` in two steps: the
+normal-CDF rows of its edges, then the moments from those rows).  Each one of
+a boundary takes k as an argument, a scalar (returning a float) or an array
+(returning an array); none reads the k field of `CorridorPolicy`, the boundary
+a pool runs.
 
 Optimizers are grid scans with a zoomed rescan around each peak because the
 objectives can be bimodal; near-equal maxima are reported as ties and resolved
-by the slope of the transfer-only objective `m1`.
+by the slope of the transfer-only objective `m1`.  A search checks its
+arguments once and evaluates its grid and zooms through the unchecked closed
+forms.  The best responses of the fixed point (`_best_responses`) share one
+grid, on which only the gate edge moves with the cutoff c: the rows of the
+other two edges are computed once per fixed point, not once per cutoff.
 
 All evaluation is exact up to normal-CDF accuracy; no quadrature or sampling
 happens here.
@@ -171,26 +177,39 @@ def _payoff(k, help_frac, give_frac, p, c=-1.0, with_return=True):
     return np.array(edges), np.array(const), slope
 
 
-def _moments(params: GbmParams, pieces, second: bool = True):
-    """E[f(Y)] and (when `second`, else 0) E[f(Y)^2] for the pieces of `_payoff`.
+def _edge_rows(params: GbmParams, edges, orders: int = 3) -> list:
+    """The normal-CDF rows of `_moments`: P(Y <= e) under the order-n tilt, n < orders, per edge e.
 
-    Interval masses are `_cum_moment` differences, from one log of the inner
-    edges for every order; the edges 0 and inf need no normal CDF.
+    Each entry depends on its own edge alone, so rows computed apart and
+    stacked along the first axis are the floats of rows computed together.
     """
-    edges, a, b = pieces
     with np.errstate(divide="ignore"):  # an edge at 0 gives -inf
         z = (np.log(edges) - params.mu) / params.sigma
+    return [ndtr(z - n * params.sigma) for n in range(orders)]
 
-    def mass(n):
+
+def _moments_of_rows(params: GbmParams, rows, a, b):
+    """E[f(Y)] and (given three orders of rows, else 0) E[f(Y)^2] for the pieces a, b.
+
+    `rows` are the `_edge_rows` of the pieces' inner edges; interval masses
+    are differences of E[Y^n; Y <= e] = E[Y^n] * row, and the edges 0 and inf
+    need no normal CDF.
+    """
+    p = []
+    for n, row in enumerate(rows):
         full = math.exp(n * params.mu + 0.5 * n * n * params.sigma**2)
-        cum = full * ndtr(z - n * params.sigma)
-        return np.concatenate((cum[:1], cum[1:] - cum[:-1], full - cum[-1:]))
-
-    p0, p1 = mass(0), mass(1)
-    first = (a * p0 + b * p1).sum(axis=0)
-    if not second:
+        cum = full * row
+        p.append(np.concatenate((cum[:1], cum[1:] - cum[:-1], full - cum[-1:])))
+    first = (a * p[0] + b * p[1]).sum(axis=0)
+    if len(p) < 3:
         return first, 0.0
-    return first, (a * a * p0 + 2.0 * a * b * p1 + b * b * mass(2)).sum(axis=0)
+    return first, (a * a * p[0] + 2.0 * a * b * p[1] + b * b * p[2]).sum(axis=0)
+
+
+def _moments(params: GbmParams, pieces, second: bool = True):
+    """E[f(Y)] and (when `second`, else 0) E[f(Y)^2] for the pieces of `_payoff`."""
+    edges, a, b = pieces
+    return _moments_of_rows(params, _edge_rows(params, edges, 3 if second else 2), a, b)
 
 
 def _transfer_slope(params: GbmParams, help_frac, give_frac, p, k):
@@ -316,7 +335,12 @@ def m2_horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
     """The objective of `horizon_objective` with the boundary held at k for T periods."""
     _check_count(T, "T")
     _check_k(k)
-    return _like(k, horizon_objective([_psi(params, policy, k)] * T, policy.alpha))
+    return _like(k, _horizon(params, policy, k, T))
+
+
+def _horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
+    # the objective of `m2_horizon`, unchecked
+    return horizon_objective([_psi(params, policy, k)] * T, policy.alpha)
 
 
 def mp_stationary_points(params: GbmParams, policy: CorridorPolicy) -> list[tuple[float, str]]:
@@ -369,9 +393,10 @@ def _zoom(f: Callable, lo: float, hi: float):
 def _grid_peaks(vs, tie_tol: float) -> list[int]:
     """Indices of the candidates of `_maximize_scalar` among the values vs of its grid."""
     margin = max(10.0 * tie_tol, 1e-3)
-    rising = np.r_[True, vs[1:] >= vs[:-1]]
-    falling = np.r_[vs[:-1] >= vs[1:], True]
-    peaks = np.flatnonzero(rising & falling & (vs >= vs.max() - margin))
+    peak = vs >= vs.max() - margin
+    peak[1:] &= vs[1:] >= vs[:-1]  # rising into the point
+    peak[:-1] &= vs[:-1] >= vs[1:]  # falling out of it
+    peaks = np.flatnonzero(peak)
 
     # merge peaks with no real dip between them: one plateau, one candidate; low is
     # the lowest value from kept peak j to peak m (a peak is not below its left neighbour)
@@ -388,32 +413,37 @@ def _grid_peaks(vs, tie_tol: float) -> list[int]:
     return peaks[merged].tolist()
 
 
-def _maximize_scalar(
-    f: Callable, params: GbmParams, policy: CorridorPolicy, k_min: float | None, grid: int
-) -> OptResult:
-    """Grid scan of `grid` points on [k_min, 1] + local zoom refinement with tie detection.
+def _search_grid(params: GbmParams, policy: CorridorPolicy, k_min: float | None, grid: int):
+    """The `grid` points on [k_min, 1] a boundary search scans; k_min defaults to `admissible_min_k`."""
+    _check_count(grid, "grid", 100)
+    if k_min is None:
+        k_min = admissible_min_k(params, policy)
+    elif not 0.0 <= k_min <= 1.0:
+        raise ValueError("k_min must be in [0, 1]")
+    return np.linspace(float(k_min), 1.0, grid)
 
-    `f` maps an array of k to an array of values; k_min defaults to
-    `admissible_min_k`.  Candidates are competitive grid-local maxima; two of
-    them are distinct only when the grid dips below both by more than TIE_TOL
-    in between, so a numerically flat plateau collapses to one candidate while
-    genuinely separated maxima survive.  Each candidate is refined by `_zoom`
-    to ZOOM_TOL and keeps its grid point if refinement does worse.  Refined
-    candidates within TIE_TOL of the best value and separated by more than
-    TIE_SEPARATION in k count as a tie, resolved by the sign of
+
+def _maximize_scalar(
+    f: Callable, params: GbmParams, policy: CorridorPolicy, ks, vs
+) -> OptResult:
+    """Scan of the values vs = f(ks) on the grid ks of `_search_grid` + local zoom with tie detection.
+
+    `f` maps an array of k to an array of values, unchecked: the caller has
+    checked its arguments once.  Candidates are competitive grid-local maxima;
+    two of them are distinct only when the grid dips below both by more than
+    TIE_TOL in between, so a numerically flat plateau collapses to one
+    candidate while genuinely separated maxima survive.  Each candidate is
+    refined by `_zoom` to ZOOM_TOL and keeps its grid point if refinement does
+    worse.  Refined candidates within TIE_TOL of the best value and separated
+    by more than TIE_SEPARATION in k count as a tie, resolved by the sign of
     `_transfer_slope` at the smaller maximizer: negative slope keeps the
     smaller one, nonnegative the larger.  `_transfer_slope` has the sign of
     m1's slope: m1's slope is it times 1 - J > 0.
     """
-    _check_count(grid, "grid", 100)
-    if k_min is None:
-        k_min = admissible_min_k(params, policy)
-    ks = np.linspace(float(k_min), 1.0, grid)
-    vs = f(ks)
     cands: list[tuple[float, float]] = []
     for best in _grid_peaks(vs, TIE_TOL):
         cand = float(ks[best]), float(vs[best])
-        lo, hi = ks[max(best - 1, 0)], ks[min(best + 1, grid - 1)]
+        lo, hi = ks[max(best - 1, 0)], ks[min(best + 1, len(ks) - 1)]
         if hi > lo:
             zoomed = _zoom(f, lo, hi)
             if zoomed[1] >= cand[1]:
@@ -453,7 +483,9 @@ def maximize_m2(
     `_maximize_scalar` picks the winner.
     """
     _check_count(T, "T")
-    return _maximize_scalar(lambda k: m2_horizon(params, policy, k, T), params, policy, k_min, grid)
+    ks = _search_grid(params, policy, k_min, grid)
+    return _maximize_scalar(
+        lambda k: _horizon(params, policy, k, T), params, policy, ks, _horizon(params, policy, ks, T))
 
 
 def h_payoff(rho, c: float, k: float, policy: CorridorPolicy):
@@ -481,8 +513,52 @@ def n_func(params: GbmParams, policy: CorridorPolicy, c, k):
     if not -1.0 <= c_lo <= c_hi <= 0.0:
         raise ValueError("c must be in [-1, 0]")
     _check_k(k)
+    value = _gated(params, policy, c, k)
+    return _like(value, value)
+
+
+def _check_cutoff(c: float):
+    # the cutoff of one best-response search; a NaN fails the chained comparison
+    if not -1.0 <= c <= 0.0:
+        raise ValueError("c must be in [-1, 0]")
+
+
+def _gated(params: GbmParams, policy: CorridorPolicy, c, k):
+    # the gated objective of `n_func`, unchecked
     s1, s2 = _psi(params, policy, k, c)
-    return _like(s1, s1 - policy.alpha * s2)
+    return s1 - policy.alpha * s2
+
+
+def _gated_on_rows(params: GbmParams, policy: CorridorPolicy, c, ks, lu_rows):
+    """`_gated` at cutoff c on the grid ks, given the `_edge_rows` of the grid's edges L and U.
+
+    Of the edges G <= L <= U only the gate G moves with c, so one cutoff after
+    another adds only the row of G (none for c = -1, which has no gate).
+    """
+    edges, a, b = _payoff(ks, policy.help_frac, policy.give_frac, policy.p, c)
+    rows = lu_rows
+    if len(edges) > 2:
+        rows = [np.concatenate(r) for r in zip(_edge_rows(params, edges[:1]), lu_rows)]
+    s1, s2 = _moments_of_rows(params, rows, a, b)
+    return s1 - policy.alpha * s2
+
+
+def _best_responses(params: GbmParams, policy: CorridorPolicy, grid: int) -> Callable:
+    """c -> `k_of_c` at c, searching one grid for one cutoff after another.
+
+    The grid is checked once and the normal-CDF rows of its edges L and U,
+    which do not depend on c, are computed once (`_gated_on_rows`); each c is
+    checked as it comes.
+    """
+    ks = _search_grid(params, policy, None, grid)
+    lu_rows = _edge_rows(params, _payoff(ks, policy.help_frac, policy.give_frac, policy.p)[0])
+
+    def search(c) -> OptResult:
+        _check_cutoff(c)
+        return _maximize_scalar(lambda k: _gated(params, policy, c, k), params, policy, ks,
+                                _gated_on_rows(params, policy, c, ks, lu_rows))
+
+    return search
 
 
 def k_of_c(
@@ -496,7 +572,10 @@ def k_of_c(
 
     Same search machinery as `maximize_m2` applied to the gated objective.
     """
-    return _maximize_scalar(lambda k: n_func(params, policy, c, k), params, policy, k_min, grid)
+    ks = _search_grid(params, policy, k_min, grid)
+    _check_cutoff(c)
+    return _maximize_scalar(
+        lambda k: _gated(params, policy, c, k), params, policy, ks, _gated(params, policy, c, ks))
 
 
 def xi(params: GbmParams, xp: XiParams, k):

@@ -38,10 +38,10 @@ import numpy as np
 
 from .corridor_math import (
     CorridorPolicy,
+    _best_responses,
     _psi,
     admissible_min_k,
     horizon_objective,
-    k_of_c,
     n_func,
 )
 from .market_model import GbmParams, _check_count, _path_stream, _return_blocks, density_peak
@@ -524,18 +524,18 @@ def fixed_point_barriers(
     Starts at k = 1 (nobody claims) and stops when k moves by less than
     _FIXED_POINT_TOL.  A detected 2-cycle returns the iterate with the larger
     gated objective and sets cycle_flag; running _FIXED_POINT_MAX_ITER
-    iterations without either returns converged = False.  `grid` is the scan
-    of each best response (`k_of_c`).
+    iterations without either returns converged = False.  Each best response
+    is `k_of_c` with this `grid`; the grid's normal-CDF rows that do not depend
+    on c are computed once per call.
     """
-    _check_count(grid, "grid", 100)
+    best_response = _best_responses(params, policy, grid)
     n = len(eta_vec)
-    k_min = admissible_min_k(params, policy)
     k_bar = 1.0
     history = [k_bar]
     c = 0.0
     for it in range(1, _FIXED_POINT_MAX_ITER + 1):
         c = z_star([k_bar] * n, eta_vec, theta, policy.help_frac)
-        k_next = k_of_c(params, policy, c, grid=grid, k_min=k_min).k_star
+        k_next = best_response(c).k_star
         if abs(k_next - k_bar) < _FIXED_POINT_TOL:
             c_final = z_star([k_next] * n, eta_vec, theta, policy.help_frac)
             return FixedPointResult(k_next, c_final, it, True, False)

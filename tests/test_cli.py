@@ -379,6 +379,35 @@ def test_index_check_add_needs_both_flags(tmp_path, capsys):
         assert out == "" and "--new-id" in err and "--amount" in err
     code, out = run(capsys, "index", "check", str(led))
     assert code == 0 and out["add"]["ok"] is None
+    # --join-event places the add check's contributor, so alone it would be ignored
+    assert cli.main(["index", "check", str(led), "--join-event", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--join-event" in err
+    code, out = run(capsys, "index", "check", str(led), "--new-id", "9", "--amount", "10",
+                    "--join-event", "0")
+    assert code == 0 and out["add"]["ok"] is True
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("show", ["--new-id", "9", "--amount", "3", "--t", "7", "--contribution", "1=2"]),
+    ("show", ["--mode", "monotone"]),
+    ("check", ["--t", "7"]),
+    ("check", ["--contribution", "1=2"]),
+    ("update", ["--new-id", "9"]),
+    ("update", ["--join-event", "0"]),
+])
+def test_index_verbs_refuse_flags_they_do_not_read(verb, flags, tmp_path, capsys):
+    led = tmp_path / "led.json"
+    code, _ = run(capsys, "index", "update", str(led), "--mode", "proportional",
+                  "--t", "1", "--c-pre", "0", "--contribution", "1=100")
+    assert code == 0
+    before = led.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["index", verb, str(led), *flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flags[0]}" in err
+    assert led.read_bytes() == before
 
 
 def test_index_errors(tmp_path, capsys):

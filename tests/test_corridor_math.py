@@ -10,7 +10,10 @@ from corridor_pension.corridor_math import (
     LHS_TOL,
     CorridorPolicy,
     XiParams,
+    _edge_rows,
+    _gated_on_rows,
     _grid_peaks,
+    _payoff,
     _psi,
     _transfer_mean,
     admissible_min_k,
@@ -31,6 +34,7 @@ from corridor_pension.corridor_math import (
     xi_d1,
     xi_d2,
 )
+from corridor_pension import corridor_math
 from corridor_pension.market_model import GbmParams, _cum_moment, expect_quad, partial_moment
 
 A = GbmParams(0.045, 0.06)
@@ -307,6 +311,11 @@ def test_closed_forms_are_the_floats_of_cum_moment_per_edge(mu, sigma, give, hel
     # a cutoff per k, as the best-response scan passes them
     cs = np.linspace(-1.0, 0.0, np.size(k))
     assert _same(_psi(params, pol, k, cs)[1], ref(cs)[1])
+    # one cutoff after another on the rows of L and U computed once, as the
+    # fixed point's searches evaluate their grid
+    lu_rows = _edge_rows(params, _payoff(k, pol.help_frac, pol.give_frac, pol.p)[0])
+    for cut in (c, -1.0, 0.0, c, -1.0):
+        assert _same(_gated_on_rows(params, pol, cut, k, lu_rows), n_func(params, pol, cut, k))
 
 
 def _merge_by_slices(vs, tie_tol):
@@ -397,6 +406,38 @@ def test_maximize_m2_validation():
             maximize_m2(A, POL4, T=T)
         with pytest.raises(ValueError):
             m2_horizon(A, POL4, 0.1, T)
+
+
+def test_searches_refuse_k_min_and_c_outside_their_range():
+    # checked once per search; a NaN fails the chained comparison
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="k_min"):
+            maximize_m2(A, POL4, k_min=bad)
+        with pytest.raises(ValueError, match="k_min"):
+            k_of_c(A, POL4, -0.2, k_min=bad)
+        with pytest.raises(ValueError, match="k_min"):
+            maximize_m2(A, POL4, k_min=bad, T=20)
+    for bad in (0.1, -1.5, math.nan):
+        with pytest.raises(ValueError, match="c must be"):
+            k_of_c(A, POL4, bad)
+        with pytest.raises(ValueError, match="c must be"):
+            k_of_c(A, POL4, bad, k_min=0.0)
+
+
+def test_searches_check_their_arguments_once(monkeypatch):
+    # a search checks k_min, T and the grid at entry, not at each of its
+    # hundreds of grid and zoom evaluations
+    calls = {"_check_k": 0, "_check_count": 0}
+    for name in calls:
+        def counted(*args, name=name, check=getattr(corridor_math, name)):
+            calls[name] += 1
+            return check(*args)
+        monkeypatch.setattr(corridor_math, name, counted)
+    maximize_m2(B, POLB, T=20)
+    assert (calls["_check_k"], calls["_check_count"]) == (0, 2)  # T and grid
+    calls.update(_check_k=0, _check_count=0)
+    k_of_c(B, POLB, -0.02, k_min=0.05)
+    assert (calls["_check_k"], calls["_check_count"]) == (0, 1)  # grid
 
 
 def test_maximize_m2_respects_k_min():

@@ -871,6 +871,45 @@ def test_fixed_point_converges_and_is_consistent():
     assert n_func(A, pol, res.c, res.k_bar) >= max(vals) - 1e-9
 
 
+def _fixed_point_by_k_of_c(params, policy, eta, theta):
+    # the fixed point written out with one public `k_of_c` search per iteration,
+    # each computing every normal-CDF row of its grid: the oracle for the
+    # iteration that computes the rows of L and U once per call
+    n, tol = len(eta), pool_simulator._FIXED_POINT_TOL
+    k_min = admissible_min_k(params, policy)
+    k_bar, history = 1.0, [1.0]
+    for it in range(1, pool_simulator._FIXED_POINT_MAX_ITER + 1):
+        c = z_star([k_bar] * n, eta, theta, policy.help_frac)
+        k_next = k_of_c(params, policy, c, k_min=k_min).k_star
+        if abs(k_next - k_bar) < tol:
+            return k_next, z_star([k_next] * n, eta, theta, policy.help_frac), it, True, False
+        if len(history) >= 2 and abs(k_next - history[-2]) < tol:
+            cand = []
+            for kk in (k_bar, k_next):
+                cz = z_star([kk] * n, eta, theta, policy.help_frac)
+                cand.append((n_func(params, policy, cz, kk), kk, cz))
+            _, kk, cz = max(cand)
+            return kk, cz, it, True, True
+        history.append(k_next)
+        k_bar = k_next
+    return k_bar, c, pool_simulator._FIXED_POINT_MAX_ITER, False, False
+
+
+@pytest.mark.parametrize("params, policy, iterations, cycle", [
+    # acceptance 2: a 2-cycle
+    (A, CorridorPolicy(alpha=4.0), 3, True),
+    # the tie market
+    (GbmParams(0.06, 0.09328707495450515), CorridorPolicy(alpha=2.0), 9, False),
+    # gives less than it takes, so its smallest admissible boundary is above 0
+    (GbmParams(0.045, 0.14), CorridorPolicy(give_frac=0.1, p=1.8, alpha=2.0), 2, False),
+])
+def test_fixed_point_is_the_loop_of_k_of_c_searches(params, policy, iterations, cycle):
+    eta, theta = [1.0] * 10, 0.2
+    res = fixed_point_barriers(params, policy, eta, theta)
+    assert (res.iterations, res.cycle_flag) == (iterations, cycle)
+    assert astuple(res) == _fixed_point_by_k_of_c(params, policy, eta, theta)
+
+
 def test_improvement_bound_formula():
     pol = CorridorPolicy(alpha=1.5, help_frac=0.5)
     eta = [1.0, 2.0, 0.5]
