@@ -178,9 +178,9 @@ def cmd_profitability(args) -> int:
 
     values = _settings(args)
     params, policy = _market_policy(values)
-    out = _out_dir(values)
     ks = np.linspace(0.0, 1.0, values["grid"])
     lhs = profitability_lhs(params, policy, ks)
+    out = _out_dir(values)
     rows = [[f"{k:.10g}", f"{v:.17g}", int(v <= LHS_TOL)] for k, v in zip(ks, lhs)]
     _write_csv(out / "profitability.csv", ["k", "lhs", "admissible"], rows)
     k_min = admissible_min_k(params, policy)
@@ -205,7 +205,6 @@ def cmd_optimize(args) -> int:
 
     values = _settings(args)
     params, policy = _market_policy(values)
-    out = _out_dir(values)
     grid, c, horizon = values["grid"], values.get("c"), values["horizon"]
 
     k_min = admissible_min_k(params, policy)
@@ -220,6 +219,7 @@ def cmd_optimize(args) -> int:
     if include_gated:
         columns.append(n_func(params, policy, c, ks))
     admissible = profitability_lhs(params, policy, ks) <= LHS_TOL
+    out = _out_dir(values)
     rows = [
         [f"{k:.10g}", *(f"{v:.17g}" for v in vals), int(ok)]
         for k, *vals, ok in zip(ks, *columns, admissible)

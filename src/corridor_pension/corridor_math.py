@@ -18,19 +18,21 @@ evaluates, in closed form over lognormal partial moments:
 * the auxiliary convex functional `xi` with its closed-form derivatives.
 
 Every one of them is a moment of one piecewise-affine payoff of the gross
-return (`_payoff`, turned into moments by `_moments` in two steps: the
-normal-CDF rows of its edges, then the moments from those rows).  Each one of
-a boundary takes k as an argument, a scalar (returning a float) or an array
-(returning an array); none reads the k field of `CorridorPolicy`, the boundary
-a pool runs.
+return, evaluated by `_PayoffMoments`: built once per search for its market,
+policy, cutoff and moment orders, then called on arrays of k, each call one
+normal-CDF evaluation over all its edges and orders.  Each one of a boundary
+takes k as an argument, a scalar (returning a float) or an array (returning
+an array); none reads the k field of `CorridorPolicy`, the boundary a pool
+runs.
 
 Optimizers are grid scans with a zoomed rescan around each peak because the
 objectives can be bimodal; near-equal maxima are reported as ties and resolved
 by the slope of the transfer-only objective `m1`.  A search checks its
-arguments once and evaluates its grid and zooms through the unchecked closed
-forms.  The best responses of the fixed point (`_best_responses`) share one
-grid, on which only the gate edge moves with the cutoff c: the rows of the
-other two edges are computed once per fixed point, not once per cutoff.
+arguments once and evaluates its grid and zooms through one unchecked
+evaluator.  The best responses of the fixed point (`_best_responses`) share
+one grid, on which only the gate edge moves with the cutoff c: the normal-CDF
+rows of the other two edges are computed once per fixed point and handed to
+the evaluator of each cutoff.
 
 All evaluation is exact up to normal-CDF accuracy; no quadrature or sampling
 happens here.
@@ -45,7 +47,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .market_model import GbmParams, _check_count, _cum_moment, density
+from .market_model import GbmParams, _check_count, _moment_scale, density
 
 __all__ = [
     "CorridorPolicy",
@@ -152,87 +154,91 @@ class M1Result:
     value_at_one: float
 
 
-def _payoff(k, help_frac, give_frac, p, c=-1.0, with_return=True):
-    """Affine pieces of r*(y - 1) + t(y) in the gross return y, r = 1 or 0.
+class _PayoffMoments:
+    """k -> (E[f(Y)], E[f(Y)^2]) for the piecewise-affine payoff f = r*(Y - 1) + t(Y), r = 1 or 0.
 
-    The transfer t(y) is help_frac*(L - y) on (G, L] and -give_frac*(y - U) on
-    (U, inf), zero elsewhere, with L = 1 - k, U = 1 + k*p and the help gate
-    G = clip(1 + c, 0, L); c = -1 means no gate.  Returns the inner edges
-    G <= L <= U of the intervals splitting (0, inf), without G and the empty
-    (0, G] when ungated, and each interval's constant and slope, stacked along
-    a first axis in front of the broadcast shape of k and c.
+    t(y) is help_frac*(L - y) on (G, L] and -give_frac*(y - U) on (U, inf),
+    zero elsewhere, with L = 1 - k, U = 1 + k*p and the gate G = clip(1 + c,
+    0, L); c = -1 (no gate) leaves out G and the empty piece (0, G].  Built
+    once per search for its market, policy, cutoff c (an array of c
+    broadcasts with k), return and orders (2: the mean, second reads 0.0); each
+    call's interval masses are differences of E[Y^n; Y <= e] = E[Y^n] P(Y <= e)
+    under the order-n tilt, one ndtr call for all inner edges e and orders n.
     """
-    k = np.asarray(k, dtype=float)
-    if not np.isscalar(c):
-        k, c = np.broadcast_arrays(k, np.asarray(c, dtype=float))
-    L, U = 1.0 - k, 1.0 + k * p
-    r = 1.0 if with_return else 0.0
-    edges, const = [L, U], [help_frac * L - r, np.full_like(k, -r), give_frac * U - r]
-    slope = [r - help_frac, r, r - give_frac]
-    if not (np.isscalar(c) and c == -1.0):
-        # np.clip(1 + c, 0, L) costs several times as much per call
-        edges = [np.minimum(np.maximum(1.0 + c, 0.0), L)] + edges
-        const, slope = [np.full_like(k, -r)] + const, [r] + slope
-    slope = np.array(slope).reshape((len(slope),) + (1,) * k.ndim)
-    return np.array(edges), np.array(const), slope
 
+    def __init__(self, params: GbmParams, policy: CorridorPolicy, c=-1.0, with_return=True,
+                 orders: int = 3):
+        self.params, self.orders = params, orders
+        self.r = r = 1.0 if with_return else 0.0
+        self.gate = None if np.isscalar(c) and c == -1.0 else np.maximum(np.add(1.0, c), 0.0)
+        g = self.gate is not None  # the piece (0, G] comes first
+        self.b = np.array([r] * g + [r - policy.help_frac, r, r - policy.give_frac])[:, None]
+        self.b2 = self.b * self.b
+        # per piece, its edge row 1 + side*k (G before the gate, L, U, U) and constant fracs*row - r
+        self.side = np.array([-1.0] * g + [-1.0, policy.p, policy.p])[:, None]
+        self.fracs = np.array([0.0] * g + [policy.help_frac, 0.0, policy.give_frac])[:, None]
+        self.shift = (np.arange(orders) * params.sigma)[:, None, None]
+        self.scale = np.array([_moment_scale(params, n) for n in range(orders)])[:, None, None]
 
-def _edge_rows(params: GbmParams, edges, orders: int = 3) -> list:
-    """The normal-CDF rows of `_moments`: P(Y <= e) under the order-n tilt, n < orders, per edge e.
+    def _pieces(self, k):
+        # the shape of k and c broadcast, and over them flattened the inner edges and the constants
+        k = np.asarray(k, dtype=float)
+        gate = self.gate
+        if gate is not None and gate.ndim:
+            k, gate = np.broadcast_arrays(k, gate)
+            gate = gate.ravel()
+        rows = self.side * k.ravel()  # 1 + (-1)*k is 1 - k to the last bit
+        rows += 1.0
+        if gate is not None:
+            # np.clip(1 + c, 0, L) costs several times as much per call
+            np.minimum(gate, rows[0], out=rows[0])
+        a = self.fracs * rows
+        a -= self.r
+        return k.shape, rows[:-1], a
 
-    Each entry depends on its own edge alone, so rows computed apart and
-    stacked along the first axis are the floats of rows computed together.
-    """
-    with np.errstate(divide="ignore"):  # an edge at 0 gives -inf
-        z = (np.log(edges) - params.mu) / params.sigma
-    return [ndtr(z - n * params.sigma) for n in range(orders)]
+    def _cdf(self, edges, out=None):
+        # P(Y <= e) under the order-n tilt, n < orders, for each edge e: one ndtr call
+        with np.errstate(divide="ignore"):  # an edge at 0 gives -inf
+            z = np.log(edges)
+        z -= self.params.mu
+        z /= self.params.sigma
+        return ndtr(z - self.shift, out=out)
 
+    def rows(self, k):
+        """The normal-CDF rows of the edges L and U of k: the `lu`, free of c, of a call on k."""
+        return self._cdf(self._pieces(k)[1][-2:])
 
-def _moments_of_rows(params: GbmParams, rows, a, b):
-    """E[f(Y)] and (given three orders of rows, else 0) E[f(Y)^2] for the pieces a, b.
-
-    `rows` are the `_edge_rows` of the pieces' inner edges; interval masses
-    are differences of E[Y^n; Y <= e] = E[Y^n] * row, and the edges 0 and inf
-    need no normal CDF.
-    """
-    p = []
-    for n, row in enumerate(rows):
-        full = math.exp(n * params.mu + 0.5 * n * n * params.sigma**2)
-        cum = full * row
-        p.append(np.concatenate((cum[:1], cum[1:] - cum[:-1], full - cum[-1:])))
-    first = (a * p[0] + b * p[1]).sum(axis=0)
-    if len(p) < 3:
-        return first, 0.0
-    return first, (a * a * p[0] + 2.0 * a * b * p[1] + b * b * p[2]).sum(axis=0)
-
-
-def _moments(params: GbmParams, pieces, second: bool = True):
-    """E[f(Y)] and (when `second`, else 0) E[f(Y)^2] for the pieces of `_payoff`."""
-    edges, a, b = pieces
-    return _moments_of_rows(params, _edge_rows(params, edges, 3 if second else 2), a, b)
+    def __call__(self, k, lu=None):
+        shape, edges, a = self._pieces(k)
+        cdf = np.empty((self.orders, len(edges) + 2, edges.shape[1]))
+        cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+        if lu is None:
+            self._cdf(edges, cdf[:, 1:-1])
+        else:  # only the gate's row is new
+            cdf[:, -3:-1] = lu
+            if self.gate is not None:
+                self._cdf(edges[:1], cdf[:, 1:2])
+        cdf *= self.scale
+        mass = cdf[:, 1:] - cdf[:, :-1]
+        first = (a * mass[0] + self.b * mass[1]).sum(axis=0).reshape(shape)
+        if self.orders < 3:
+            return first, 0.0
+        second = a * a * mass[0] + 2.0 * a * self.b * mass[1] + self.b2 * mass[2]
+        return first, second.sum(axis=0).reshape(shape)
 
 
 def _transfer_slope(params: GbmParams, help_frac, give_frac, p, k):
     """d/dk of E[t(Y)] without a gate: -help_frac P(Y <= L) + give_frac p P(Y > U).
 
     The upper tail comes from the complementary CDF, so it does not cancel to
-    0 while the lower tail is still positive.
+    0 while the lower tail is still positive.  Both tails are one ndtr call.
     """
     k = np.asarray(k, dtype=float)
-    below = _cum_moment(params, 0, 1.0 - k)
-    above = ndtr((params.mu - np.log(1.0 + k * p)) / params.sigma)
+    with np.errstate(divide="ignore"):  # L = 0 at k = 1
+        z = (np.log([1.0 - k, 1.0 + k * p]) - params.mu) / params.sigma
+    z[1] = -z[1]  # (mu - ln U) / sigma: negation is exact
+    below, above = ndtr(z)
     return -help_frac * below + give_frac * p * above
-
-
-def _psi(params: GbmParams, policy: CorridorPolicy, k, c=-1.0):
-    # (E[g], E[g^2]) of the relative change g(Y) = Y - 1 + t(Y), help gated at c
-    return _moments(params, _payoff(k, policy.help_frac, policy.give_frac, policy.p, c))
-
-
-def _transfer_mean(params: GbmParams, policy: CorridorPolicy, k):
-    # E[t(Y)]: the collective's expected outflow per unit of account value
-    pieces = _payoff(k, policy.help_frac, policy.give_frac, policy.p, with_return=False)
-    return _moments(params, pieces, second=False)[0]
 
 
 def _like(k, x):
@@ -249,13 +255,13 @@ def _check_k(k):
 def psi1(params: GbmParams, policy: CorridorPolicy, k):
     """Mean of the transfer-adjusted relative account change over one period."""
     _check_k(k)
-    return _like(k, _psi(params, policy, k)[0])
+    return _like(k, _PayoffMoments(params, policy)(k)[0])
 
 
 def psi2(params: GbmParams, policy: CorridorPolicy, k):
     """Raw second moment of the transfer-adjusted relative account change."""
     _check_k(k)
-    return _like(k, _psi(params, policy, k)[1])
+    return _like(k, _PayoffMoments(params, policy)(k)[1])
 
 
 def profitability_lhs(params: GbmParams, policy: CorridorPolicy, k):
@@ -265,7 +271,7 @@ def profitability_lhs(params: GbmParams, policy: CorridorPolicy, k):
     admissible iff this is <= 0 (the collective does not lose in expectation).
     """
     _check_k(k)
-    return _like(k, _transfer_mean(params, policy, k))
+    return _like(k, _PayoffMoments(params, policy, with_return=False, orders=2)(k)[0])
 
 
 def _bisect(inside: Callable, lo, hi, tol: float):
@@ -287,9 +293,10 @@ def admissible_min_k(params: GbmParams, policy: CorridorPolicy) -> float:
     -give_frac * E[(Y-1-p)+] <= 0.  Coarse scan for the first sign change,
     then bisection to K_MIN_TOL.
     """
+    mean = _PayoffMoments(params, policy, with_return=False, orders=2)  # E[t(Y)]
 
     def admissible(k):
-        return _transfer_mean(params, policy, k) <= LHS_TOL
+        return mean(k)[0] <= LHS_TOL
 
     ks = np.linspace(0.0, 1.0, 2001)
     ok = admissible(ks)
@@ -307,8 +314,7 @@ def m1(params: GbmParams, policy: CorridorPolicy, k):
 def m2(params: GbmParams, policy: CorridorPolicy, k):
     """Mean-minus-weighted-second-moment objective at boundary k."""
     _check_k(k)
-    s1, s2 = _psi(params, policy, k)
-    return _like(k, s1 - policy.alpha * s2)
+    return _like(k, _objective(params, policy)(k))
 
 
 def horizon_objective(
@@ -325,7 +331,9 @@ def horizon_objective(
     m, gain, pen = v0, 0.0, 0.0
     for s1, s2 in moments:
         pen += m * s2
-        growth = gamma_pi + m * s1
+        growth = m * s1
+        if gamma_pi:  # skipped at 0: 0.0 + growth changes no sum but a zero's sign
+            growth += gamma_pi
         gain += growth
         m += growth
     return gain - alpha * pen
@@ -335,12 +343,13 @@ def m2_horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
     """The objective of `horizon_objective` with the boundary held at k for T periods."""
     _check_count(T, "T")
     _check_k(k)
-    return _like(k, _horizon(params, policy, k, T))
+    return _like(k, _horizon(params, policy, T)(k))
 
 
-def _horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
-    # the objective of `m2_horizon`, unchecked
-    return horizon_objective([_psi(params, policy, k)] * T, policy.alpha)
+def _horizon(params: GbmParams, policy: CorridorPolicy, T: int) -> Callable:
+    # k -> the objective of `m2_horizon`, unchecked, through one evaluator
+    moments = _PayoffMoments(params, policy)
+    return lambda k: horizon_objective([moments(k)] * T, policy.alpha)
 
 
 def mp_stationary_points(params: GbmParams, policy: CorridorPolicy) -> list[tuple[float, str]]:
@@ -382,7 +391,9 @@ def maximize_m1(
 def _zoom(f: Callable, lo: float, hi: float):
     """Maximize f on [lo, hi], rescanning 65 points around the best to a bracket <= ZOOM_TOL."""
     while True:
-        ks = np.linspace(lo, hi, 65)
+        # np.linspace(lo, hi, 65), the same floats without its overhead
+        ks = np.arange(65.0) * ((hi - lo) / 64) + lo
+        ks[-1] = hi
         vs = f(ks)
         i = int(np.argmax(vs))
         if hi - lo <= ZOOM_TOL:
@@ -484,8 +495,8 @@ def maximize_m2(
     """
     _check_count(T, "T")
     ks = _search_grid(params, policy, k_min, grid)
-    return _maximize_scalar(
-        lambda k: _horizon(params, policy, k, T), params, policy, ks, _horizon(params, policy, ks, T))
+    objective = _horizon(params, policy, T)
+    return _maximize_scalar(objective, params, policy, ks, objective(ks))
 
 
 def h_payoff(rho, c: float, k: float, policy: CorridorPolicy):
@@ -513,7 +524,7 @@ def n_func(params: GbmParams, policy: CorridorPolicy, c, k):
     if not -1.0 <= c_lo <= c_hi <= 0.0:
         raise ValueError("c must be in [-1, 0]")
     _check_k(k)
-    value = _gated(params, policy, c, k)
+    value = _objective(params, policy, c)(k)
     return _like(value, value)
 
 
@@ -523,40 +534,31 @@ def _check_cutoff(c: float):
         raise ValueError("c must be in [-1, 0]")
 
 
-def _gated(params: GbmParams, policy: CorridorPolicy, c, k):
-    # the gated objective of `n_func`, unchecked
-    s1, s2 = _psi(params, policy, k, c)
-    return s1 - policy.alpha * s2
+def _objective(params: GbmParams, policy: CorridorPolicy, c=-1.0) -> Callable:
+    # (k, lu=None) -> the objective of `n_func` (`m2` at c = -1), unchecked, by one evaluator
+    moments = _PayoffMoments(params, policy, c)
 
+    def objective(k, lu=None):
+        s1, s2 = moments(k, lu)
+        return s1 - policy.alpha * s2
 
-def _gated_on_rows(params: GbmParams, policy: CorridorPolicy, c, ks, lu_rows):
-    """`_gated` at cutoff c on the grid ks, given the `_edge_rows` of the grid's edges L and U.
-
-    Of the edges G <= L <= U only the gate G moves with c, so one cutoff after
-    another adds only the row of G (none for c = -1, which has no gate).
-    """
-    edges, a, b = _payoff(ks, policy.help_frac, policy.give_frac, policy.p, c)
-    rows = lu_rows
-    if len(edges) > 2:
-        rows = [np.concatenate(r) for r in zip(_edge_rows(params, edges[:1]), lu_rows)]
-    s1, s2 = _moments_of_rows(params, rows, a, b)
-    return s1 - policy.alpha * s2
+    return objective
 
 
 def _best_responses(params: GbmParams, policy: CorridorPolicy, grid: int) -> Callable:
     """c -> `k_of_c` at c, searching one grid for one cutoff after another.
 
     The grid is checked once and the normal-CDF rows of its edges L and U,
-    which do not depend on c, are computed once (`_gated_on_rows`); each c is
-    checked as it comes.
+    which do not depend on c, are computed once; each cutoff adds the row of
+    its gate G (none for c = -1, which has no gate) and is checked as it comes.
     """
     ks = _search_grid(params, policy, None, grid)
-    lu_rows = _edge_rows(params, _payoff(ks, policy.help_frac, policy.give_frac, policy.p)[0])
+    lu = _PayoffMoments(params, policy).rows(ks)
 
     def search(c) -> OptResult:
         _check_cutoff(c)
-        return _maximize_scalar(lambda k: _gated(params, policy, c, k), params, policy, ks,
-                                _gated_on_rows(params, policy, c, ks, lu_rows))
+        objective = _objective(params, policy, c)
+        return _maximize_scalar(objective, params, policy, ks, objective(ks, lu))
 
     return search
 
@@ -574,15 +576,15 @@ def k_of_c(
     """
     ks = _search_grid(params, policy, k_min, grid)
     _check_cutoff(c)
-    return _maximize_scalar(
-        lambda k: _gated(params, policy, c, k), params, policy, ks, _gated(params, policy, c, ks))
+    objective = _objective(params, policy, c)
+    return _maximize_scalar(objective, params, policy, ks, objective(ks))
 
 
 def xi(params: GbmParams, xp: XiParams, k):
     """E[rho + (1/a)(-rho-k)+ - (1/b)(rho-k)+] with symmetric boundaries."""
     _check_k(k)
-    pieces = _payoff(k, 1.0 / xp.a, 1.0 / xp.b, 1.0)
-    return _like(k, _moments(params, pieces, second=False)[0])
+    pol = CorridorPolicy(give_frac=1.0 / xp.b, help_frac=1.0 / xp.a)
+    return _like(k, _PayoffMoments(params, pol, orders=2)(k)[0])
 
 
 def xi_d1(params: GbmParams, xp: XiParams, k):

@@ -108,11 +108,19 @@ def partial_moment(params: GbmParams, order: int, lo: float, hi: float) -> float
 
 def _cum_moment(params: GbmParams, n: int, c):
     # E[Y^n 1{Y <= c}] elementwise over a scalar or array c: c <= 0 gives 0,
-    # c = inf the full moment exp(n mu + n^2 sigma^2 / 2)
-    scale = math.exp(n * params.mu + 0.5 * n * n * params.sigma**2)
+    # c = inf the full moment `_moment_scale`
+    scale = _moment_scale(params, n)
     with np.errstate(divide="ignore"):
         z = (np.log(np.maximum(c, 0.0)) - params.mu) / params.sigma - n * params.sigma
     return scale * ndtr(z)
+
+
+def _moment_scale(params: GbmParams, n: int) -> float:
+    # E[Y^n] = exp(n mu + n^2 sigma^2 / 2); a market where it overflows a float is invalid input
+    try:
+        return math.exp(n * params.mu + 0.5 * n * n * params.sigma**2)
+    except OverflowError:
+        raise ValueError(f"E[Y^{n}] overflows a float for {params}") from None
 
 
 def _check_count(value, name: str, least: int = 1):

@@ -38,8 +38,8 @@ import numpy as np
 
 from .corridor_math import (
     CorridorPolicy,
+    _PayoffMoments,
     _best_responses,
-    _psi,
     admissible_min_k,
     horizon_objective,
     n_func,
@@ -219,19 +219,23 @@ def z_star(
     if not (np.all((0.0 <= ks) & (ks <= 1.0)) and np.all((0.0 <= etas) & (etas < np.inf))
             and 0 <= theta < math.inf and help_frac >= 0):
         raise ValueError("invalid pool state")
-    if help_frac <= 0:
-        z = np.full(ks.shape[:-1], -1.0)
-    else:
-        buffer = theta / help_frac  # 2*theta at the default help fraction
-        # per-boundary weighted shortfall of everyone with a tighter corridor
-        short = np.maximum(ks[..., :, None] - ks[..., None, :], 0.0) @ etas
-        active = buffer * (1.0 - ks) - short >= 0.0
-        denom = buffer + np.where(active, etas, 0.0).sum(axis=-1)
-        num = buffer + np.where(active, etas * ks, 0.0).sum(axis=-1)
-        some = denom > 0  # no buffer and nobody active: nothing is ever covered
-        # + 0.0 reports a zero threshold as 0.0, never -0.0
-        z = np.where(some, np.clip(-num / np.where(some, denom, 1.0), -1.0, 0.0) + 0.0, -1.0)
+    z = _threshold(ks, etas, theta, help_frac)
     return float(z) if ks.ndim == 1 else z
+
+
+def _threshold(ks: np.ndarray, etas: np.ndarray, theta: float, help_frac: float) -> np.ndarray:
+    # the body of `z_star` on checked arrays, one threshold per profile
+    if help_frac <= 0:
+        return np.full(ks.shape[:-1], -1.0)
+    buffer = theta / help_frac  # 2*theta at the default help fraction
+    # per-boundary weighted shortfall of everyone with a tighter corridor
+    short = np.maximum(ks[..., :, None] - ks[..., None, :], 0.0) @ etas
+    active = buffer * (1.0 - ks) - short >= 0.0
+    denom = buffer + np.where(active, etas, 0.0).sum(axis=-1)
+    num = buffer + np.where(active, etas * ks, 0.0).sum(axis=-1)
+    some = denom > 0  # no buffer and nobody active: nothing is ever covered
+    # + 0.0 reports a zero threshold as 0.0, never -0.0
+    return np.where(some, np.clip(-num / np.where(some, denom, 1.0), -1.0, 0.0) + 0.0, -1.0)
 
 
 def _coverage_ok(theta_prev, rho, claims_weighted, help_frac):
@@ -526,30 +530,31 @@ def fixed_point_barriers(
     gated objective and sets cycle_flag; running _FIXED_POINT_MAX_ITER
     iterations without either returns converged = False.  Each best response
     is `k_of_c` with this `grid`; the grid's normal-CDF rows that do not depend
-    on c are computed once per call.
+    on c are computed once per call, and the pool (eta_vec, theta) checked once.
     """
+    etas = np.asarray(eta_vec, dtype=float)
+    c = z_star(np.ones(len(etas)), etas, theta, policy.help_frac)
+    def threshold(k):  # the common threshold of everyone at k, unchecked
+        return float(_threshold(np.full(len(etas), k), etas, theta, policy.help_frac))
     best_response = _best_responses(params, policy, grid)
-    n = len(eta_vec)
     k_bar = 1.0
     history = [k_bar]
-    c = 0.0
     for it in range(1, _FIXED_POINT_MAX_ITER + 1):
-        c = z_star([k_bar] * n, eta_vec, theta, policy.help_frac)
         k_next = best_response(c).k_star
         if abs(k_next - k_bar) < _FIXED_POINT_TOL:
-            c_final = z_star([k_next] * n, eta_vec, theta, policy.help_frac)
-            return FixedPointResult(k_next, c_final, it, True, False)
+            return FixedPointResult(k_next, threshold(k_next), it, True, False)
         if len(history) >= 2 and abs(k_next - history[-2]) < _FIXED_POINT_TOL:
             # 2-cycle: keep whichever iterate scores higher on its own gated objective
             cand = []
             for kk in (k_bar, k_next):
-                cz = z_star([kk] * n, eta_vec, theta, policy.help_frac)
+                cz = threshold(kk)
                 cand.append((n_func(params, policy, cz, kk), kk, cz))
             val, kk, cz = max(cand)
             return FixedPointResult(kk, cz, it, True, True)
         history.append(k_next)
-        k_bar = k_next
-    return FixedPointResult(k_bar, c, _FIXED_POINT_MAX_ITER, False, False)
+        k_bar, c = k_next, threshold(k_next)
+    # the threshold of the last search, not yet of its answer k_bar
+    return FixedPointResult(k_bar, threshold(history[-2]), _FIXED_POINT_MAX_ITER, False, False)
 
 
 def improvement_bound(
@@ -632,7 +637,7 @@ def dp_check(
         raise ValueError("dp_check needs finite nonnegative v0 and gamma_pi")
     k_min = admissible_min_k(params, policy)
     ks = np.linspace(k_min, 1.0, grid)
-    s1, s2 = _psi(params, policy, ks)
+    s1, s2 = _PayoffMoments(params, policy)(ks)
     a, b, schedule = 1.0, 0.0, []
     for _ in range(T):
         vals = a * (1.0 + s1) - policy.alpha * s2

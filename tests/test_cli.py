@@ -476,6 +476,20 @@ def test_invalid_parameter_exit(capsys):
         assert code == 2, argv
 
 
+def test_a_market_whose_moment_overflows_exits_2_without_output(tmp_path, capsys):
+    # E[Y^2] overflows a float at sigma 30 and E[Y] at sigma 40: invalid input, not a traceback
+    for argv in (["optimize", "--mu", "0", "--sigma", "30"],
+                 ["optimize", "--mu", "0", "--sigma", "30", "--c", "-0.2", "--horizon", "20"],
+                 ["profitability", "--mu", "0", "--sigma", "40"]):
+        out = tmp_path / argv[0]
+        code, printed = run(capsys, *argv, "--grid", "101", "--out", str(out))
+        assert (code, printed, out.exists()) == (2, None, False), argv
+    code = cli.main(["fixed-point", "--mu", "0", "--sigma", "30", "--grid", "101"])
+    printed = capsys.readouterr()
+    assert (code, printed.out) == (2, "")
+    assert "overflows a float for GbmParams(mu=0.0, sigma=30.0)" in printed.err
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "corridor_pension.cli", "profitability",

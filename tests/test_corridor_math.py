@@ -10,12 +10,10 @@ from corridor_pension.corridor_math import (
     LHS_TOL,
     CorridorPolicy,
     XiParams,
-    _edge_rows,
-    _gated_on_rows,
+    _PayoffMoments,
     _grid_peaks,
-    _payoff,
-    _psi,
-    _transfer_mean,
+    _objective,
+    _zoom,
     admissible_min_k,
     h_payoff,
     horizon_objective,
@@ -267,6 +265,17 @@ def _moments_by_cum_moment(params, help_frac, give_frac, p, k, c=-1.0, with_retu
     return (a * p0 + b * p1).sum(axis=0), (a * a * p0 + 2.0 * a * b * p1 + b * b * p2).sum(axis=0)
 
 
+def _horizon_by_loop(pairs, alpha, v0=1.0, gamma_pi=0.0):
+    # the recursion of `horizon_objective` written out, gamma_pi added every
+    # period even at 0: the reference its shortcuts reproduce
+    m, gain, pen = v0, 0.0, 0.0
+    for s1, s2 in pairs:
+        pen = pen + m * s2
+        growth = gamma_pi + m * s1
+        gain, m = gain + growth, m + growth
+    return gain - alpha * pen
+
+
 def _same(got, want):
     # the same floats in the same shape: no tolerance, not even the last ulp
     return np.shape(got) == np.shape(want) and np.array_equal(got, want)
@@ -296,26 +305,32 @@ def test_closed_forms_are_the_floats_of_cum_moment_per_edge(mu, sigma, give, hel
     def ref(c=-1.0, **kw):
         return _moments_by_cum_moment(params, helpf, give, p, k, c, **kw)
 
-    for got, want in zip(_psi(params, pol, k), ref()):
-        assert _same(got, want)
-    for got, want in zip(_psi(params, pol, k, c), ref(c)):
-        assert _same(got, want)
+    # every route of the evaluator: ungated, a scalar cutoff, a cutoff per k
+    # (as the best-response scan passes them) and the transfer mean (2 orders)
+    cs = np.linspace(-1.0, 0.0, np.size(k))
+    for cut in (-1.0, c, cs):
+        for got, want in zip(_PayoffMoments(params, pol, cut)(k), ref(cut)):
+            assert _same(got, want)
+    mean = _PayoffMoments(params, pol, with_return=False, orders=2)(k)[0]
+    assert _same(mean, ref(with_return=False)[0])
     gated, ungated = ref(c), ref()
     assert _same(n_func(params, pol, c, k), gated[0] - alpha * gated[1])
     assert _same(n_func(params, pol, -1.0, k), ungated[0] - alpha * ungated[1])
-    assert _same(_transfer_mean(params, pol, k), ref(with_return=False)[0])
+    assert _same(profitability_lhs(params, pol, k), ref(with_return=False)[0])
     for T in (1, 20):
-        assert _same(m2_horizon(params, pol, k, T), horizon_objective([ungated] * T, alpha))
+        assert _same(m2_horizon(params, pol, k, T), _horizon_by_loop([ungated] * T, alpha))
+        for v0, gamma_pi in ((0.0, 0.0), (2.5, 0.0), (1.0, 0.3)):
+            assert _same(horizon_objective([ungated, gated] * T, alpha, v0, gamma_pi),
+                         _horizon_by_loop([ungated, gated] * T, alpha, v0, gamma_pi))
     xi_ref = _moments_by_cum_moment(params, 1.0 / xp.a, 1.0 / xp.b, 1.0, k)[0]
     assert _same(xi(params, xp, k), xi_ref)
-    # a cutoff per k, as the best-response scan passes them
-    cs = np.linspace(-1.0, 0.0, np.size(k))
-    assert _same(_psi(params, pol, k, cs)[1], ref(cs)[1])
     # one cutoff after another on the rows of L and U computed once, as the
     # fixed point's searches evaluate their grid
-    lu_rows = _edge_rows(params, _payoff(k, pol.help_frac, pol.give_frac, pol.p)[0])
+    lu = _PayoffMoments(params, pol).rows(k)
     for cut in (c, -1.0, 0.0, c, -1.0):
-        assert _same(_gated_on_rows(params, pol, cut, k, lu_rows), n_func(params, pol, cut, k))
+        objective = _objective(params, pol, cut)
+        assert _same(objective(k, lu), n_func(params, pol, cut, k))
+        assert _same(objective(k, lu), objective(k))
 
 
 def _merge_by_slices(vs, tie_tol):
@@ -438,6 +453,81 @@ def test_searches_check_their_arguments_once(monkeypatch):
     calls.update(_check_k=0, _check_count=0)
     k_of_c(B, POLB, -0.02, k_min=0.05)
     assert (calls["_check_k"], calls["_check_count"]) == (0, 1)  # grid
+
+
+def test_searches_build_one_evaluator_and_call_ndtr_once_per_evaluation(monkeypatch):
+    # a search builds its payoff evaluator once (the fixed point one per
+    # cutoff, besides admissible_min_k's and the one for the rows of L and U
+    # its cutoffs share), and each evaluation is one ndtr call (none for the
+    # shared grid at c = -1, which has no gate row)
+    from corridor_pension.pool_simulator import fixed_point_barriers
+
+    ndtr_calls, built, evaluations = [0], [], []
+
+    def counted_ndtr(*args, real=corridor_math.ndtr, **kw):
+        ndtr_calls[0] += 1
+        return real(*args, **kw)
+
+    class Counted(corridor_math._PayoffMoments):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(self)
+
+        def __call__(self, k, lu=None):
+            before = ndtr_calls[0]
+            out = super().__call__(k, lu)
+            evaluations.append(ndtr_calls[0] - before == (lu is None or self.gate is not None))
+            return out
+
+    monkeypatch.setattr(corridor_math, "ndtr", counted_ndtr)
+    monkeypatch.setattr(corridor_math, "_PayoffMoments", Counted)
+    for search in (lambda: maximize_m2(B, POLB, k_min=0.0, T=20),
+                   lambda: k_of_c(B, POLB, -0.02, k_min=0.05)):
+        built.clear(), evaluations.clear()
+        search()
+        assert len(built) == 1 and len(evaluations) > 1 and all(evaluations)
+    built.clear(), evaluations.clear()
+    res = fixed_point_barriers(B, POLB, [1.0] * 10, 0.2)
+    assert res.converged and not res.cycle_flag
+    assert len(built) == 2 + res.iterations and all(evaluations)
+    for name in ("_payoff", "_edge_rows", "_moments_of_rows", "_moments", "_gated_on_rows"):
+        assert not hasattr(corridor_math, name), name
+
+
+@given(lo=st.floats(0.0, 1.0), width_exp=st.floats(-11.0, -3.0))
+@example(lo=0.0, width_exp=-3.0)
+@example(lo=1.0 - 1e-11, width_exp=-11.0)
+@settings(max_examples=300, deadline=None)
+def test_zoom_grid_is_linspace(lo, width_exp):
+    # every zoom round scans np.linspace(lo, hi, 65), to the last bit
+    hi = min(lo + 10.0**width_exp, 1.0)
+    if not hi > lo:
+        return
+    grids = []
+
+    def f(ks):
+        grids.append(ks.copy())
+        return -np.abs(ks - (lo + 0.37 * (hi - lo)))
+
+    _zoom(f, lo, hi)
+    assert grids
+    assert grids[0][0] == lo and grids[0][-1] == hi
+    for ks in grids:
+        assert _same(ks, np.linspace(ks[0], ks[-1], 65))
+
+
+def test_a_moment_that_overflows_is_invalid_input():
+    # E[Y^2] = exp(2 mu + 2 sigma^2) is past the float range at sigma 30, E[Y]
+    # at sigma 40: a ValueError naming the market, not an OverflowError
+    wide, wider = GbmParams(0.0, 30.0), GbmParams(0.0, 40.0)
+    for f in (lambda: maximize_m2(wide, POL4), lambda: m2(wide, POL4, 0.1),
+              lambda: psi1(wide, POL4, 0.1), lambda: n_func(wide, POL4, -0.1, 0.1),
+              lambda: partial_moment(wide, 2, 0.0, 1.0),
+              lambda: profitability_lhs(wider, POL4, 0.1), lambda: xi(wider, XiParams(2.0, 4.0), 0.1)):
+        with pytest.raises(ValueError, match=r"overflows a float for GbmParams\(mu=0.0, sigma="):
+            f()
+    # the mean alone is still in range at sigma 30
+    assert profitability_lhs(wide, POL4, 0.1) <= 0.0
 
 
 def test_maximize_m2_respects_k_min():

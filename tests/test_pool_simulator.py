@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from corridor_pension.corridor_math import (
     CorridorPolicy,
-    _psi,
+    _PayoffMoments,
     admissible_min_k,
     horizon_objective,
     k_of_c,
@@ -982,7 +982,7 @@ def _dp_enumerate(params, policy, T, grid, gamma_pi):
     # every grid^T profile scored forward by horizon_objective, kept as the
     # oracle for dp_check's backward pass
     ks = np.linspace(admissible_min_k(params, policy), 1.0, grid)
-    pairs = list(zip(*(s.tolist() for s in _psi(params, policy, ks))))
+    pairs = list(zip(*(s.tolist() for s in _PayoffMoments(params, policy)(ks))))
     return max(
         1.0 + horizon_objective([pairs[i] for i in profile], policy.alpha, 1.0, gamma_pi)
         for profile in itertools.product(range(grid), repeat=T)
