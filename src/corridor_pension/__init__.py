@@ -5,7 +5,8 @@ simulation with three help regimes, an event-sourced redistribution ledger
 with executable fairness checks, and a recursive claim settlement rule.
 
 Public names load their submodule on first access (PEP 562), so the ledger
-and settlement code import without numpy or scipy.
+and settlement code import without numpy or scipy.  `_EXPORTS` is the one
+list of public names: each submodule's `__all__` is its row of it.
 """
 
 import importlib

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Sequence
 
+from . import _EXPORTS
 from .redistribution_index import _finite
 
-__all__ = ["ClaimBatch", "SettlementResult", "settle"]
+__all__ = _EXPORTS["claim_settlement"]
 
 _INDEX_SUM_TOL = 1e-9
 

@@ -47,31 +47,10 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
+from . import _EXPORTS
 from .market_model import GbmParams, _check_count, _moment_scale, density
 
-__all__ = [
-    "CorridorPolicy",
-    "XiParams",
-    "OptResult",
-    "M1Result",
-    "profitability_lhs",
-    "admissible_min_k",
-    "psi1",
-    "psi2",
-    "m1",
-    "m2",
-    "horizon_objective",
-    "m2_horizon",
-    "mp_stationary_points",
-    "maximize_m1",
-    "maximize_m2",
-    "h_payoff",
-    "n_func",
-    "k_of_c",
-    "xi",
-    "xi_d1",
-    "xi_d2",
-]
+__all__ = _EXPORTS["corridor_math"]
 
 # floating-point floor for admissibility: the exact LHS approaches 0 from below
 # once both boundaries leave the support, and roundoff can land at +5e-17
@@ -520,17 +499,15 @@ def n_func(params: GbmParams, policy: CorridorPolicy, c, k):
     `m2` with the help interval starting at G = clip(1+c, 0, 1-k).  c and k
     may be arrays that broadcast together; the result has their shape.
     """
-    c_lo, c_hi = (c, c) if np.isscalar(c) else (np.min(c), np.max(c))
-    if not -1.0 <= c_lo <= c_hi <= 0.0:
-        raise ValueError("c must be in [-1, 0]")
+    _check_cutoff(c)
     _check_k(k)
     value = _objective(params, policy, c)(k)
     return _like(value, value)
 
 
-def _check_cutoff(c: float):
-    # the cutoff of one best-response search; a NaN fails the chained comparison
-    if not -1.0 <= c <= 0.0:
+def _check_cutoff(c):
+    # a scalar is compared directly, an array through its min and max; NaN fails either
+    if not (-1.0 <= c <= 0.0 if np.isscalar(c) else -1.0 <= np.min(c) <= np.max(c) <= 0.0):
         raise ValueError("c must be in [-1, 0]")
 
 

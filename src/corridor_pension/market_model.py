@@ -27,15 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-__all__ = [
-    "GbmParams",
-    "density",
-    "density_peak",
-    "partial_moment",
-    "sample_return_matrix",
-    "expect_quad",
-    "expect_mc",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["market_model"]
 
 # lognormal mass beyond 10 sigma is below 1e-20; quadrature windows use this
 _Z_CUT = 10.0

@@ -32,10 +32,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .corridor_math import (
     CorridorPolicy,
     _PayoffMoments,
@@ -47,23 +49,7 @@ from .corridor_math import (
 from .market_model import GbmParams, _check_count, _path_stream, _return_blocks, density_peak
 from .redistribution_index import Ledger, index_for_pool
 
-__all__ = [
-    "ALWAYS_HELP",
-    "NO_HELP_IF_INSUFFICIENT",
-    "INDEX_CAPPED_HELP",
-    "PoolConfig",
-    "StepReport",
-    "SimulationResult",
-    "FixedPointResult",
-    "DpVerdict",
-    "run_path",
-    "simulate",
-    "z_star",
-    "fixed_point_barriers",
-    "improvement_bound",
-    "best_response_gain",
-    "dp_check",
-]
+__all__ = _EXPORTS["pool_simulator"]
 
 ALWAYS_HELP = "AlwaysHelp"
 NO_HELP_IF_INSUFFICIENT = "NoHelpIfInsufficient"
@@ -216,11 +202,27 @@ def z_star(
     etas = np.asarray(eta_vec, dtype=float)
     if ks.ndim not in (1, 2) or etas.ndim != 1 or ks.shape[-1:] != etas.shape:
         raise ValueError("k_vec and eta_vec must have equal length")
-    if not (np.all((0.0 <= ks) & (ks <= 1.0)) and np.all((0.0 <= etas) & (etas < np.inf))
-            and 0 <= theta < math.inf and help_frac >= 0):
+    _check_pool(etas, theta)
+    if not (np.all((0.0 <= ks) & (ks <= 1.0)) and help_frac >= 0):
         raise ValueError("invalid pool state")
     z = _threshold(ks, etas, theta, help_frac)
     return float(z) if ks.ndim == 1 else z
+
+
+def _check_pool(eta_vec, theta: float):
+    # one pool's unit counts and collective, refused alike by z_star,
+    # improvement_bound and best_response_gain
+    etas = np.asarray(eta_vec, dtype=float)
+    if not (etas.ndim == 1 and np.all((0.0 <= etas) & (etas < np.inf))):
+        raise ValueError("invalid pool state: unit counts must be finite and nonnegative")
+    if not 0 <= theta < math.inf:
+        raise ValueError("invalid pool state: theta must be finite and nonnegative")
+
+
+def _check_agent(j, n: int):
+    # a member's index into a pool of n: an integer (numpy ints too), not a bool or 1.0
+    if isinstance(j, bool) or not isinstance(j, Integral) or not 0 <= j < n:
+        raise ValueError("agent index out of range")
 
 
 def _threshold(ks: np.ndarray, etas: np.ndarray, theta: float, help_frac: float) -> np.ndarray:
@@ -553,8 +555,7 @@ def fixed_point_barriers(
             return FixedPointResult(kk, cz, it, True, True)
         history.append(k_next)
         k_bar, c = k_next, threshold(k_next)
-    # the threshold of the last search, not yet of its answer k_bar
-    return FixedPointResult(k_bar, threshold(history[-2]), _FIXED_POINT_MAX_ITER, False, False)
+    return FixedPointResult(k_bar, c, _FIXED_POINT_MAX_ITER, False, False)
 
 
 def improvement_bound(
@@ -569,10 +570,8 @@ def improvement_bound(
     Proportional to the density sup-norm and the agent's unit share of the
     total buffer; vanishes as the pool grows.
     """
-    if not 0 <= j < len(eta_vec):
-        raise ValueError("agent index out of range")
-    if not 0 <= theta < math.inf:
-        raise ValueError("theta must be finite and nonnegative")
+    _check_agent(j, len(eta_vec))
+    _check_pool(eta_vec, theta)
     if policy.help_frac <= 0:
         return 0.0
     _, f_max = density_peak(params)
@@ -598,8 +597,8 @@ def best_response_gain(
     produced by the deviated pool.
     """
     n = len(eta_vec)
-    if not 0 <= j < n:
-        raise ValueError("agent index out of range")
+    _check_agent(j, n)
+    _check_pool(eta_vec, theta)
     common = n_func(params, policy, z_star([k_bar] * n, eta_vec, theta, policy.help_frac), k_bar)
     own = np.linspace(0.0, 1.0, _RESPONSE_GRID)
     profiles = np.full((_RESPONSE_GRID, n), float(k_bar))

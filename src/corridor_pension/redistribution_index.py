@@ -29,17 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational, Real
 
-__all__ = [
-    "Ledger",
-    "EventRecord",
-    "CheckResult",
-    "check_cont",
-    "check_fix",
-    "check_mon",
-    "check_add",
-    "check_lin",
-    "index_for_pool",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["redistribution_index"]
 
 MODE_PROPORTIONAL = "proportional"
 MODE_MONOTONE = "monotone"

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,20 @@ SUBMODULES = ("claim_settlement", "corridor_math", "market_model", "pool_simulat
 
 def test_lazy_exports_are_the_submodule_objects():
     # every public name resolves to the very object its submodule exports, and
-    # the package exports exactly the union of the submodules' __all__
+    # the package exports exactly the union of the submodules' __all__, each of
+    # which is its row of the one table, _EXPORTS, and lists every public
+    # function and class the submodule defines
     owners = {}
     for name in SUBMODULES:
         module = importlib.import_module(f"corridor_pension.{name}")
         assert getattr(corridor_pension, name) is module
+        assert module.__all__ is corridor_pension._EXPORTS[name]
+        defined = {
+            attr for attr, obj in vars(module).items()
+            if not attr.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+        assert defined <= set(module.__all__), (name, defined - set(module.__all__))
         owners.update(dict.fromkeys(module.__all__, module))
     assert sorted(corridor_pension.__all__) == sorted(owners)
     listed = dir(corridor_pension)

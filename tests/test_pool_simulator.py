@@ -892,7 +892,8 @@ def _fixed_point_by_k_of_c(params, policy, eta, theta):
             return kk, cz, it, True, True
         history.append(k_next)
         k_bar = k_next
-    return k_bar, c, pool_simulator._FIXED_POINT_MAX_ITER, False, False
+    return (k_bar, z_star([k_bar] * n, eta, theta, policy.help_frac),
+            pool_simulator._FIXED_POINT_MAX_ITER, False, False)
 
 
 @pytest.mark.parametrize("params, policy, iterations, cycle", [
@@ -908,6 +909,17 @@ def test_fixed_point_is_the_loop_of_k_of_c_searches(params, policy, iterations, 
     res = fixed_point_barriers(params, policy, eta, theta)
     assert (res.iterations, res.cycle_flag) == (iterations, cycle)
     assert astuple(res) == _fixed_point_by_k_of_c(params, policy, eta, theta)
+
+
+def test_fixed_point_without_convergence_reports_the_threshold_of_k_bar(monkeypatch):
+    # stopped after one iteration, k_bar = 0 comes with its own threshold, not
+    # with the cutoff -1 of the search that found it
+    monkeypatch.setattr(pool_simulator, "_FIXED_POINT_MAX_ITER", 1)
+    policy, eta, theta = CorridorPolicy(alpha=4.0), [1.0] * 10, 0.2
+    res = fixed_point_barriers(A, policy, eta, theta)
+    assert (res.k_bar, res.iterations, res.converged) == (0.0, 1, False)
+    assert res.c == z_star([res.k_bar] * len(eta), eta, theta, policy.help_frac)
+    assert astuple(res) == _fixed_point_by_k_of_c(A, policy, eta, theta)
 
 
 def test_improvement_bound_formula():
@@ -942,6 +954,26 @@ def test_best_response_gain_rejects_agent_index_out_of_range():
     for j in (-1, 3):
         with pytest.raises(ValueError, match="agent index"):
             best_response_gain(A, pol, eta, 1.2, j, 0.3)
+
+
+@pytest.mark.parametrize("eta, j, match", [
+    ([math.nan, 1.0], 0, "unit counts"),  # returned nan
+    ([-5.0, 1.0], 0, "unit counts"),  # returned inf
+    ([1.0, 1.0], True, "agent index"),  # scored member 1
+    ([1.0, 1.0], 0.5, "agent index"),  # raised TypeError
+])
+def test_improvement_bound_refuses_what_z_star_refuses(eta, j, match):
+    with pytest.raises(ValueError, match=match):
+        improvement_bound(j, eta, 0.1, CorridorPolicy(alpha=1.5), A)
+
+
+@pytest.mark.parametrize("j", [
+    0.5,  # raised IndexError
+    True,  # raised numpy's broadcast ValueError
+])
+def test_best_response_gain_refuses_an_agent_index_that_is_not_an_integer(j):
+    with pytest.raises(ValueError, match="agent index out of range"):
+        best_response_gain(A, CorridorPolicy(alpha=0.5), [1.0] * 3, 1.2, j, 0.3)
 
 
 def test_dp_check_frozen_values():
