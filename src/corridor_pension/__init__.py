@@ -17,13 +17,13 @@ _EXPORTS = {
     "claim_settlement": ("ClaimBatch", "SettlementResult", "settle"),
     "corridor_math": (
         "CorridorPolicy", "M1Result", "OptResult", "XiParams", "admissible_min_k",
-        "h_payoff", "horizon_objective", "k_of_c", "m1", "m2", "m2_horizon",
-        "maximize_m1", "maximize_m2", "mp_stationary_points", "n_func",
-        "profitability_lhs", "psi1", "psi2", "xi", "xi_d1", "xi_d2",
+        "horizon_objective", "k_of_c", "m1", "m2", "m2_horizon", "maximize_m1",
+        "maximize_m2", "mp_stationary_points", "n_func", "profitability_lhs",
+        "psi1", "psi2", "xi", "xi_d1", "xi_d2",
     ),
     "market_model": (
         "GbmParams", "density", "density_peak", "expect_mc", "expect_quad",
-        "partial_moment", "sample_return_matrix",
+        "sample_return_matrix",
     ),
     "pool_simulator": (
         "ALWAYS_HELP", "INDEX_CAPPED_HELP", "NO_HELP_IF_INSUFFICIENT", "DpVerdict",

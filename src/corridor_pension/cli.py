@@ -284,7 +284,7 @@ def cmd_fixed_point(args) -> int:
     params, policy = _market_policy(values)
     eta_raw = values["eta"]
     if isinstance(eta_raw, str):
-        eta_raw = [x for x in eta_raw.split(",") if x.strip()]
+        eta_raw = eta_raw.split(",")  # an empty entry is a bad number, not one fewer member
     if not isinstance(eta_raw, list):
         raise CliError(f"eta must be a comma-separated string or a list, got {eta_raw!r}")
     eta_vec = [_number(x, "eta") for x in eta_raw]
@@ -359,9 +359,9 @@ def _load_ledger(path: str) -> Ledger:
 def _parse_kv(pairs, what):
     out = {}
     for item in pairs or []:
-        if "=" not in item:
+        key, eq, val = item.partition("=")
+        if not (eq and key):  # no "=", or no member ID before it
             raise CliError(f"{what} must look like ID=NUMBER, got {item!r}")
-        key, _, val = item.partition("=")
         try:
             out[key] = float(val)
         except ValueError:

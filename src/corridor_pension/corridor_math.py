@@ -478,26 +478,15 @@ def maximize_m2(
     return _maximize_scalar(objective, params, policy, ks, objective(ks))
 
 
-def h_payoff(rho, c: float, k: float, policy: CorridorPolicy):
-    """Per-period relative change seen by an agent whose help is gated at c.
-
-    rho - give_frac*(rho - k*p)+ + help_frac*(-k - rho)+ * 1{rho > c}; the
-    indicator models the pool refusing help when the aggregate return is at or
-    below the cutoff.  Vectorized over rho.
-    """
-    r = np.asarray(rho, dtype=float)
-    give = policy.give_frac * np.maximum(r - k * policy.p, 0.0)
-    help_ = policy.help_frac * np.maximum(-k - r, 0.0) * (r > c)
-    out = r - give + help_
-    return float(out) if np.isscalar(rho) else out
-
-
 def n_func(params: GbmParams, policy: CorridorPolicy, c, k):
-    """Closed-form E[h - alpha h^2] for the gated payoff of `h_payoff`.
+    """Closed-form E[h - alpha h^2] for an agent whose help is gated at c.
 
-    The gate clips the help leg to gross returns in (1+c, 1-k): the payoff of
-    `m2` with the help interval starting at G = clip(1+c, 0, 1-k).  c and k
-    may be arrays that broadcast together; the result has their shape.
+    h is the per-period relative change at the net return rho = Y - 1,
+    h(rho) = rho - give_frac*(rho - k*p)+ + help_frac*(-k - rho)+ * 1{rho > c}:
+    the pool refuses help when the aggregate return is at or below the
+    cutoff.  The gate clips the help leg to gross returns in (1+c, 1-k): the
+    payoff of `m2` with the help interval starting at G = clip(1+c, 0, 1-k).
+    c and k may be arrays that broadcast together; the result has their shape.
     """
     _check_cutoff(c)
     _check_k(k)
@@ -522,14 +511,16 @@ def _objective(params: GbmParams, policy: CorridorPolicy, c=-1.0) -> Callable:
     return objective
 
 
-def _best_responses(params: GbmParams, policy: CorridorPolicy, grid: int) -> Callable:
+def _best_responses(
+    params: GbmParams, policy: CorridorPolicy, grid: int, k_min: float | None = None
+) -> Callable:
     """c -> `k_of_c` at c, searching one grid for one cutoff after another.
 
     The grid is checked once and the normal-CDF rows of its edges L and U,
     which do not depend on c, are computed once; each cutoff adds the row of
     its gate G (none for c = -1, which has no gate) and is checked as it comes.
     """
-    ks = _search_grid(params, policy, None, grid)
+    ks = _search_grid(params, policy, k_min, grid)
     lu = _PayoffMoments(params, policy).rows(ks)
 
     def search(c) -> OptResult:
@@ -551,10 +542,7 @@ def k_of_c(
 
     Same search machinery as `maximize_m2` applied to the gated objective.
     """
-    ks = _search_grid(params, policy, k_min, grid)
-    _check_cutoff(c)
-    objective = _objective(params, policy, c)
-    return _maximize_scalar(objective, params, policy, ks, objective(ks))
+    return _best_responses(params, policy, grid, k_min)(c)
 
 
 def xi(params: GbmParams, xp: XiParams, k):

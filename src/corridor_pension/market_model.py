@@ -3,15 +3,12 @@
 The fund follows a geometric Brownian motion observed at unit intervals, so the
 per-period gross return Y is lognormal with log-mean ``mu`` and log-variance
 ``sigma**2``.  Everything downstream (boundary functionals, pool simulation)
-consumes either the closed-form partial moments computed here or sampled return
-paths.
+consumes either closed-form partial moments of Y or sampled return paths.
 
-Three evaluation routes are provided and kept deliberately independent so they
-can cross-check each other: closed forms (`_cum_moment`; the boundary
-functionals evaluate its formula over arrays of cutoffs, sharing one log per
-cutoff across orders), adaptive quadrature (`expect_quad`), and Monte Carlo
-(`expect_mc`).  `partial_moment` stays public as the scalar closed form that
-the tests use as an independent check.
+The closed forms, E[Y^n; Y <= c] for n = 0, 1, 2, live in `corridor_math`
+(`_PayoffMoments`, scaled by `_moment_scale` here).  This module provides the
+two routes they are checked against, kept independent of them: adaptive
+quadrature (`expect_quad`) and Monte Carlo (`expect_mc`).
 
 Every sampled return comes from one draw loop, `_return_blocks`: paths from the
 first child of `SeedSequence(seed)`, `expect_mc` from `SeedSequence(seed)`.
@@ -25,7 +22,7 @@ from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from . import _EXPORTS
 
@@ -81,32 +78,6 @@ def density_peak(params: GbmParams) -> tuple[float, float]:
     y_mode = math.exp(params.mu - params.sigma**2)
     f_max = math.exp(0.5 * params.sigma**2 - params.mu) / (math.sqrt(2.0 * math.pi) * params.sigma)
     return y_mode, f_max
-
-
-def partial_moment(params: GbmParams, order: int, lo: float, hi: float) -> float:
-    """E[Y^n 1{lo < Y <= hi}] in closed form, for n in {0, 1, 2}.
-
-    Uses E[Y^n 1{Y <= c}] = exp(n mu + n^2 sigma^2 / 2) * Phi((ln c - mu)/sigma - n sigma).
-    `hi` may be inf.  Degenerate or inverted intervals raise.  Nothing in the
-    package calls it: it is public API, the scalar form of the formula the
-    boundary functionals evaluate over arrays.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if lo < 0:
-        raise ValueError("lo must be >= 0")
-    return float(_cum_moment(params, order, hi) - _cum_moment(params, order, lo))
-
-
-def _cum_moment(params: GbmParams, n: int, c):
-    # E[Y^n 1{Y <= c}] elementwise over a scalar or array c: c <= 0 gives 0,
-    # c = inf the full moment `_moment_scale`
-    scale = _moment_scale(params, n)
-    with np.errstate(divide="ignore"):
-        z = (np.log(np.maximum(c, 0.0)) - params.mu) / params.sigma - n * params.sigma
-    return scale * ndtr(z)
 
 
 def _moment_scale(params: GbmParams, n: int) -> float:
@@ -202,14 +173,22 @@ def expect_mc(
     """Monte Carlo estimate of E[fn(Y)] with its standard error.
 
     Draws from `SeedSequence(seed)` in chunks of _MC_CHUNK paths so n_paths
-    can exceed memory; accumulates sum and sum of squares only.
+    can exceed memory.  The mean is the running sum over n_paths.  Each chunk
+    gives its sum of squared deviations from its own mean, and the chunks
+    merge by the pairwise update of Chan, Golub and LeVeque, so the error
+    does not cancel when the mean is large against the spread.
     """
     _check_count(n_paths, "n_paths", 2)
-    total, total_sq = 0.0, 0.0
+    total, count, sq_dev = 0.0, 0, 0.0
     for y in _return_blocks(params, 1, n_paths, np.random.SeedSequence(seed), _MC_CHUNK):
         v = np.asarray(fn(y[:, 0]), dtype=float)
-        total += float(v.sum())
-        total_sq += float((v * v).sum())
-    mean = total / n_paths
-    var = max(total_sq / n_paths - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_paths)
+        n, chunk_total = len(y), float(v.sum())
+        chunk_mean = chunk_total / n
+        d = v - chunk_mean
+        sq_dev += float((d * d).sum())
+        if count:  # the spread between the running mean and the chunk's
+            gap = chunk_mean - total / count
+            sq_dev += gap * gap * count * n / (count + n)
+        total += chunk_total
+        count += n
+    return total / n_paths, math.sqrt(sq_dev / n_paths / n_paths)

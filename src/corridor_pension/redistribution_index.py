@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational, Real
+from numbers import Integral, Rational, Real
 
 from . import _EXPORTS
 
@@ -336,7 +336,9 @@ def check_add(ledger: Ledger, join_index: int, new_id, amount) -> CheckResult:
     Replays the ledger with `new_id` adding `amount` at event `join_index` and
     compares each incumbent's share of the incumbent subtotal.
     """
-    if not 0 <= join_index < len(ledger.events):
+    # an event index: an integer (numpy ints too), not a bool or 0.5, which no event matches
+    if (isinstance(join_index, bool) or not isinstance(join_index, Integral)
+            or not 0 <= join_index < len(ledger.events)):
         raise ValueError("join_index out of range")
     if new_id in ledger.ids or str(new_id) in map(str, ledger.ids):
         raise ValueError("new contributor must be fresh")

@@ -440,7 +440,10 @@ def test_index_errors(tmp_path, capsys):
     before = led.read_bytes()
     for flags in (["--t", "nan", "--c-pre", "5"], ["--t", "1", "--c-pre", "inf"],
                   ["--t", "1", "--c-pre", "5", "--a", "0=nan"],
-                  ["--t", "1", "--c-pre", "5", "--contribution", "0=-inf"]):
+                  ["--t", "1", "--c-pre", "5", "--contribution", "0=-inf"],
+                  # a member ID that is empty
+                  ["--t", "1", "--c-pre", "5", "--contribution", "=5"],
+                  ["--t", "1", "--c-pre", "5", "--a", "=0.1"]):
         code, _ = run(capsys, "index", "update", str(led), "--contribution", "1=2", *flags)
         assert code == 2, flags
         assert led.read_bytes() == before
@@ -463,6 +466,10 @@ def test_invalid_parameter_exit(capsys):
     assert code == 2
     code, _ = run(capsys, "fixed-point", "--eta", "")
     assert code == 2
+    # an empty entry is a bad number, not a pool of one member fewer
+    for eta in ("1,,1", "1,1,", ",1"):
+        code, out = run(capsys, "fixed-point", "--eta", eta, "--grid", "101")
+        assert (code, out) == (2, None), eta
     # NaN fails numeric validation: exit 2, not a NaN summary or a traceback
     for argv in (["simulate", "--pi-ind", "nan", "--paths", "10"],
                  ["simulate", "--v0", "nan", "--paths", "10"],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from corridor_pension.corridor_math import (
     LHS_TOL,
@@ -15,7 +16,6 @@ from corridor_pension.corridor_math import (
     _objective,
     _zoom,
     admissible_min_k,
-    h_payoff,
     horizon_objective,
     k_of_c,
     m1,
@@ -33,7 +33,7 @@ from corridor_pension.corridor_math import (
     xi_d2,
 )
 from corridor_pension import corridor_math
-from corridor_pension.market_model import GbmParams, _cum_moment, expect_quad, partial_moment
+from corridor_pension.market_model import GbmParams, expect_quad
 
 A = GbmParams(0.045, 0.06)
 POL4 = CorridorPolicy(alpha=4.0)
@@ -41,6 +41,31 @@ B = GbmParams(0.06, 0.092367)
 POLB = CorridorPolicy(alpha=2.0)
 ASYM = CorridorPolicy(p=2.0)
 AS = GbmParams(0.015, 0.03)
+
+
+def _cum_moment(params, n, c):
+    # E[Y^n; Y <= c] = exp(n mu + n^2 sigma^2 / 2) Phi((ln c - mu)/sigma - n sigma),
+    # elementwise over a scalar or array c: c <= 0 gives 0, c = inf the full
+    # moment.  The scalar reference the closed forms of `_PayoffMoments` reproduce
+    scale = math.exp(n * params.mu + 0.5 * n * n * params.sigma**2)
+    with np.errstate(divide="ignore"):
+        z = (np.log(np.maximum(c, 0.0)) - params.mu) / params.sigma - n * params.sigma
+    return scale * ndtr(z)
+
+
+def _partial_moment(params, n, lo, hi):
+    # E[Y^n; lo < Y <= hi]
+    return _cum_moment(params, n, hi) - _cum_moment(params, n, lo)
+
+
+def _h_payoff(rho, c, k, policy):
+    # the gated payoff of `n_func` at the net return rho, pointwise:
+    # rho - give_frac (rho - k p)+ + help_frac (-k - rho)+ 1{rho > c}
+    r = np.asarray(rho, dtype=float)
+    give = policy.give_frac * np.maximum(r - k * policy.p, 0.0)
+    help_ = policy.help_frac * np.maximum(-k - r, 0.0) * (r > c)
+    out = r - give + help_
+    return float(out) if np.isscalar(rho) else out
 
 
 def test_policy_validation():
@@ -225,18 +250,18 @@ def test_k_one_is_always_admissible(mu, sigma, give, helpf, p):
 
 
 def test_lhs_and_xi_match_partial_moment_formulas():
-    # the shortfall and excess terms written out over partial_moment, as each
-    # functional computed them before they shared one payoff core
+    # the shortfall and excess terms written out over the partial moments, as
+    # each functional computed them before they shared one payoff core
     inf = math.inf
 
     def short_excess(params, L, U):
-        short = L * partial_moment(params, 0, 0.0, L) - partial_moment(params, 1, 0.0, L) if L > 0 else 0.0
-        excess = partial_moment(params, 1, U, inf) - U * partial_moment(params, 0, U, inf)
+        short = L * _partial_moment(params, 0, 0.0, L) - _partial_moment(params, 1, 0.0, L) if L > 0 else 0.0
+        excess = _partial_moment(params, 1, U, inf) - U * _partial_moment(params, 0, U, inf)
         return short, excess
 
     xp = XiParams(2.0, 4.0)
     for params in (A, B, AS, GbmParams(0.01, 0.2)):
-        mean_rho = partial_moment(params, 1, 0.0, inf) - 1.0
+        mean_rho = _partial_moment(params, 1, 0.0, inf) - 1.0
         for k in np.linspace(0.0, 1.0, 51):
             k = float(k)
             for pol in (POL4, ASYM, CorridorPolicy(give_frac=0.1, help_frac=0.9, p=1.5)):
@@ -404,6 +429,29 @@ def test_maximize_m2_exact_tie():
     assert res.k_star == pytest.approx(0.1955691353306097, abs=1e-6)
 
 
+def test_maximize_m2_tie_resolved_to_the_smaller_boundary():
+    # a tie whose transfer-only slope at the smaller maximizer is negative, so
+    # the slope rule picks the smaller boundary
+    params = GbmParams(0.06, 0.06619339832030946)
+    pol = CorridorPolicy(give_frac=0.1, alpha=2.0)
+    res = maximize_m2(params, pol)
+    assert res.tie_flag is True
+    (k0, v0), (k1, v1) = res.candidates
+    assert k0 == 0.0 and k1 == pytest.approx(0.22315, abs=1e-5)
+    assert (res.k_star, res.value) == (k0, v0)
+
+    def quad_m2(k):
+        # ungated: at c = -1 the help leg is never refused
+        def objective(y):
+            h = _h_payoff(y - 1.0, -1.0, k, pol)
+            return h - pol.alpha * h**2
+        return expect_quad(params, objective, breakpoints=(1.0 - k, 1.0 + k * pol.p))
+
+    # quadrature, independent of the closed forms, confirms the tie
+    q0, q1 = quad_m2(k0), quad_m2(k1)
+    assert abs(q0 - q1) <= 1e-6 and abs(q0 - v0) <= 1e-8 and abs(q1 - v1) <= 1e-8
+
+
 def test_m2_horizon_one_period_is_m2():
     for k in (0.0, 0.1215, 0.9):
         assert m2_horizon(A, POL4, k, 1) == m2(A, POL4, k)
@@ -456,10 +504,10 @@ def test_searches_check_their_arguments_once(monkeypatch):
 
 
 def test_searches_build_one_evaluator_and_call_ndtr_once_per_evaluation(monkeypatch):
-    # a search builds its payoff evaluator once (the fixed point one per
-    # cutoff, besides admissible_min_k's and the one for the rows of L and U
-    # its cutoffs share), and each evaluation is one ndtr call (none for the
-    # shared grid at c = -1, which has no gate row)
+    # a search builds its payoff evaluator once (k_of_c and the fixed point
+    # one per cutoff, besides admissible_min_k's and the one for the rows of
+    # L and U their cutoffs share), and each evaluation is one ndtr call (none
+    # for the shared grid at c = -1, which has no gate row)
     from corridor_pension.pool_simulator import fixed_point_barriers
 
     ndtr_calls, built, evaluations = [0], [], []
@@ -481,11 +529,11 @@ def test_searches_build_one_evaluator_and_call_ndtr_once_per_evaluation(monkeypa
 
     monkeypatch.setattr(corridor_math, "ndtr", counted_ndtr)
     monkeypatch.setattr(corridor_math, "_PayoffMoments", Counted)
-    for search in (lambda: maximize_m2(B, POLB, k_min=0.0, T=20),
-                   lambda: k_of_c(B, POLB, -0.02, k_min=0.05)):
+    for search, evaluators in ((lambda: maximize_m2(B, POLB, k_min=0.0, T=20), 1),
+                               (lambda: k_of_c(B, POLB, -0.02, k_min=0.05), 2)):
         built.clear(), evaluations.clear()
         search()
-        assert len(built) == 1 and len(evaluations) > 1 and all(evaluations)
+        assert len(built) == evaluators and len(evaluations) > 1 and all(evaluations)
     built.clear(), evaluations.clear()
     res = fixed_point_barriers(B, POLB, [1.0] * 10, 0.2)
     assert res.converged and not res.cycle_flag
@@ -522,7 +570,6 @@ def test_a_moment_that_overflows_is_invalid_input():
     wide, wider = GbmParams(0.0, 30.0), GbmParams(0.0, 40.0)
     for f in (lambda: maximize_m2(wide, POL4), lambda: m2(wide, POL4, 0.1),
               lambda: psi1(wide, POL4, 0.1), lambda: n_func(wide, POL4, -0.1, 0.1),
-              lambda: partial_moment(wide, 2, 0.0, 1.0),
               lambda: profitability_lhs(wider, POL4, 0.1), lambda: xi(wider, XiParams(2.0, 4.0), 0.1)):
         with pytest.raises(ValueError, match=r"overflows a float for GbmParams\(mu=0.0, sigma="):
             f()
@@ -572,16 +619,16 @@ def test_h_payoff_shapes_and_gate():
     pol = CorridorPolicy(give_frac=0.25, help_frac=0.5)
     k = 0.1
     # inside the corridor: identity
-    assert h_payoff(0.05, -0.5, k, pol) == pytest.approx(0.05)
+    assert _h_payoff(0.05, -0.5, k, pol) == pytest.approx(0.05)
     # above: give a quarter of the excess
-    assert h_payoff(0.3, -0.5, k, pol) == pytest.approx(0.3 - 0.25 * 0.2)
+    assert _h_payoff(0.3, -0.5, k, pol) == pytest.approx(0.3 - 0.25 * 0.2)
     # below with help granted
-    assert h_payoff(-0.3, -0.5, k, pol) == pytest.approx(-0.3 + 0.5 * 0.2)
+    assert _h_payoff(-0.3, -0.5, k, pol) == pytest.approx(-0.3 + 0.5 * 0.2)
     # below the cutoff: no help
-    assert h_payoff(-0.6, -0.5, k, pol) == pytest.approx(-0.6)
+    assert _h_payoff(-0.6, -0.5, k, pol) == pytest.approx(-0.6)
     # cutoff is strict: at rho == c help is refused
-    assert h_payoff(-0.5, -0.5, k, pol) == pytest.approx(-0.5)
-    out = h_payoff(np.array([-0.6, -0.3, 0.05, 0.3]), -0.5, k, pol)
+    assert _h_payoff(-0.5, -0.5, k, pol) == pytest.approx(-0.5)
+    out = _h_payoff(np.array([-0.6, -0.3, 0.05, 0.3]), -0.5, k, pol)
     assert out.shape == (4,)
 
 
@@ -601,7 +648,7 @@ def test_n_func_matches_quadrature():
     closed = n_func(A, POL4, c, k)
     quad = expect_quad(
         A,
-        lambda y: h_payoff(y - 1.0, c, k, POL4) - POL4.alpha * h_payoff(y - 1.0, c, k, POL4) ** 2,
+        lambda y: _h_payoff(y - 1.0, c, k, POL4) - POL4.alpha * _h_payoff(y - 1.0, c, k, POL4) ** 2,
         breakpoints=(1.0 - k, 1.0 + k, 1.0 + c),
     )
     assert closed == pytest.approx(quad, abs=1e-10)

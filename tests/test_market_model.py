@@ -16,9 +16,9 @@ from corridor_pension.market_model import (
     density_peak,
     expect_mc,
     expect_quad,
-    partial_moment,
     sample_return_matrix,
 )
+from test_corridor_math import _partial_moment
 
 A = GbmParams(0.045, 0.06)
 
@@ -59,27 +59,20 @@ def test_density_vectorized_and_validation():
 
 
 def test_partial_moment_totals():
-    # full-range moments recover the lognormal moments
-    assert partial_moment(A, 0, 0.0, math.inf) == pytest.approx(1.0, abs=1e-15)
-    assert partial_moment(A, 1, 0.0, math.inf) == pytest.approx(A.mean_return, rel=1e-14)
+    # the tests' closed-form oracle (test_corridor_math.py), checked here
+    # against the lognormal moments and quadrature: full-range moments recover
+    # the lognormal moments
+    assert _partial_moment(A, 0, 0.0, math.inf) == pytest.approx(1.0, abs=1e-15)
+    assert _partial_moment(A, 1, 0.0, math.inf) == pytest.approx(A.mean_return, rel=1e-14)
     m2_full = math.exp(2 * A.mu + 2 * A.sigma**2)
-    assert partial_moment(A, 2, 0.0, math.inf) == pytest.approx(m2_full, rel=1e-14)
+    assert _partial_moment(A, 2, 0.0, math.inf) == pytest.approx(m2_full, rel=1e-14)
 
 
 def test_partial_moment_additivity():
     for order in (0, 1, 2):
-        whole = partial_moment(A, order, 0.5, 2.0)
-        split = partial_moment(A, order, 0.5, 1.1) + partial_moment(A, order, 1.1, 2.0)
+        whole = _partial_moment(A, order, 0.5, 2.0)
+        split = _partial_moment(A, order, 0.5, 1.1) + _partial_moment(A, order, 1.1, 2.0)
         assert whole == pytest.approx(split, rel=1e-13, abs=1e-15)
-
-
-def test_partial_moment_validation():
-    with pytest.raises(ValueError):
-        partial_moment(A, 3, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        partial_moment(A, 1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        partial_moment(A, 1, -0.5, 1.0)
 
 
 @given(
@@ -90,7 +83,7 @@ def test_partial_moment_validation():
 @settings(max_examples=60, deadline=None)
 def test_partial_moment_matches_quadrature(lo, width, order):
     hi = lo + width
-    closed = partial_moment(A, order, lo, hi)
+    closed = _partial_moment(A, order, lo, hi)
     quad = expect_quad(
         A, lambda y: y**order * ((y > lo) & (y <= hi)), breakpoints=(lo, hi)
     )
@@ -134,16 +127,34 @@ def test_expect_mc_chunking_invariance(monkeypatch):
     monkeypatch.setattr(market_model, "_MC_CHUNK", 7_000)
     many = expect_mc(A, lambda y: y * y, 50_000, seed=3)
     assert one[0] == pytest.approx(many[0], rel=1e-12)
+    assert one[1] == pytest.approx(many[1], rel=1e-12)
     with pytest.raises(ValueError):
         expect_mc(A, lambda y: y, 1, seed=0)
 
 
 def test_expect_mc_pinned_values(monkeypatch):
     # one stream, SeedSequence(seed) itself, summed chunk by chunk; values
-    # pinned when expect_mc came to draw through the pool's sampler
-    assert expect_mc(A, lambda y: y, 50_000, seed=3) == (1.0475882267910297, 0.0002830839674769086)
+    # pinned when expect_mc came to draw through the pool's sampler.  The means
+    # are a running sum, pinned bit for bit; the errors were pinned from sums of
+    # squares, and merged squared deviations round differently in the last bits
+    mean, se = expect_mc(A, lambda y: y, 50_000, seed=3)
+    assert mean == 1.0475882267910297
+    assert se == pytest.approx(0.0002830839674769086, rel=1e-12)
     monkeypatch.setattr(market_model, "_MC_CHUNK", 7_000)
-    assert expect_mc(A, lambda y: y * y, 50_000, seed=3) == (1.1014479195432973, 0.0005965488806263196)
+    mean, se = expect_mc(A, lambda y: y * y, 50_000, seed=3)
+    assert mean == 1.1014479195432973
+    assert se == pytest.approx(0.0005965488806263196, rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1_000_000, 7_000])
+def test_expect_mc_error_does_not_depend_on_a_shift(monkeypatch, chunk):
+    # the error of E[Y + a] is that of E[Y], in one chunk or many, as long as
+    # y + a still holds y: at a = 1e12 the shift rounds y to 1.2e-4, and no
+    # reduction can keep 1e-9 there
+    monkeypatch.setattr(market_model, "_MC_CHUNK", chunk)
+    _, se = expect_mc(A, lambda y: y, 200_000, seed=3)
+    for a in (1.0, 1e3, 1e6, 1e8):
+        assert expect_mc(A, lambda y: y + a, 200_000, seed=3)[1] == pytest.approx(se, rel=1e-9), a
 
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded(tmp_path):

@@ -238,6 +238,10 @@ def test_check_add_guards():
         check_add(led, 0, 1, F(10))  # not fresh
     with pytest.raises(ValueError):
         check_add(led, 0, 9, F(0))
+    # an event index that no event matches is refused, not a vacuous pass
+    for join_index in (0.5, 1.5, True):
+        with pytest.raises(ValueError, match="join_index out of range"):
+            check_add(led, join_index, 9, F(40))
 
 
 _amounts = st.fractions(min_value=0, max_value=500, max_denominator=20)
