@@ -16,24 +16,21 @@ tolerance applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Rational
 from typing import Sequence
 
 from . import _EXPORTS
-from .redistribution_index import _finite
+from .redistribution_index import _close, _finite
 
 __all__ = _EXPORTS["claim_settlement"]
 
 _INDEX_SUM_TOL = 1e-9
 
 
-def _is_exact(values) -> bool:
-    return all(isinstance(v, Rational) for v in values)
-
-
 @dataclass(frozen=True)
 class ClaimBatch:
-    """Claims in pool units, their weights (summing to 1), and the available pool."""
+    """Claims in pool units, their weights (summing to 1), and the available pool.
+
+    The weights must sum to 1: exactly if rational, else to 1e-9 relative (`_close`)."""
 
     claims: tuple
     indices: tuple
@@ -48,16 +45,9 @@ class ClaimBatch:
             raise ValueError("claims and indices must have equal length")
         if not all(_finite(v) for v in (*claims, *indices, pool_shares)):
             raise ValueError("claims, indices and pool_shares must be finite numbers")
-        if any(c < 0 for c in claims) or any(w < 0 for w in indices):
-            raise ValueError("claims and indices must be nonnegative")
-        if pool_shares < 0:
-            raise ValueError("pool_shares must be nonnegative")
-        total = sum(indices)
-        if _is_exact(indices):
-            ok = total == 1
-        else:
-            ok = abs(total - 1.0) <= _INDEX_SUM_TOL
-        if not ok:
+        if min(*claims, *indices, pool_shares) < 0:
+            raise ValueError("claims, indices and pool_shares must be nonnegative")
+        if not _close(sum(indices), 1, _INDEX_SUM_TOL):
             raise ValueError("indices must sum to 1 over claimants")
         object.__setattr__(self, "claims", claims)
         object.__setattr__(self, "indices", indices)

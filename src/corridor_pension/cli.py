@@ -88,16 +88,19 @@ _SETTINGS = {
 _MARKET_POLICY = ("mu", "sigma", "k", "p", "give_frac", "help_frac", "alpha")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_object(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise CliError("config root must be a JSON object")
+        raise CliError(f"cannot read {what} {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise CliError(f"{what} root must be a JSON object")
+    return raw
+
+
+def _load_config(path: str | None) -> dict:
+    cfg = {} if path is None else _read_object(path, "config")
     # one file serves every subcommand, so a key any of them reads is known
     for name, value in cfg.items():
         if name in _SETTINGS and _SETTINGS[name].section is None:
@@ -288,8 +291,6 @@ def cmd_fixed_point(args) -> int:
     if not isinstance(eta_raw, list):
         raise CliError(f"eta must be a comma-separated string or a list, got {eta_raw!r}")
     eta_vec = [_number(x, "eta") for x in eta_raw]
-    if not eta_vec:
-        raise CliError("eta list is empty")
 
     res = fixed_point_barriers(params, policy, eta_vec, values["theta"], grid=values["grid"])
     _emit(asdict(res))
@@ -297,26 +298,17 @@ def cmd_fixed_point(args) -> int:
 
 
 def _batch_number(value, where):
-    # strings become exact Fractions ("1/5", "35", "0.25"); numbers pass through,
-    # but not JSON booleans, which Python counts as ints
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise CliError(f"bad number {value!r} in {where}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    # strings become exact Fractions ("1/5", "35", "0.25"); ClaimBatch checks the rest
+    if not isinstance(value, str):
         return value
-    raise CliError(f"bad number {value!r} in {where}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"bad number {value!r} in {where}")
 
 
 def cmd_settle(args) -> int:
-    try:
-        with open(args.batch) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read batch {args.batch}: {exc}")
-    if not isinstance(raw, dict):
-        raise CliError("batch root must be a JSON object")
+    raw = _read_object(args.batch, "batch")
     for key in ("claims", "indices", "pool"):
         if key not in raw:
             raise CliError(f"batch file missing {key!r}")
@@ -362,6 +354,8 @@ def _parse_kv(pairs, what):
         key, eq, val = item.partition("=")
         if not (eq and key):  # no "=", or no member ID before it
             raise CliError(f"{what} must look like ID=NUMBER, got {item!r}")
+        if key in out:  # else the last entry would silently replace the first
+            raise CliError(f"{what} names member {key!r} twice")
         try:
             out[key] = float(val)
         except ValueError:
@@ -378,8 +372,6 @@ def cmd_index(args) -> int:
                 raise CliError(f"--mode {args.mode} disagrees with the {ledger.mode} ledger")
         else:
             ledger = Ledger(mode=args.mode or "proportional")
-        if args.t is None or args.c_pre is None:
-            raise CliError("update needs --t and --c-pre")
         contributions = _parse_kv(args.contribution, "--contribution")
         a = _parse_kv(args.a, "--a") or None
         shares = ledger.record(args.t, contributions, args.c_pre, a=a)

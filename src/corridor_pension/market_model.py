@@ -182,6 +182,8 @@ def expect_mc(
     total, count, sq_dev = 0.0, 0, 0.0
     for y in _return_blocks(params, 1, n_paths, np.random.SeedSequence(seed), _MC_CHUNK):
         v = np.asarray(fn(y[:, 0]), dtype=float)
+        if v.shape != (len(y),):  # else a scalar or a slice is averaged over n_paths
+            raise ValueError(f"fn must return one value per path, not shape {v.shape}")
         n, chunk_total = len(y), float(v.sum())
         chunk_mean = chunk_total / n
         d = v - chunk_mean

@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +46,7 @@ from .corridor_math import (
     n_func,
 )
 from .market_model import GbmParams, _check_count, _path_stream, _return_blocks, density_peak
-from .redistribution_index import Ledger, index_for_pool
+from .redistribution_index import Ledger, _check_index, index_for_pool
 
 __all__ = _EXPORTS["pool_simulator"]
 
@@ -113,9 +112,7 @@ class PoolConfig:
         if self.regime == INDEX_CAPPED_HELP:
             if self.index_source is None:
                 raise ValueError("IndexCappedHelp needs an index_source ledger")
-            events = self.index_source.events
-            if not events or not events[0].t < 1:
-                raise ValueError("the index_source ledger needs an event before t = 1")
+            index_for_pool(self.index_source, 1)  # raises unless an event precedes t = 1
             if not {str(j) for j in self.index_source.ids} & {str(i) for i in range(self.n)}:
                 raise ValueError("no pool member (ids 0..n-1) appears in the index_source ledger")
         elif self.index_source is not None:
@@ -210,19 +207,13 @@ def z_star(
 
 
 def _check_pool(eta_vec, theta: float):
-    # one pool's unit counts and collective, refused alike by z_star,
-    # improvement_bound and best_response_gain
+    """Refuse a pool without one or more finite nonnegative unit counts and a finite
+    nonnegative collective, alike in z_star, improvement_bound and best_response_gain."""
     etas = np.asarray(eta_vec, dtype=float)
-    if not (etas.ndim == 1 and np.all((0.0 <= etas) & (etas < np.inf))):
-        raise ValueError("invalid pool state: unit counts must be finite and nonnegative")
+    if not (etas.ndim == 1 and etas.size and np.all((0.0 <= etas) & (etas < np.inf))):
+        raise ValueError("invalid pool state: unit counts must be nonempty, finite and nonnegative")
     if not 0 <= theta < math.inf:
         raise ValueError("invalid pool state: theta must be finite and nonnegative")
-
-
-def _check_agent(j, n: int):
-    # a member's index into a pool of n: an integer (numpy ints too), not a bool or 1.0
-    if isinstance(j, bool) or not isinstance(j, Integral) or not 0 <= j < n:
-        raise ValueError("agent index out of range")
 
 
 def _threshold(ks: np.ndarray, etas: np.ndarray, theta: float, help_frac: float) -> np.ndarray:
@@ -570,7 +561,7 @@ def improvement_bound(
     Proportional to the density sup-norm and the agent's unit share of the
     total buffer; vanishes as the pool grows.
     """
-    _check_agent(j, len(eta_vec))
+    _check_index(j, len(eta_vec), "agent index")
     _check_pool(eta_vec, theta)
     if policy.help_frac <= 0:
         return 0.0
@@ -597,7 +588,7 @@ def best_response_gain(
     produced by the deviated pool.
     """
     n = len(eta_vec)
-    _check_agent(j, n)
+    _check_index(j, n, "agent index")
     _check_pool(eta_vec, theta)
     common = n_func(params, policy, z_star([k_bar] * n, eta_vec, theta, policy.help_frac), k_bar)
     own = np.linspace(0.0, 1.0, _RESPONSE_GRID)

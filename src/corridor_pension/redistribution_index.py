@@ -188,6 +188,12 @@ def _finite(x) -> bool:
     return isinstance(x, Rational) or (isinstance(x, Real) and math.isfinite(x))
 
 
+def _check_index(j, n: int, name: str):
+    # an index into n items: an integer (numpy ints too), not a bool or 0.5, which none matches
+    if isinstance(j, bool) or not isinstance(j, Integral) or not 0 <= j < n:
+        raise ValueError(f"{name} out of range")
+
+
 def _validate_event(ledger: Ledger, t, contributions: dict, c_pre, a=None):
     if not all(_finite(v) for v in (t, c_pre, *contributions.values())):
         raise ValueError("event time, C_pre and contributions must be finite numbers")
@@ -336,10 +342,7 @@ def check_add(ledger: Ledger, join_index: int, new_id, amount) -> CheckResult:
     Replays the ledger with `new_id` adding `amount` at event `join_index` and
     compares each incumbent's share of the incumbent subtotal.
     """
-    # an event index: an integer (numpy ints too), not a bool or 0.5, which no event matches
-    if (isinstance(join_index, bool) or not isinstance(join_index, Integral)
-            or not 0 <= join_index < len(ledger.events)):
-        raise ValueError("join_index out of range")
+    _check_index(join_index, len(ledger.events), "join_index")
     if new_id in ledger.ids or str(new_id) in map(str, ledger.ids):
         raise ValueError("new contributor must be fresh")
     if amount <= 0:
@@ -391,7 +394,8 @@ def check_lin(ledger: Ledger) -> CheckResult:
 
 def index_for_pool(ledger: Ledger, t) -> dict:
     """Lagged shares for capping help claims: the state after the last event
-    strictly before t.  t = 0 has no meaningful shares and raises."""
+    strictly before t.  t <= 0, or no event before t, raises; `PoolConfig`
+    calls it at t = 1, so a pool's first period always has shares to read."""
     if t <= 0:
         raise ValueError("shares are undefined at t = 0; the pot starts empty")
     chosen = None
@@ -401,5 +405,5 @@ def index_for_pool(ledger: Ledger, t) -> dict:
         else:
             break
     if chosen is None:
-        raise ValueError(f"no event recorded before t = {t}")
+        raise ValueError(f"the ledger needs an event before t = {t}")
     return dict(chosen.shares_after)

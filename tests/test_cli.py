@@ -234,11 +234,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
                          ("profitability", {"policy": {"alfa": 4}}),
                          ("optimize", {"horizn": 20}),
                          ("simulate", {"markets": {"mu": 0.01}}),
-                         ("settle", {"market": {"n": 2}})):
+                         ("settle", {"market": {"n": 2}}),
+                         # a root that is no object, and a pool with no members
+                         ("profitability", [cfg]),
+                         ("fixed-point", {"fixed_point": {"eta": []}})):
         path.write_text(json.dumps(bad))
         argv = [str(batch)] if command == "settle" else []
         code, out = run(capsys, command, *argv, "--config", str(path))
         assert (code, out) == (2, None), bad
+    code, out = run(capsys, "profitability", "--config", str(tmp_path / "missing.json"))
+    assert (code, out) == (2, None)
 
 
 def test_config_integer_settings_refuse_fractions(tmp_path, capsys):
@@ -314,6 +319,15 @@ def test_settle(tmp_path, capsys):
     assert out["rounds"] == 3
     rows = read_csv(tmp_path / "settlement.csv")
     assert len(rows) == 5
+    # the README's batch of exact strings settles in Fractions, printed as strings
+    batch.write_text(json.dumps(
+        {"claims": ["4", "6", "20", "35", "80"], "indices": ["1/5"] * 5, "pool": "100"}
+    ))
+    code, out = run(capsys, "settle", str(batch), "--out", str(tmp_path))
+    assert code == 0
+    assert out["allocations"] == ["4", "6", "20", "35", "35"]
+    assert (out["remaining"], out["rounds"]) == ("0", 3)
+    assert [r["allocation"] for r in read_csv(tmp_path / "settlement.csv")] == out["allocations"]
 
 
 def test_settle_bad_inputs(tmp_path, capsys):
@@ -327,8 +341,9 @@ def test_settle_bad_inputs(tmp_path, capsys):
     neg.write_text(json.dumps({"claims": [-1], "indices": [1.0], "pool": 10}))
     code, _ = run(capsys, "settle", str(neg))
     assert code == 2
-    # NaN or infinite claims, and JSON booleans (which Python counts as ints)
-    for claims in ([math.nan, 6], [True, "6"], [4, math.inf]):
+    # NaN or infinite claims, JSON booleans (which Python counts as ints), and
+    # strings that are no exact number
+    for claims in ([math.nan, 6], [True, "6"], [4, math.inf], ["1/0", 6], ["four", 6]):
         odd = tmp_path / "odd.json"
         odd.write_text(json.dumps({"claims": claims, "indices": [0.5, 0.5], "pool": 10}))
         code, out = run(capsys, "settle", str(odd), "--out", str(tmp_path / "odd"))
@@ -427,13 +442,14 @@ def test_index_errors(tmp_path, capsys):
         "--contribution", "oops",
     )
     assert code == 2
-    # non-finite values exit 2 and leave the ledger file unwritten
-    code, _ = run(
-        capsys, "index", "update", str(led), "--t", "0", "--c-pre", "0",
-        "--contribution", "0=nan", "--contribution", "1=2",
-    )
-    assert code == 2
-    assert not led.exists()
+    # non-finite values, and a member ID given twice, exit 2 and leave the ledger file unwritten
+    for first, second in (("0=nan", "1=2"), ("1=2", "1=3")):
+        code, _ = run(
+            capsys, "index", "update", str(led), "--t", "0", "--c-pre", "0",
+            "--contribution", first, "--contribution", second,
+        )
+        assert code == 2, (first, second)
+        assert not led.exists()
     code, _ = run(capsys, "index", "update", str(led), "--t", "0", "--c-pre", "0",
                   "--contribution", "0=5", "--mode", "monotone")
     assert code == 0
@@ -443,7 +459,13 @@ def test_index_errors(tmp_path, capsys):
                   ["--t", "1", "--c-pre", "5", "--contribution", "0=-inf"],
                   # a member ID that is empty
                   ["--t", "1", "--c-pre", "5", "--contribution", "=5"],
-                  ["--t", "1", "--c-pre", "5", "--a", "=0.1"]):
+                  ["--t", "1", "--c-pre", "5", "--a", "=0.1"],
+                  # an amount that is no number, and an event without --t or --c-pre
+                  ["--t", "1", "--c-pre", "5", "--contribution", "0=abc"],
+                  ["--c-pre", "5"], ["--t", "1"],
+                  # a member ID given twice: the first amount used to be dropped
+                  ["--t", "1", "--c-pre", "5", "--contribution", "1=3"],
+                  ["--t", "1", "--c-pre", "5", "--a", "0=0.1", "--a", "0=0.2"]):
         code, _ = run(capsys, "index", "update", str(led), "--contribution", "1=2", *flags)
         assert code == 2, flags
         assert led.read_bytes() == before
@@ -452,10 +474,11 @@ def test_index_errors(tmp_path, capsys):
                   "--t", "1", "--c-pre", "5", "--contribution", "1=2")
     assert code == 2
     assert led.read_bytes() == before
-    # ledger files of the wrong shape, and JSON booleans in an event
+    # ledger files of the wrong shape, JSON booleans in an event, and a ledger with no events
     bad = tmp_path / "bad_ledger.json"
     for raw in ([1, 2], {"events": [1]}, {"events": [{"t": 0, "C_pre": 0, "contributions": [1]}]},
-                {"events": [{"t": 0, "C_pre": 0, "contributions": {"0": True}}]}):
+                {"events": [{"t": 0, "C_pre": 0, "contributions": {"0": True}}]},
+                {"mode": "proportional", "events": []}):
         bad.write_text(json.dumps(raw))
         code, out = run(capsys, "index", "show", str(bad))
         assert (code, out) == (2, None), raw

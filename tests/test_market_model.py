@@ -132,6 +132,16 @@ def test_expect_mc_chunking_invariance(monkeypatch):
         expect_mc(A, lambda y: y, 1, seed=0)
 
 
+@pytest.mark.parametrize("fn", [
+    lambda y: 1.0,  # returned (0.001, 0.000999): one value averaged over 1000 paths
+    lambda y: y[:500],  # returned 0.527, 500 values averaged over 1000 paths
+    lambda y: np.stack([y, y], axis=1),  # returned 2.10, twice the mean
+])
+def test_expect_mc_refuses_a_result_that_is_not_one_value_per_path(fn):
+    with pytest.raises(ValueError, match="one value per path"):
+        expect_mc(A, fn, 1000, seed=0)
+
+
 def test_expect_mc_pinned_values(monkeypatch):
     # one stream, SeedSequence(seed) itself, summed chunk by chunk; values
     # pinned when expect_mc came to draw through the pool's sampler.  The means

@@ -20,6 +20,8 @@ from corridor_pension.corridor_math import (
     m2_horizon,
     maximize_m2,
     n_func,
+    psi1,
+    psi2,
 )
 from corridor_pension.market_model import GbmParams, density_peak
 from corridor_pension.pool_simulator import (
@@ -284,6 +286,12 @@ def test_z_star_edges():
             z_star(ks, etas, theta)
     with pytest.raises(ValueError):
         z_star([0.2], [1.0], 0.1, help_frac=math.nan)
+    # a pool with no members has no threshold, and so no fixed point: both
+    # returned a cutoff of -1.0, the fixed point with converged=True
+    with pytest.raises(ValueError, match="unit counts"):
+        z_star([], [], 0.2)
+    with pytest.raises(ValueError, match="unit counts"):
+        fixed_point_barriers(A, CorridorPolicy(alpha=4.0), [], 0.2)
 
 
 def test_z_star_active_set_drops_wide_boundaries():
@@ -709,6 +717,24 @@ def test_config_rejects_negative_initial_values():
     with pytest.raises(ValueError, match="initial values"):
         base_config(v0_ind=-1.0)
     base_config(v0_ind=(1.0, 0.0, 1.0))
+
+
+def test_simulate_matches_the_exact_always_help_horizon_moments():
+    # under AlwaysHelp every claim is paid, so each member's value follows
+    # V_t = V_{t-1} (1 + g_t) + gamma pi exactly, with E[g] = psi1 and
+    # E[g^2] = psi2: E[V_T] is v0 plus horizon_objective at alpha 0, and
+    # E[V_T^2] follows q <- q (1 + 2 psi1 + psi2) + 2 gamma pi m (1 + psi1) + (gamma pi)^2
+    params, policy = GbmParams(0.045, 0.12), CorridorPolicy(k=0.1, alpha=2.0)
+    T, gamma, pi, v0, paths = 40, 0.8, 0.1, 1.0, 100_000
+    s1, s2, gp = psi1(params, policy, policy.k), psi2(params, policy, policy.k), gamma * pi
+    m, q = v0, v0 * v0
+    for _ in range(T):
+        m, q = m * (1 + s1) + gp, q * (1 + 2 * s1 + s2) + 2 * gp * m * (1 + s1) + gp * gp
+    assert m == pytest.approx(v0 + horizon_objective([(s1, s2)] * T, 0.0, v0, gp), rel=1e-12)
+    # the members are alike, so a path's member mean is each member's V_T
+    config = PoolConfig(n=10, gamma=gamma, pi_ind=pi, T=T, regime=ALWAYS_HELP, policy=policy)
+    res = simulate(config, params, paths, seed=1)
+    assert abs(res.mean_terminal_value - m) <= 4 * math.sqrt((q - m * m) / paths)
 
 
 def test_index_capped_needs_an_event_before_the_first_period():

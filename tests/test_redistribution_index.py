@@ -109,6 +109,8 @@ def test_first_event_rules():
         led.record(1, {1: F(10)}, F(90))  # strictly increasing times
     with pytest.raises(ValueError):
         led.record(2, {1: F(-5)}, F(90))
+    with pytest.raises(ValueError, match="C_pre must be nonnegative"):
+        led.record(2, {1: F(5)}, F(-1))
 
 
 def test_proportional_undefined_on_wiped_pot():
@@ -242,6 +244,12 @@ def test_check_add_guards():
     for join_index in (0.5, 1.5, True):
         with pytest.raises(ValueError, match="join_index out of range"):
             check_add(led, join_index, 9, F(40))
+    # the second event empties the pot, so the third has no growth factor to replay
+    wiped = Ledger(mode="proportional")
+    for t, contributions, c_pre in ((1, {1: F(100)}, F(0)), (2, {}, F(0)), (3, {}, F(0))):
+        wiped.record(t, contributions, c_pre)
+    with pytest.raises(ValueError, match="cannot replay through a wiped-out pot"):
+        check_add(wiped, 0, 9, F(10))
 
 
 _amounts = st.fractions(min_value=0, max_value=500, max_denominator=20)
