@@ -16,7 +16,6 @@ import csv
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -25,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from .claim_settlement import ClaimBatch, settle
 from .redistribution_index import (
     Ledger,
+    _exact,
     check_add,
     check_cont,
     check_fix,
@@ -35,10 +35,6 @@ from .redistribution_index import (
 if TYPE_CHECKING:
     from .corridor_math import CorridorPolicy
     from .market_model import GbmParams
-
-
-class CliError(Exception):
-    """Invalid input or configuration; maps to exit code 2."""
 
 
 class _Setting(NamedTuple):
@@ -93,9 +89,9 @@ def _read_object(path: str, what: str) -> dict:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read {what} {path}: {exc}")
+        raise ValueError(f"cannot read {what} {path}: {exc}")
     if not isinstance(raw, dict):
-        raise CliError(f"{what} root must be a JSON object")
+        raise ValueError(f"{what} root must be a JSON object")
     return raw
 
 
@@ -107,12 +103,12 @@ def _load_config(path: str | None) -> dict:
             continue
         keys = {s.key for s in _SETTINGS.values() if s.section == name}
         if not keys:
-            raise CliError(f"unknown config key {name!r}")
+            raise ValueError(f"unknown config key {name!r}")
         if not isinstance(value, dict):
-            raise CliError(f"config {name!r} must be a JSON object")
+            raise ValueError(f"config {name!r} must be a JSON object")
         for key in value:
             if key not in keys:
-                raise CliError(f"unknown config key {key!r} in {name!r}")
+                raise ValueError(f"unknown config key {key!r} in {name!r}")
     return cfg
 
 
@@ -122,7 +118,7 @@ def _number(val, where, kind=float):
     if isinstance(val, bool) or not isinstance(val, (int, float, str)) or (
         kind is int and isinstance(val, float) and not val.is_integer()
     ):
-        raise CliError(f"bad value {val!r} for {where}")
+        raise ValueError(f"bad value {val!r} for {where}")
     return kind(val)
 
 
@@ -289,7 +285,7 @@ def cmd_fixed_point(args) -> int:
     if isinstance(eta_raw, str):
         eta_raw = eta_raw.split(",")  # an empty entry is a bad number, not one fewer member
     if not isinstance(eta_raw, list):
-        raise CliError(f"eta must be a comma-separated string or a list, got {eta_raw!r}")
+        raise ValueError(f"eta must be a comma-separated string or a list, got {eta_raw!r}")
     eta_vec = [_number(x, "eta") for x in eta_raw]
 
     res = fixed_point_barriers(params, policy, eta_vec, values["theta"], grid=values["grid"])
@@ -297,28 +293,16 @@ def cmd_fixed_point(args) -> int:
     return 0 if res.converged else 1
 
 
-def _batch_number(value, where):
-    # strings become exact Fractions ("1/5", "35", "0.25"); ClaimBatch checks the rest
-    if not isinstance(value, str):
-        return value
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"bad number {value!r} in {where}")
-
-
 def cmd_settle(args) -> int:
     raw = _read_object(args.batch, "batch")
     for key in ("claims", "indices", "pool"):
         if key not in raw:
-            raise CliError(f"batch file missing {key!r}")
+            raise ValueError(f"batch file missing {key!r}")
     if not isinstance(raw["claims"], list) or not isinstance(raw["indices"], list):
-        raise CliError("claims and indices must be lists")
-    batch = ClaimBatch(
-        [_batch_number(c, "claims") for c in raw["claims"]],
-        [_batch_number(w, "indices") for w in raw["indices"]],
-        _batch_number(raw["pool"], "pool"),
-    )
+        raise ValueError("claims and indices must be lists")
+    # strings become exact Fractions ("1/5", "35", "0.25"); ClaimBatch checks the rest
+    batch = ClaimBatch([_exact(c) for c in raw["claims"]], [_exact(w) for w in raw["indices"]],
+                       _exact(raw["pool"]))
     result = settle(batch)
     out = _out_dir(_settings(args))
     _write_csv(
@@ -344,8 +328,8 @@ def _load_ledger(path: str) -> Ledger:
     try:
         with open(path) as fh:
             return Ledger.from_json(fh.read())
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load ledger {path}: {exc}")
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise ValueError(f"cannot load ledger {path}: {exc}")
 
 
 def _parse_kv(pairs, what):
@@ -353,13 +337,13 @@ def _parse_kv(pairs, what):
     for item in pairs or []:
         key, eq, val = item.partition("=")
         if not (eq and key):  # no "=", or no member ID before it
-            raise CliError(f"{what} must look like ID=NUMBER, got {item!r}")
+            raise ValueError(f"{what} must look like ID=NUMBER, got {item!r}")
         if key in out:  # else the last entry would silently replace the first
-            raise CliError(f"{what} names member {key!r} twice")
+            raise ValueError(f"{what} names member {key!r} twice")
         try:
             out[key] = float(val)
         except ValueError:
-            raise CliError(f"bad number in {what}: {item!r}")
+            raise ValueError(f"bad number in {what}: {item!r}")
     return out
 
 
@@ -369,7 +353,7 @@ def cmd_index(args) -> int:
         if path.exists():
             ledger = _load_ledger(args.ledger)
             if args.mode not in (None, ledger.mode):
-                raise CliError(f"--mode {args.mode} disagrees with the {ledger.mode} ledger")
+                raise ValueError(f"--mode {args.mode} disagrees with the {ledger.mode} ledger")
         else:
             ledger = Ledger(mode=args.mode or "proportional")
         contributions = _parse_kv(args.contribution, "--contribution")
@@ -381,7 +365,7 @@ def cmd_index(args) -> int:
 
     ledger = _load_ledger(args.ledger)
     if not ledger.events:
-        raise CliError("ledger has no events")
+        raise ValueError("ledger has no events")
 
     if args.verb == "show":
         _emit(
@@ -396,9 +380,9 @@ def cmd_index(args) -> int:
 
     # check
     if (args.new_id is None) != (args.amount is None):
-        raise CliError("the add check needs both --new-id and --amount")
+        raise ValueError("the add check needs both --new-id and --amount")
     if args.new_id is None and args.join_event is not None:
-        raise CliError("--join-event is read only by the add check: pass --new-id and --amount")
+        raise ValueError("--join-event is read only by the add check: pass --new-id and --amount")
     results = {
         "cont": check_cont(ledger),
         "fix": check_fix(ledger),
@@ -484,7 +468,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as exc:  # a ValueError is invalid input too
+    except ValueError as exc:  # invalid input, from the CLI or the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,12 +27,12 @@ runs.
 
 Optimizers are grid scans with a zoomed rescan around each peak because the
 objectives can be bimodal; near-equal maxima are reported as ties and resolved
-by the slope of the transfer-only objective `m1`.  A search checks its
-arguments once and evaluates its grid and zooms through one unchecked
-evaluator.  The best responses of the fixed point (`_best_responses`) share
-one grid, on which only the gate edge moves with the cutoff c: the normal-CDF
-rows of the other two edges are computed once per fixed point and handed to
-the evaluator of each cutoff.
+by the slope of the transfer-only objective `m1`.  `maximize_m2`, `k_of_c`
+and the fixed point's best responses are one search, `_searches`: it checks
+its grid once, computes the normal-CDF rows of the edges L and U, which do not
+depend on c, once, and scans the objective of one cutoff after another
+(`maximize_m2` is the one at c = -1, compounded over T periods).  `_objective`
+is the one builder of that objective from the payoff moments.
 
 All evaluation is exact up to normal-CDF accuracy; no quadrature or sampling
 happens here.
@@ -322,13 +322,7 @@ def m2_horizon(params: GbmParams, policy: CorridorPolicy, k, T: int):
     """The objective of `horizon_objective` with the boundary held at k for T periods."""
     _check_count(T, "T")
     _check_k(k)
-    return _like(k, _horizon(params, policy, T)(k))
-
-
-def _horizon(params: GbmParams, policy: CorridorPolicy, T: int) -> Callable:
-    # k -> the objective of `m2_horizon`, unchecked, through one evaluator
-    moments = _PayoffMoments(params, policy)
-    return lambda k: horizon_objective([moments(k)] * T, policy.alpha)
+    return _like(k, _objective(params, policy, T=T)(k))
 
 
 def mp_stationary_points(params: GbmParams, policy: CorridorPolicy) -> list[tuple[float, str]]:
@@ -465,17 +459,15 @@ def maximize_m2(
 ) -> OptResult:
     """Maximize the mean-minus-weighted-second-moment objective on [k_min, 1].
 
-    T is the number of periods to retirement (as `PoolConfig.T`): the boundary
-    is held constant and the objective is compounded by `m2_horizon`, which at
-    the default T = 1 is the one-period `m2`.  Dense scan plus local
-    refinement; the objective can have two separated maxima, in which case
-    near-equal values (within TIE_TOL) set tie_flag and the slope rule of
-    `_maximize_scalar` picks the winner.
+    The search of `k_of_c` at c = -1 (no gate), compounded over T periods to
+    retirement (as `PoolConfig.T`): the boundary is held constant and the
+    objective is that of `m2_horizon`, which at the default T = 1 is the
+    one-period `m2`.  Dense scan plus local refinement; the objective can have
+    two separated maxima, in which case near-equal values (within TIE_TOL) set
+    tie_flag and the slope rule of `_maximize_scalar` picks the winner.
     """
     _check_count(T, "T")
-    ks = _search_grid(params, policy, k_min, grid)
-    objective = _horizon(params, policy, T)
-    return _maximize_scalar(objective, params, policy, ks, objective(ks))
+    return _searches(params, policy, grid, k_min, T)(-1.0)
 
 
 def n_func(params: GbmParams, policy: CorridorPolicy, c, k):
@@ -500,32 +492,37 @@ def _check_cutoff(c):
         raise ValueError("c must be in [-1, 0]")
 
 
-def _objective(params: GbmParams, policy: CorridorPolicy, c=-1.0) -> Callable:
-    # (k, lu=None) -> the objective of `n_func` (`m2` at c = -1), unchecked, by one evaluator
+def _objective(params: GbmParams, policy: CorridorPolicy, c=-1.0, T: int = 1) -> Callable:
+    # (k, lu=None) -> the objective of `n_func` compounded over T periods by
+    # `horizon_objective` (`m2` at c = -1 and T = 1), unchecked, by one evaluator
     moments = _PayoffMoments(params, policy, c)
 
     def objective(k, lu=None):
         s1, s2 = moments(k, lu)
-        return s1 - policy.alpha * s2
+        if T == 1:  # the one-period value of `horizon_objective`, without its loop
+            return s1 - policy.alpha * s2
+        return horizon_objective([(s1, s2)] * T, policy.alpha)
 
     return objective
 
 
-def _best_responses(
-    params: GbmParams, policy: CorridorPolicy, grid: int, k_min: float | None = None
+def _searches(
+    params: GbmParams, policy: CorridorPolicy, grid: int, k_min: float | None = None, T: int = 1
 ) -> Callable:
-    """c -> `k_of_c` at c, searching one grid for one cutoff after another.
+    """c -> the best boundary against cutoff c over T periods: one grid for every cutoff.
 
-    The grid is checked once and the normal-CDF rows of its edges L and U,
-    which do not depend on c, are computed once; each cutoff adds the row of
-    its gate G (none for c = -1, which has no gate) and is checked as it comes.
+    `k_of_c` and the fixed point's best responses are its searches at T = 1,
+    `maximize_m2` its search at c = -1.  The grid is checked once and the
+    normal-CDF rows of its edges L and U, which do not depend on c, are
+    computed once; each cutoff adds the row of its gate G (none for c = -1,
+    which has no gate) and is checked as it comes.
     """
     ks = _search_grid(params, policy, k_min, grid)
     lu = _PayoffMoments(params, policy).rows(ks)
 
     def search(c) -> OptResult:
         _check_cutoff(c)
-        objective = _objective(params, policy, c)
+        objective = _objective(params, policy, c, T)
         return _maximize_scalar(objective, params, policy, ks, objective(ks, lu))
 
     return search
@@ -540,9 +537,10 @@ def k_of_c(
 ) -> OptResult:
     """Best-response boundary against a fixed help cutoff c.
 
-    Same search machinery as `maximize_m2` applied to the gated objective.
+    The one-period search of `_searches` on the gated objective of `n_func`;
+    at c = -1 it is `maximize_m2`.
     """
-    return _best_responses(params, policy, grid, k_min)(c)
+    return _searches(params, policy, grid, k_min)(c)
 
 
 def xi(params: GbmParams, xp: XiParams, k):

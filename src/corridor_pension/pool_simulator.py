@@ -40,7 +40,7 @@ from . import _EXPORTS
 from .corridor_math import (
     CorridorPolicy,
     _PayoffMoments,
-    _best_responses,
+    _searches,
     admissible_min_k,
     horizon_objective,
     n_func,
@@ -529,7 +529,7 @@ def fixed_point_barriers(
     c = z_star(np.ones(len(etas)), etas, theta, policy.help_frac)
     def threshold(k):  # the common threshold of everyone at k, unchecked
         return float(_threshold(np.full(len(etas), k), etas, theta, policy.help_frac))
-    best_response = _best_responses(params, policy, grid)
+    best_response = _searches(params, policy, grid)
     k_bar = 1.0
     history = [k_bar]
     for it in range(1, _FIXED_POINT_MAX_ITER + 1):

@@ -155,27 +155,23 @@ class Ledger:
 
     @classmethod
     def from_json(cls, text: str) -> "Ledger":
-        def dec(x):
-            if isinstance(x, str) and "/" in x:
-                return Fraction(x)
-            return x
-
         raw = json.loads(text)
         if not isinstance(raw, dict) or not isinstance(raw.get("events", []), list):
             raise ValueError("a ledger is a JSON object with a list of events")
         led = cls(
             mode=raw.get("mode", MODE_PROPORTIONAL),
-            norm=dec(raw.get("norm", 100)),
-            default_a=dec(raw.get("default_a", 0)),
+            norm=_exact(raw.get("norm", 100)),
+            default_a=_exact(raw.get("default_a", 0)),
         )
         for ev in raw.get("events", []):
             if not isinstance(ev, dict) or not all(
                 isinstance(ev.get(key, {}), dict) for key in ("contributions", "a")
             ):
                 raise ValueError("a ledger event is an object; its contributions and a are objects")
-            contributions = {j: dec(v) for j, v in ev.get("contributions", {}).items()}
-            a = {j: dec(v) for j, v in ev["a"].items()} if "a" in ev else None
-            led.record(dec(ev["t"]), contributions, dec(ev["C_pre"]), a=a)
+            contributions = {j: _exact(v) for j, v in ev.get("contributions", {}).items()}
+            a = {j: _exact(v) for j, v in ev["a"].items()} if "a" in ev else None
+            # a missing t or C_pre is None, which `_validate_event` refuses as not finite
+            led.record(_exact(ev.get("t")), contributions, _exact(ev.get("C_pre")), a=a)
         return led
 
 
@@ -186,6 +182,18 @@ def _finite(x) -> bool:
     if isinstance(x, bool):
         return False
     return isinstance(x, Rational) or (isinstance(x, Real) and math.isfinite(x))
+
+
+def _exact(x):
+    # a string that Fraction parses ("1/5", "35", "0.25") becomes that exact
+    # number; anything else ("1/0", "75 euros", a float) comes back as it is,
+    # for `_finite` to accept or refuse
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return x
 
 
 def _check_index(j, n: int, name: str):

@@ -474,11 +474,14 @@ def test_index_errors(tmp_path, capsys):
                   "--t", "1", "--c-pre", "5", "--contribution", "1=2")
     assert code == 2
     assert led.read_bytes() == before
-    # ledger files of the wrong shape, JSON booleans in an event, and a ledger with no events
+    # ledger files of the wrong shape, JSON booleans in an event, a ledger with no events,
+    # an exact string with a zero denominator and an event without "t"
     bad = tmp_path / "bad_ledger.json"
     for raw in ([1, 2], {"events": [1]}, {"events": [{"t": 0, "C_pre": 0, "contributions": [1]}]},
                 {"events": [{"t": 0, "C_pre": 0, "contributions": {"0": True}}]},
-                {"mode": "proportional", "events": []}):
+                {"mode": "proportional", "events": []},
+                {"events": [{"t": "1/0", "C_pre": 0, "contributions": {"0": 1}}]},
+                {"events": [{"C_pre": 0, "contributions": {"0": 1}}]}):
         bad.write_text(json.dumps(raw))
         code, out = run(capsys, "index", "show", str(bad))
         assert (code, out) == (2, None), raw

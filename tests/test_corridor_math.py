@@ -504,10 +504,10 @@ def test_searches_check_their_arguments_once(monkeypatch):
 
 
 def test_searches_build_one_evaluator_and_call_ndtr_once_per_evaluation(monkeypatch):
-    # a search builds its payoff evaluator once (k_of_c and the fixed point
-    # one per cutoff, besides admissible_min_k's and the one for the rows of
-    # L and U their cutoffs share), and each evaluation is one ndtr call (none
-    # for the shared grid at c = -1, which has no gate row)
+    # a search builds its payoff evaluator once per cutoff (maximize_m2's is
+    # c = -1), besides admissible_min_k's and the one for the rows of L and U
+    # its cutoffs share, and each evaluation is one ndtr call (none for the
+    # shared grid at c = -1, which has no gate row)
     from corridor_pension.pool_simulator import fixed_point_barriers
 
     ndtr_calls, built, evaluations = [0], [], []
@@ -529,7 +529,7 @@ def test_searches_build_one_evaluator_and_call_ndtr_once_per_evaluation(monkeypa
 
     monkeypatch.setattr(corridor_math, "ndtr", counted_ndtr)
     monkeypatch.setattr(corridor_math, "_PayoffMoments", Counted)
-    for search, evaluators in ((lambda: maximize_m2(B, POLB, k_min=0.0, T=20), 1),
+    for search, evaluators in ((lambda: maximize_m2(B, POLB, k_min=0.0, T=20), 2),
                                (lambda: k_of_c(B, POLB, -0.02, k_min=0.05), 2)):
         built.clear(), evaluations.clear()
         search()
@@ -665,6 +665,12 @@ def test_k_of_c_matches_m2_at_no_gate():
     full = maximize_m2(A, POL4)
     gated = k_of_c(A, POL4, -1.0)
     assert gated.value == pytest.approx(full.value, rel=1e-10)
+    # one search: maximize_m2 is k_of_c's search at c = -1, tie diagnostics included
+    tie = GbmParams(0.06, 0.09328707495450515)
+    for params, k_min, grid in ((tie, 0.0, 2001), (B, 0.05, 1001), (A, None, 401)):
+        res = maximize_m2(params, POLB, k_min=k_min, grid=grid)
+        assert res == k_of_c(params, POLB, -1.0, grid=grid, k_min=k_min)
+        assert res.tie_flag is (params is tie)
 
 
 def test_k_of_c_with_binding_gate():

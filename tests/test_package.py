@@ -55,15 +55,31 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_one_random_generator_in_the_package():
-    # every sampled return comes from one draw loop, market_model._return_blocks
+def _sites(match) -> list[str]:
+    # "module.py:owner" for each AST node of the package that `match` accepts,
+    # the owner being the module-level function or class that holds the node
     found = []
     for path in sorted(Path(corridor_pension.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        tops = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.random.default_rng":
-                owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
-                owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
-                found.append(f"{path.name}:{owner}")
+            if match(node):
+                owners = [f.name for f in tops if f.lineno <= node.lineno <= f.end_lineno]
+                found.append(f"{path.name}:{owners[0] if owners else '<module>'}")
+    return sorted(found)
+
+
+def test_one_random_generator_in_the_package():
+    # every sampled return comes from one draw loop, market_model._return_blocks
+    found = _sites(lambda node: isinstance(node, ast.Attribute)
+                   and ast.unparse(node) == "np.random.default_rng")
     assert found == ["market_model.py:_return_blocks"]
+
+
+def test_one_objective_builder_in_the_package():
+    # payoff moments become the search objective in corridor_math._objective
+    # alone; dp_check scores its constant boundaries with horizon_objective too
+    found = _sites(lambda node: isinstance(node, ast.Call)
+                   and "horizon_objective" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)))
+    assert found == ["corridor_math.py:_objective", "pool_simulator.py:dp_check"]

@@ -161,9 +161,12 @@ def test_non_finite_event_values_rejected(bad):
 
 def test_json_ledger_with_non_finite_or_non_numeric_values_rejected():
     raw = json.loads(reference_ledger().to_json())
-    for key, bad in (("C_pre", math.nan), ("t", math.inf), ("C_pre", "75 euros"), ("norm", math.nan)):
+    for key, bad in (("C_pre", math.nan), ("t", math.inf), ("C_pre", "75 euros"), ("norm", math.nan),
+                     ("t", "1/0"), ("t", None), ("C_pre", None)):
         broken = json.loads(json.dumps(raw))
         (broken if key == "norm" else broken["events"][1])[key] = bad
+        if bad is None:  # the key left out
+            del broken["events"][1][key]
         with pytest.raises(ValueError, match="finite"):
             Ledger.from_json(json.dumps(broken))
 
@@ -176,6 +179,10 @@ def test_json_round_trip_preserves_exactness():
     # ids become strings in JSON; values stay exact rationals
     assert back.shares == {"1": F(75, 155), "2": F(80, 155)}
     assert isinstance(back.indices["2"], F)
+    # any string that Fraction parses loads exact, as in a settle batch
+    raw = json.loads(text)
+    raw["events"][1]["C_pre"], raw["events"][1]["contributions"]["2"] = "75", "80.0"
+    assert Ledger.from_json(json.dumps(raw)).shares == back.shares
 
 
 def test_ids_that_collide_as_json_keys_rejected():
