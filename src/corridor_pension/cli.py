@@ -20,7 +20,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # the ledger and settlement subcommands need only the standard library; the
-# numeric ones import numpy, scipy and the corridor modules when they run
+# numeric ones import numpy, the corridor modules and scipy's compiled normal
+# CDF when they run (market_model loads it without running the __init__ of
+# scipy's special-function package)
 from .claim_settlement import ClaimBatch, settle
 from .redistribution_index import (
     Ledger,

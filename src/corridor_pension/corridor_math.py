@@ -45,10 +45,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _EXPORTS
-from .market_model import GbmParams, _check_count, _moment_scale, density
+from .market_model import GbmParams, _check_count, _moment_scale, density, ndtr
 
 __all__ = _EXPORTS["corridor_math"]
 

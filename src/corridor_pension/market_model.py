@@ -12,21 +12,64 @@ quadrature (`expect_quad`) and Monte Carlo (`expect_mc`).
 
 Every sampled return comes from one draw loop, `_return_blocks`: paths from the
 first child of `SeedSequence(seed)`, `expect_mc` from `SeedSequence(seed)`.
+
+This module is also the one place that loads the normal CDF `ndtr` and its
+inverse `ndtri`; `corridor_math` takes `ndtr` from here.  They are the
+compiled ufuncs of `scipy.special._ufuncs`, the very objects `scipy.special`
+exports, so no float changes.  `_load_ndtr` imports that compiled module
+behind a bare parent entry in `sys.modules`, so `scipy.special`'s package
+`__init__` (over half of a numeric subcommand's start-up, most of it the
+array-API layer) does not run.  It holds the global import lock while the
+bare entry exists, so no other thread's import can see it; numpy and scipy
+are imported first, so only `scipy.special`'s own compiled modules load under
+the lock.  A later `import scipy.special` runs the real `__init__` in full and
+exports the same ufuncs; only the compiled submodules it never names
+(`_ufuncs_cxx`, `_gufuncs`, ...) are then not attributes of the package,
+though `from scipy.special import _gufuncs` finds them.  If `scipy.special`
+is already imported, or the private load raises `ImportError`, the public
+`from scipy.special import ndtr, ndtri` is used.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import types
 from dataclasses import dataclass
+from importlib import _bootstrap
 from numbers import Integral
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
+import scipy
 
 from . import _EXPORTS
 
 __all__ = _EXPORTS["market_model"]
+
+
+def _load_ndtr():
+    # the bare parent lets the compiled submodule import; it is gone again
+    # before the import lock is released
+    with _bootstrap._ImportLockContext():
+        if "scipy.special" not in sys.modules:
+            sys.modules["scipy.special"] = parent = types.ModuleType("scipy.special")
+            parent.__path__ = [str(Path(scipy.__file__).parent / "special")]
+            try:
+                from scipy.special._ufuncs import ndtr, ndtri
+
+                return ndtr, ndtri
+            except ImportError:
+                pass
+            finally:
+                del sys.modules["scipy.special"]
+    from scipy.special import ndtr, ndtri
+
+    return ndtr, ndtri
+
+
+ndtr, ndtri = _load_ndtr()
 
 # lognormal mass beyond 10 sigma is below 1e-20; quadrature windows use this
 _Z_CUT = 10.0

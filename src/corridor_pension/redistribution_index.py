@@ -112,12 +112,18 @@ class Ledger:
             raise ValueError("proportional ledgers take no interest factors")
         _validate_event(self, t, contributions, c_pre, a)
         prev = self.events[-1] if self.events else None
-        if self.mode == MODE_PROPORTIONAL:
-            a_map, indices = None, _proportional_indices(prev, contributions, c_pre, self.norm)
-        else:
-            a_map = _interest_factors(prev, contributions, a, self.default_a)
-            indices = _monotone_indices(prev, contributions, a_map)
-        shares = _normalize(indices)
+        try:
+            if self.mode == MODE_PROPORTIONAL:
+                a_map, indices = None, _proportional_indices(prev, contributions, c_pre, self.norm)
+            else:
+                a_map = _interest_factors(prev, contributions, a, self.default_a)
+                indices = _monotone_indices(prev, contributions, a_map)
+            shares = _normalize(indices)
+            finite = all(_finite(v) for v in (*indices.values(), *shares.values()))
+        except OverflowError:  # an int quotient too large for a float
+            finite = False
+        if not finite:  # a float index that overflowed to inf, and its NaN shares
+            raise ValueError("indices must stay finite: the event overflows a float")
 
         # the direct share recursion must reproduce the index route (undefined if C_post = 0)
         c_post = c_pre + sum(contributions.values())

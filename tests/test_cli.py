@@ -487,6 +487,24 @@ def test_index_errors(tmp_path, capsys):
         assert (code, out) == (2, None), raw
 
 
+def test_index_event_that_overflows_exits_2(tmp_path, capsys):
+    # finite flags whose proportional index overflows to inf: exit 2 with no
+    # output and the ledger file unwritten, for update and for show
+    led = tmp_path / "led.json"
+    code, _ = run(capsys, "index", "update", str(led), "--t", "0", "--c-pre", "0", "--contribution", "1=100")
+    assert code == 0
+    before = led.read_bytes()
+    code, out = run(capsys, "index", "update", str(led), "--t", "1", "--c-pre", "1e-300",
+                    "--contribution", "2=1e300")
+    assert (code, out) == (2, None)
+    assert led.read_bytes() == before
+    raw = json.loads(before)
+    raw["events"].append({"t": 1, "C_pre": 1e-300, "contributions": {"2": 1e300}})
+    led.write_text(json.dumps(raw))
+    code, out = run(capsys, "index", "show", str(led))
+    assert (code, out) == (2, None)
+
+
 def test_invalid_parameter_exit(capsys):
     code, _ = run(capsys, "profitability", "--sigma", "-0.5")
     assert code == 2

@@ -167,10 +167,65 @@ def test_expect_mc_error_does_not_depend_on_a_shift(monkeypatch, chunk):
         assert expect_mc(A, lambda y: y + a, 200_000, seed=3)[1] == pytest.approx(se, rel=1e-9), a
 
 
+# how scipy.special stands when market_model loads ndtr and ndtri
+_ROUTES = {
+    "private": "",
+    "scipy.special first": "import scipy.special\n",
+    "private load fails": (
+        "import importlib.abc\n"
+        "class Refuse(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name == 'scipy.special._ufuncs' and not hasattr(sys.modules['scipy.special'], '__file__'):\n"
+        "            refused.append(name)\n"
+        "            raise ImportError(name)\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("array_api", ["", "1"])
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_ndtr_and_ndtri_are_scipy_specials_own(route, array_api):
+    # in a fresh process, since this one imported scipy.special long ago: the
+    # private route takes the compiled ufuncs without the package __init__ and
+    # leaves no bare scipy.special behind; the public one, taken when
+    # scipy.special is already imported or the private load fails, gives the
+    # public objects.  A later import of scipy.special is the real package,
+    # with the same values, and the same objects unless SCIPY_ARRAY_API wraps
+    # the public ones
+    code = "import sys\nrefused = []\n" + _ROUTES[route] + (
+        "import numpy as np\n"
+        "from corridor_pension import market_model as mm\n"
+        "private = 'scipy.special' not in sys.modules\n"
+        "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+        "import scipy.special as sp\n"
+        "z, p = np.linspace(-40.0, 40.0, 4001), np.linspace(0.0, 1.0, 4001)\n"
+        "print(private, mm.ndtr is ufuncs.ndtr and mm.ndtri is ufuncs.ndtri,\n"
+        "      mm.ndtr is sp.ndtr and mm.ndtri is sp.ndtri,\n"
+        "      np.array_equal(mm.ndtr(z), sp.ndtr(z)) and np.array_equal(mm.ndtri(p), sp.ndtri(p)),\n"
+        "      sp.__file__.endswith('__init__.py') and sp.gamma(5.0) == 24.0,\n"
+        "      len(refused))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "SCIPY_ARRAY_API"}
+    env.update(PYTHONPATH=str(src), **({"SCIPY_ARRAY_API": array_api} if array_api else {}))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    private, is_ufuncs, same, equal, real, refused = proc.stdout.split()
+    wrapped = bool(array_api)
+    if route == "private":
+        assert (private, is_ufuncs, same) == ("True", "True", str(not wrapped))
+    else:
+        assert (private, is_ufuncs, same) == ("False", str(not wrapped), "True")
+    assert (equal, real) == ("True", "True")
+    assert (refused != "0") == (route == "private load fails")
+
+
 def test_import_leaves_scipy_optimize_and_integrate_unloaded(tmp_path):
     # the package, and the ledger and settlement subcommands, load neither numpy
-    # nor scipy; the numeric subcommands load scipy.special, and only the
-    # expect_quad oracle needs scipy's quadrature; nothing needs scipy.optimize
+    # nor scipy; the numeric subcommands load scipy.special's compiled ufuncs
+    # but not the scipy.special package, and only the expect_quad oracle
+    # needs scipy's quadrature; nothing needs scipy.optimize
     (tmp_path / "batch.json").write_text(
         '{"claims": [4, 6, 20, 35, 50], "indices": [0.1, 0.2, 0.3, 0.2, 0.2], "pool": 100}'
     )
@@ -194,7 +249,7 @@ def test_import_leaves_scipy_optimize_and_integrate_unloaded(tmp_path):
         "print(loaded('numpy', 'scipy'))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['profitability', '--grid', '101']) == 0\n"
-        "print(loaded('scipy.special', 'scipy.optimize', 'scipy.integrate'))\n"
+        "print(loaded('scipy.special._ufuncs', 'scipy.special', 'scipy.optimize', 'scipy.integrate'))\n"
         "from corridor_pension import GbmParams, expect_quad\n"
         "print(expect_quad(GbmParams(0.045, 0.06), lambda y: y))\n"
     )
@@ -204,7 +259,7 @@ def test_import_leaves_scipy_optimize_and_integrate_unloaded(tmp_path):
     bare, after_ledger, after_numeric, mean = proc.stdout.split("\n")[:4]
     assert bare == "[]"
     assert after_ledger == "[]"
-    assert after_numeric == "['scipy.special']"
+    assert after_numeric == "['scipy.special._ufuncs']"
     assert float(mean) == pytest.approx(A.mean_return, abs=1e-11)
     for path in (src / "corridor_pension").glob("*.py"):
         text = path.read_text()

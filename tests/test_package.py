@@ -76,6 +76,14 @@ def test_one_random_generator_in_the_package():
     assert found == ["market_model.py:_return_blocks"]
 
 
+def test_one_scipy_special_loader_in_the_package():
+    # market_model._load_ndtr is the one route to scipy.special; every other
+    # module takes ndtr and ndtri from market_model
+    found = [path.name for path in sorted(Path(corridor_pension.__file__).parent.glob("*.py"))
+             if "scipy.special" in path.read_text()]
+    assert found == ["market_model.py"]
+
+
 def test_one_objective_builder_in_the_package():
     # payoff moments become the search objective in corridor_math._objective
     # alone; dp_check scores its constant boundaries with horizon_objective too

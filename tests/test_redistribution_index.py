@@ -159,6 +159,26 @@ def test_non_finite_event_values_rejected(bad):
     assert len(led.events) == 1
 
 
+@pytest.mark.parametrize("mode, first, event", [
+    ("proportional", {1: 100.0}, (1, {2: 1e300}, 1e-300)),  # index (1e300 / 1e-300) * 100 is inf
+    ("monotone", {1: 1e308}, (1, {1: 1e308}, 1.0)),  # index 1e308 + 1e308 is inf
+    ("proportional", {1: 100}, (1, {2: 10**400}, 1)),  # the int quotient 10**400 / 1 overflows
+])
+def test_an_index_that_overflows_a_float_is_refused(mode, first, event):
+    # finite inputs whose new index is no finite float: refused as invalid
+    # input, not a RuntimeError from the dual recursion or NaN shares
+    led = Ledger(mode=mode)
+    led.record(0, first, 0)
+    raw = json.loads(led.to_json())
+    with pytest.raises(ValueError, match="finite"):
+        led.record(*event)
+    assert len(led.events) == 1
+    t, contributions, c_pre = event
+    raw["events"].append({"t": t, "C_pre": c_pre, "contributions": contributions})
+    with pytest.raises(ValueError, match="finite"):
+        Ledger.from_json(json.dumps(raw))
+
+
 def test_json_ledger_with_non_finite_or_non_numeric_values_rejected():
     raw = json.loads(reference_ledger().to_json())
     for key, bad in (("C_pre", math.nan), ("t", math.inf), ("C_pre", "75 euros"), ("norm", math.nan),
