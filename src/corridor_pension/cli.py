@@ -19,24 +19,15 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-# the ledger and settlement subcommands need only the standard library; the
-# numeric ones import numpy, the corridor modules and scipy's compiled normal
-# CDF when they run (market_model loads it without running the __init__ of
-# scipy's special-function package)
-from .claim_settlement import ClaimBatch, settle
-from .redistribution_index import (
-    Ledger,
-    _exact,
-    check_add,
-    check_cont,
-    check_fix,
-    check_lin,
-    check_mon,
-)
-
+# each subcommand imports the layers it runs when it runs: the ledger and
+# settlement subcommands the exact ledger code on the standard library alone,
+# the numeric ones numpy, the corridor modules and scipy's compiled normal CDF
+# (market_model loads it without running the __init__ of scipy's
+# special-function package), and no ledger code unless they read a ledger
 if TYPE_CHECKING:
     from .corridor_math import CorridorPolicy
     from .market_model import GbmParams
+    from .redistribution_index import Ledger
 
 
 class _Setting(NamedTuple):
@@ -176,13 +167,16 @@ def cmd_profitability(args) -> int:
     import numpy as np
 
     from .corridor_math import LHS_TOL, admissible_min_k, mp_stationary_points, profitability_lhs
+    from .market_model import _check_count
 
     values = _settings(args)
+    _check_count(values["grid"], "grid", 100)  # the rule of the searches that share --grid
     params, policy = _market_policy(values)
     ks = np.linspace(0.0, 1.0, values["grid"])
     lhs = profitability_lhs(params, policy, ks)
     out = _out_dir(values)
-    rows = [[f"{k:.10g}", f"{v:.17g}", int(v <= LHS_TOL)] for k, v in zip(ks, lhs)]
+    rows = [[f"{k:.10g}", f"{v:.17g}", int(v <= LHS_TOL)]
+            for k, v in zip(ks.tolist(), lhs.tolist())]
     _write_csv(out / "profitability.csv", ["k", "lhs", "admissible"], rows)
     k_min = admissible_min_k(params, policy)
     stationary = mp_stationary_points(params, policy)
@@ -223,7 +217,7 @@ def cmd_optimize(args) -> int:
     out = _out_dir(values)
     rows = [
         [f"{k:.10g}", *(f"{v:.17g}" for v in vals), int(ok)]
-        for k, *vals, ok in zip(ks, *columns, admissible)
+        for k, *vals, ok in zip(*(x.tolist() for x in (ks, *columns, admissible)))
     ]
     _write_csv(out / "optimize_curves.csv", header, rows)
 
@@ -296,6 +290,9 @@ def cmd_fixed_point(args) -> int:
 
 
 def cmd_settle(args) -> int:
+    from .claim_settlement import ClaimBatch, settle
+    from .redistribution_index import _exact
+
     raw = _read_object(args.batch, "batch")
     for key in ("claims", "indices", "pool"):
         if key not in raw:
@@ -327,6 +324,8 @@ def cmd_settle(args) -> int:
 
 
 def _load_ledger(path: str) -> Ledger:
+    from .redistribution_index import Ledger
+
     try:
         with open(path) as fh:
             return Ledger.from_json(fh.read())
@@ -350,6 +349,8 @@ def _parse_kv(pairs, what):
 
 
 def cmd_index(args) -> int:
+    from .redistribution_index import Ledger, check_add, check_cont, check_fix, check_lin, check_mon
+
     if args.verb == "update":
         path = Path(args.ledger)
         if path.exists():

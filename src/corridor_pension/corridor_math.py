@@ -19,8 +19,8 @@ evaluates, in closed form over lognormal partial moments:
 
 Every one of them is a moment of one piecewise-affine payoff of the gross
 return, evaluated by `_PayoffMoments`: built once per search for its market,
-policy, cutoff and moment orders, then called on arrays of k, each call one
-normal-CDF evaluation over all its edges and orders.  Each one of a boundary
+policy, cutoff and moment orders, then called on arrays of k, each call at
+most one normal-CDF evaluation over all its edges and orders.  Each one of a boundary
 takes k as an argument, a scalar (returning a float) or an array (returning
 an array); none reads the k field of `CorridorPolicy`, the boundary a pool
 runs.
@@ -31,7 +31,8 @@ by the slope of the transfer-only objective `m1`.  `maximize_m2`, `k_of_c`
 and the fixed point's best responses are one search, `_searches`: it checks
 its grid once, computes the normal-CDF rows of the edges L and U, which do not
 depend on c, once, and scans the objective of one cutoff after another
-(`maximize_m2` is the one at c = -1, compounded over T periods).  `_objective`
+(`maximize_m2` is the one at c = -1, compounded over T periods); the gate
+row of a cutoff is made from L's row, so its grid scan needs no new one.  `_objective`
 is the one builder of that objective from the payoff moments.
 
 All evaluation is exact up to normal-CDF accuracy; no quadrature or sampling
@@ -142,6 +143,10 @@ class _PayoffMoments:
     broadcasts with k), return and orders (2: the mean, second reads 0.0); each
     call's interval masses are differences of E[Y^n; Y <= e] = E[Y^n] P(Y <= e)
     under the order-n tilt, one ndtr call for all inner edges e and orders n.
+    A scalar cutoff's gate row is no call's: G is L where L < 1 + c, and
+    elsewhere the constant 1 + c, whose column is computed once at build; so a
+    call given the rows of L and U (`lu`) makes no ndtr call unless c is an
+    array.
     """
 
     def __init__(self, params: GbmParams, policy: CorridorPolicy, c=-1.0, with_return=True,
@@ -157,6 +162,11 @@ class _PayoffMoments:
         self.fracs = np.array([0.0] * g + [policy.help_frac, 0.0, policy.give_frac])[:, None]
         self.shift = (np.arange(orders) * params.sigma)[:, None, None]
         self.scale = np.array([_moment_scale(params, n) for n in range(orders)])[:, None, None]
+        # the CDF column of a scalar gate 1 + c, the row of G = min(1 + c, L)
+        # wherever L >= 1 + c; None for no gate or a gate per k
+        self.gate_cdf = None
+        if g and not self.gate.ndim:
+            self.gate_cdf = self._cdf(np.reshape(self.gate, (1, 1)))[:, 0]
 
     def _pieces(self, k):
         # the shape of k and c broadcast, and over them flattened the inner edges and the constants
@@ -190,12 +200,15 @@ class _PayoffMoments:
         shape, edges, a = self._pieces(k)
         cdf = np.empty((self.orders, len(edges) + 2, edges.shape[1]))
         cdf[:, 0], cdf[:, -1] = 0.0, 1.0
-        if lu is None:
-            self._cdf(edges, cdf[:, 1:-1])
-        else:  # only the gate's row is new
+        if lu is not None:
             cdf[:, -3:-1] = lu
-            if self.gate is not None:
-                self._cdf(edges[:1], cdf[:, 1:2])
+        # the rows left to compute: all but L's and U's when lu has them, and
+        # all but a scalar gate's, which is L's where L < 1 + c
+        lo, hi = int(self.gate_cdf is not None), len(edges) - 2 * (lu is not None)
+        if hi > lo:
+            self._cdf(edges[lo:hi], cdf[:, 1 + lo:1 + hi])
+        if lo:
+            cdf[:, 1] = np.where(edges[1] < self.gate, cdf[:, 2], self.gate_cdf)
         cdf *= self.scale
         mass = cdf[:, 1:] - cdf[:, :-1]
         first = (a * mass[0] + self.b * mass[1]).sum(axis=0).reshape(shape)
@@ -382,17 +395,21 @@ def _grid_peaks(vs, tie_tol: float) -> list[int]:
     peaks = np.flatnonzero(peak)
 
     # merge peaks with no real dip between them: one plateau, one candidate; low is
-    # the lowest value from kept peak j to peak m (a peak is not below its left neighbour)
+    # the lowest value from the last kept peak, whose value is kept, to peak m (a
+    # peak is not below its left neighbour).  Conditional expressions stand for
+    # min(), whose calls would be most of the loop's time over hundreds of peaks
     top, gaps = vs[peaks].tolist(), np.minimum.reduceat(vs, peaks).tolist()
-    merged, low = [0], math.inf
+    merged, kept, low = [0], top[0], math.inf
     for m in range(1, len(top)):
-        j, low = merged[-1], min(low, gaps[m - 1])
-        if min(top[j], top[m]) - low > tie_tol:
+        v, gap = top[m], gaps[m - 1]
+        low = gap if gap < low else low
+        if (v if v < kept else kept) - low > tie_tol:
             merged.append(m)
-        elif top[m] > top[j]:
+        elif v > kept:
             merged[-1] = m
-        if merged[-1] != j:
-            low = math.inf
+        else:
+            continue
+        kept, low = v, math.inf
     return peaks[merged].tolist()
 
 
@@ -513,8 +530,9 @@ def _searches(
     `k_of_c` and the fixed point's best responses are its searches at T = 1,
     `maximize_m2` its search at c = -1.  The grid is checked once and the
     normal-CDF rows of its edges L and U, which do not depend on c, are
-    computed once; each cutoff adds the row of its gate G (none for c = -1,
-    which has no gate) and is checked as it comes.
+    computed once; each cutoff's gate row G takes L's row and the CDF column
+    of 1 + c, computed when its evaluator is built (c = -1 has no gate), and
+    each cutoff is checked as it comes.
     """
     ks = _search_grid(params, policy, k_min, grid)
     lu = _PayoffMoments(params, policy).rows(ks)

@@ -20,7 +20,10 @@ regime, and one loop, `_trajectory`, runs it from the initial state:
 `simulate` over blocks of paths, and `run_path` on one path with a column per
 member, returning a `StepReport` (price, coverage, claims, support and one row
 per member) for each period.
-Members 0..n-1 match ledger ids by `str(id)`.
+Members 0..n-1 match ledger ids by `str(id)`.  The ledger module
+(`redistribution_index`) loads only for an IndexCappedHelp pool, once per
+run, and for the agent-index checks of the best-response bounds; every other
+pool runs on the numeric modules alone.
 
 The coverage indicator collapses to a threshold on the net return (`z_star`),
 which drives the fixed-point search for a common near-optimal boundary and the
@@ -32,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -46,7 +49,9 @@ from .corridor_math import (
     n_func,
 )
 from .market_model import GbmParams, _check_count, _path_stream, _return_blocks, density_peak
-from .redistribution_index import Ledger, _check_index, index_for_pool
+
+if TYPE_CHECKING:
+    from .redistribution_index import Ledger
 
 __all__ = _EXPORTS["pool_simulator"]
 
@@ -112,6 +117,8 @@ class PoolConfig:
         if self.regime == INDEX_CAPPED_HELP:
             if self.index_source is None:
                 raise ValueError("IndexCappedHelp needs an index_source ledger")
+            from .redistribution_index import index_for_pool
+
             index_for_pool(self.index_source, 1)  # raises unless an event precedes t = 1
             if not {str(j) for j in self.index_source.ids} & {str(i) for i in range(self.n)}:
                 raise ValueError("no pool member (ids 0..n-1) appears in the index_source ledger")
@@ -294,9 +301,15 @@ def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray):
 def _rule(config: PoolConfig, ks, prem, total) -> tuple:
     """What `_period` holds fixed, for columns with boundaries ks and premia prem."""
 
-    @functools.cache
-    def weights(t):  # read only by IndexCappedHelp, which runs a column per member
-        return np.array(_lagged_shares(config.index_source, t, range(config.n)), dtype=float)[:, None]
+    if config.regime != INDEX_CAPPED_HELP:
+        weights = None  # no other regime reads the ledger
+    else:  # IndexCappedHelp runs a column per member; its ledger code loads once per run
+        from .redistribution_index import index_for_pool
+
+        @functools.cache
+        def weights(t):
+            shares = _lagged_shares(index_for_pool(config.index_source, t), range(config.n))
+            return np.array(shares, dtype=float)[:, None]
 
     gp = config.gamma * np.array(prem)[:, None]
     return np.array(ks)[:, None], gp, (1.0 - config.gamma) * config.premium_total, total, weights
@@ -456,9 +469,12 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
     )
 
 
-def _lagged_shares(ledger: Ledger, t, owner_ids) -> list:
-    """Ledger shares before t of each owner, matched by str(id) as in `Ledger.to_json`."""
-    shares = {str(j): s for j, s in index_for_pool(ledger, t).items()}
+def _lagged_shares(lagged: dict, owner_ids) -> list:
+    """Each owner's share in `lagged`, a result of `index_for_pool`, matched by str(id).
+
+    Ids compare as strings, as `Ledger.to_json` writes them.
+    """
+    shares = {str(j): s for j, s in lagged.items()}
     return [shares.get(str(i), 0.0) for i in owner_ids]
 
 
@@ -561,6 +577,8 @@ def improvement_bound(
     Proportional to the density sup-norm and the agent's unit share of the
     total buffer; vanishes as the pool grows.
     """
+    from .redistribution_index import _check_index
+
     _check_index(j, len(eta_vec), "agent index")
     _check_pool(eta_vec, theta)
     if policy.help_frac <= 0:
@@ -587,6 +605,8 @@ def best_response_gain(
     everyone else stays at k_bar; the gated objective sees the threshold
     produced by the deviated pool.
     """
+    from .redistribution_index import _check_index
+
     n = len(eta_vec)
     _check_index(j, n, "agent index")
     _check_pool(eta_vec, theta)

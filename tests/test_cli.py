@@ -269,6 +269,22 @@ def test_config_integer_settings_refuse_fractions(tmp_path, capsys):
         assert not out_dir.exists(), bad
 
 
+def test_grid_below_100_exits_2_for_every_subcommand_that_reads_it(tmp_path, capsys):
+    # --grid is one setting, with the rule of the searches: profitability
+    # refuses what optimize and fixed-point refuse, before it writes a file
+    for command in ("profitability", "optimize", "fixed-point"):
+        for grid in ("-3", "0", "99"):
+            out_dir = tmp_path / "refused"
+            argv = [command, "--grid", grid] + (["--out", str(out_dir)] * (command != "fixed-point"))
+            assert cli.main(argv) == 2, (command, grid)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: grid must be an integer >= 100\n", (command, grid)
+            assert not out_dir.exists(), (command, grid)
+    code, out = run(capsys, "profitability", "--grid", "100", "--out", str(tmp_path))
+    assert code == 0 and len(read_csv(tmp_path / "profitability.csv")) == 100
+
+
 @pytest.mark.parametrize("command, flag", [
     ("profitability", "--seed"), ("profitability", "--paths"), ("profitability", "--j-discount"),
     ("optimize", "--seed"), ("optimize", "--paths"),

@@ -398,6 +398,74 @@ def test_grid_peaks_match_the_slice_merge(runs, base, tie_tol):
     assert _grid_peaks(vs, tie_tol) == _merge_by_slices(vs, tie_tol)
 
 
+def _merge_by_min_loop(vs, tie_tol):
+    # `_grid_peaks` with its merge loop written with min(), as it was before the
+    # loop kept the last kept peak's value in a local: the oracle of that rewrite
+    margin = max(10.0 * tie_tol, 1e-3)
+    peak = vs >= vs.max() - margin
+    peak[1:] &= vs[1:] >= vs[:-1]
+    peak[:-1] &= vs[:-1] >= vs[1:]
+    peaks = np.flatnonzero(peak)
+    top, gaps = vs[peaks].tolist(), np.minimum.reduceat(vs, peaks).tolist()
+    merged, low = [0], math.inf
+    for m in range(1, len(top)):
+        j, low = merged[-1], min(low, gaps[m - 1])
+        if min(top[j], top[m]) - low > tie_tol:
+            merged.append(m)
+        elif top[m] > top[j]:
+            merged[-1] = m
+        if merged[-1] != j:
+            low = math.inf
+    return peaks[merged].tolist()
+
+
+@given(
+    runs=st.lists(st.tuples(st.one_of(st.sampled_from(_OFFSETS), st.floats(-3e-3, 3e-3)),
+                            st.integers(1, 6)), min_size=1, max_size=60),
+    base=st.sampled_from([0.0, 0.0243, -1.7, 12.5]),
+    tie_tol=st.sampled_from([TIE, 0.0, 1e-4]),
+)
+@example(runs=[(0.0, 1), (-TIE, 1)] * 30, base=0.0243, tie_tol=TIE)  # many peaks, dips at tie_tol
+@example(runs=[(0.0, 1), (5e-7, 1), (-3e-6, 1), (2e-7, 1)] * 15, base=-1.7, tie_tol=TIE)
+@settings(max_examples=400, deadline=None)
+def test_grid_peaks_match_the_min_loop(runs, base, tie_tol):
+    # plateaus (runs of one value), ties and dips near tie_tol: the same indices
+    vs = np.repeat([base + off for off, _ in runs], [n for _, n in runs])
+    assert _grid_peaks(vs, tie_tol) == _merge_by_min_loop(vs, tie_tol)
+
+
+@given(
+    mu=st.floats(-0.2, 0.3),
+    sigma=st.floats(0.01, 0.8),
+    give=st.floats(0.0, 1.0),
+    helpf=st.floats(0.0, 1.0),
+    p=st.floats(1.0, 3.0),
+    c=st.one_of(st.sampled_from([0.0, -0.25, -0.5]), st.floats(-1.0, 0.0, exclude_min=True)),
+    lo=st.floats(0.0, 1.0),
+    n=st.integers(1, 300),
+)
+@example(mu=0.045, sigma=0.06, give=0.25, helpf=0.5, p=1.0, c=0.0, lo=0.0, n=2001)
+@example(mu=0.06, sigma=0.092367, give=0.25, helpf=0.5, p=1.0, c=-0.02, lo=0.05, n=2001)
+@settings(max_examples=300, deadline=None)
+def test_scalar_gate_row_is_the_per_edge_row(mu, sigma, give, helpf, p, c, lo, n):
+    # a scalar cutoff's gate row, L's where L < 1 + c and the column of 1 + c
+    # elsewhere, gives the floats of the gate row computed edge by edge, as a
+    # cutoff per k computes it; on a grid, at k = 0 and 1, and at k = -c, where
+    # G = 1 + c ties L = 1 - k (1 - (-c) is 1 + c to the last bit)
+    params = GbmParams(mu, sigma)
+    pol = CorridorPolicy(p=p, give_frac=give, help_frac=helpf)
+    ks = np.r_[np.linspace(lo, 1.0, n), 0.0, 1.0, -c]
+    assert 1.0 - ks[-1] == 1.0 + c
+    lu = _PayoffMoments(params, pol).rows(ks)
+    for with_return, orders in ((True, 3), (False, 2)):
+        scalar = _PayoffMoments(params, pol, c, with_return, orders)
+        per_edge = _PayoffMoments(params, pol, np.full(ks.shape, c), with_return, orders)
+        assert scalar.gate_cdf is not None and per_edge.gate_cdf is None
+        want = per_edge(ks)
+        for got in (scalar(ks), scalar(ks, lu[:orders])):
+            assert all(_same(g, w) for g, w in zip(got, want))
+
+
 def test_maximize_m2_frozen_anchor_a():
     res = maximize_m2(A, POL4)
     assert res.value == pytest.approx(0.024304277993192416, rel=1e-12)
@@ -506,8 +574,9 @@ def test_searches_check_their_arguments_once(monkeypatch):
 def test_searches_build_one_evaluator_and_call_ndtr_once_per_evaluation(monkeypatch):
     # a search builds its payoff evaluator once per cutoff (maximize_m2's is
     # c = -1), besides admissible_min_k's and the one for the rows of L and U
-    # its cutoffs share, and each evaluation is one ndtr call (none for the
-    # shared grid at c = -1, which has no gate row)
+    # its cutoffs share, and each zoom evaluation is one ndtr call; the shared
+    # grid makes none, at any scalar cutoff, as its gate row is taken from L's
+    # row and the column of 1 + c that the evaluator computed when built
     from corridor_pension.pool_simulator import fixed_point_barriers
 
     ndtr_calls, built, evaluations = [0], [], []
@@ -524,7 +593,7 @@ def test_searches_build_one_evaluator_and_call_ndtr_once_per_evaluation(monkeypa
         def __call__(self, k, lu=None):
             before = ndtr_calls[0]
             out = super().__call__(k, lu)
-            evaluations.append(ndtr_calls[0] - before == (lu is None or self.gate is not None))
+            evaluations.append(ndtr_calls[0] - before == (lu is None))
             return out
 
     monkeypatch.setattr(corridor_math, "ndtr", counted_ndtr)

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,75 @@ def test_one_objective_builder_in_the_package():
                    and "horizon_objective" in (getattr(node.func, "id", None),
                                                getattr(node.func, "attr", None)))
     assert found == ["corridor_math.py:_objective", "pool_simulator.py:dp_check"]
+
+
+# the ledger layer: the exact ledger and settlement modules and the exact
+# arithmetic they import
+_LEDGER = {"redistribution_index", "claim_settlement", "fractions", "decimal"}
+
+
+def _imported_on_load(body) -> list[str]:
+    # the modules the statements of `body` import when their module loads:
+    # module level and class bodies, not function bodies nor the
+    # `if TYPE_CHECKING:` block, which runs only under a type checker
+    names = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            names += _imported_on_load(node.orelse)
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [node.module] if node.module else [alias.name for alias in node.names]
+        else:
+            names += _imported_on_load([child for child in ast.iter_child_nodes(node)
+                                        if isinstance(child, (ast.stmt, ast.excepthandler))])
+    return names
+
+
+def test_numeric_modules_import_no_ledger_code_on_load():
+    # the ledger layer loads where a ledger or a claim batch is read, inside
+    # the functions that read one, never with the numeric modules or the CLI
+    found = {}
+    for name in ("cli", "corridor_math", "market_model", "pool_simulator", "redistribution_index"):
+        path = Path(corridor_pension.__file__).parent / f"{name}.py"
+        imported = _imported_on_load(ast.parse(path.read_text(), str(path)).body)
+        found[name] = sorted({module.rpartition(".")[2] for module in imported} & _LEDGER)
+    # the ledger module itself shows that the walk sees a module-level import
+    assert found == {"cli": [], "corridor_math": [], "market_model": [], "pool_simulator": [],
+                     "redistribution_index": ["fractions"]}
+
+
+def test_numeric_subcommands_load_no_ledger_code(tmp_path):
+    # in a fresh interpreter, neither importing the pool engines nor running a
+    # numeric subcommand loads the ledger layer; settling a claim batch does
+    (tmp_path / "batch.json").write_text('{"claims": [4, 6], "indices": [0.5, 0.5], "pool": 5}')
+    argvs = [
+        ["profitability", "--grid", "101"],
+        ["optimize", "--c", "-0.2", "--grid", "101"],
+        ["fixed-point", "--grid", "101"],
+        ["simulate", "--regime", "AlwaysHelp", "--n", "3", "--T", "4", "--paths", "500"],
+        ["settle", "batch.json"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    return sorted(n for n in ('corridor_pension.redistribution_index',\n"
+        "                              'corridor_pension.claim_settlement', 'fractions')\n"
+        "                  if n in sys.modules)\n"
+        "import corridor_pension.pool_simulator\n"
+        "print(loaded())\n"
+        "from corridor_pension import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print(loaded())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+    *numeric, after_settle = proc.stdout.splitlines()
+    assert numeric == ["[]"] * 5
+    assert after_settle == str(["corridor_pension.claim_settlement",
+                                "corridor_pension.redistribution_index", "fractions"])

@@ -45,7 +45,7 @@ from corridor_pension.pool_simulator import (
 from corridor_pension import pool_simulator
 from corridor_pension.claim_settlement import ClaimBatch, settle
 from corridor_pension.market_model import _path_stream, _return_blocks, expect_mc, sample_return_matrix
-from corridor_pension.redistribution_index import Ledger
+from corridor_pension.redistribution_index import Ledger, index_for_pool
 
 A = GbmParams(0.045, 0.06)
 
@@ -92,7 +92,7 @@ def _scalar_step(state, t, gross_return, config):
         paid = [0.0] * config.n
         claimants = [i for i, c in enumerate(claims) if c > 0]  # member i has owner id i
         if claimants and theta_prev > 0:
-            weights = _lagged_shares(config.index_source, t, claimants)
+            weights = _lagged_shares(index_for_pool(config.index_source, t), claimants)
             total_w = sum(weights)
             if total_w > 0:
                 batch = ClaimBatch(
