@@ -6,10 +6,13 @@ with executable fairness checks, and a recursive claim settlement rule.
 
 Public names load their submodule on first access (PEP 562), so the ledger
 and settlement code import without numpy or scipy.  `_EXPORTS` is the one
-list of public names: each submodule's `__all__` is its row of it.
+list of public names: each submodule's `__all__` is its row of it.  The
+count and index rules that the numeric modules and the ledger both apply,
+`_check_count` and `_check_index`, sit here too, on the standard library alone.
 """
 
 import importlib
+from numbers import Integral
 
 __version__ = "0.1.0"
 
@@ -41,6 +44,19 @@ _EXPORTS = {
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_OWNER)
+
+
+def _check_count(value, name: str, least: int = 1):
+    # a horizon, member, path or grid count: an integer >= least (numpy ints
+    # too), not a bool or 2.0
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+
+
+def _check_index(j, n: int, name: str):
+    # an index into n items: an integer (numpy ints too), not a bool or 0.5, which none matches
+    if isinstance(j, bool) or not isinstance(j, Integral) or not 0 <= j < n:
+        raise ValueError(f"{name} out of range")
 
 
 def __getattr__(name):

@@ -166,8 +166,8 @@ def _emit(obj):
 def cmd_profitability(args) -> int:
     import numpy as np
 
+    from . import _check_count
     from .corridor_math import LHS_TOL, admissible_min_k, mp_stationary_points, profitability_lhs
-    from .market_model import _check_count
 
     values = _settings(args)
     _check_count(values["grid"], "grid", 100)  # the rule of the searches that share --grid

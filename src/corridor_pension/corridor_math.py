@@ -47,8 +47,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import _EXPORTS
-from .market_model import GbmParams, _check_count, _moment_scale, density, ndtr
+from . import _EXPORTS, _check_count
+from .market_model import GbmParams, _moment_scale, density, ndtr
 
 __all__ = _EXPORTS["corridor_math"]
 
@@ -89,12 +89,10 @@ class CorridorPolicy:
     J: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.k <= 1.0:
-            raise ValueError("k must be in [0, 1]")
+        _check_k(self.k)
         if not 1.0 <= self.p < math.inf:
             raise ValueError("p must be finite and >= 1")
-        if not (0.0 <= self.give_frac <= 1.0 and 0.0 <= self.help_frac <= 1.0):
-            raise ValueError("transfer fractions must be in [0, 1]")
+        _check_k((self.give_frac, self.help_frac), "transfer fractions")
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError("alpha must be finite and >= 0")
         if not 0.0 <= self.J < 1.0:
@@ -237,10 +235,11 @@ def _like(k, x):
     return float(x) if np.ndim(k) == 0 else x
 
 
-def _check_k(k):
+def _check_k(k, name="k"):
+    # the one [0, 1] rule, on a scalar or an array; NaN fails it
     k = np.asarray(k)
     if not np.all((0.0 <= k) & (k <= 1.0)):
-        raise ValueError("k must be in [0, 1]")
+        raise ValueError(f"{name} must be in [0, 1]")
 
 
 def psi1(params: GbmParams, policy: CorridorPolicy, k):
@@ -418,8 +417,8 @@ def _search_grid(params: GbmParams, policy: CorridorPolicy, k_min: float | None,
     _check_count(grid, "grid", 100)
     if k_min is None:
         k_min = admissible_min_k(params, policy)
-    elif not 0.0 <= k_min <= 1.0:
-        raise ValueError("k_min must be in [0, 1]")
+    else:
+        _check_k(k_min, "k_min")
     return np.linspace(float(k_min), 1.0, grid)
 
 

@@ -37,14 +37,13 @@ import sys
 import types
 from dataclasses import dataclass
 from importlib import _bootstrap
-from numbers import Integral
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy
 
-from . import _EXPORTS
+from . import _EXPORTS, _check_count
 
 __all__ = _EXPORTS["market_model"]
 
@@ -129,13 +128,6 @@ def _moment_scale(params: GbmParams, n: int) -> float:
         return math.exp(n * params.mu + 0.5 * n * n * params.sigma**2)
     except OverflowError:
         raise ValueError(f"E[Y^{n}] overflows a float for {params}") from None
-
-
-def _check_count(value, name: str, least: int = 1):
-    # a horizon, member, path or grid count: an integer >= least (numpy ints
-    # too), not a bool or 2.0
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}")
 
 
 def sample_return_matrix(params: GbmParams, T: int, n_paths: int, seed: int) -> np.ndarray:

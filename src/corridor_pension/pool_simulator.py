@@ -22,8 +22,7 @@ member, returning a `StepReport` (price, coverage, claims, support and one row
 per member) for each period.
 Members 0..n-1 match ledger ids by `str(id)`.  The ledger module
 (`redistribution_index`) loads only for an IndexCappedHelp pool, once per
-run, and for the agent-index checks of the best-response bounds; every other
-pool runs on the numeric modules alone.
+run; every other pool runs on the numeric modules alone.
 
 The coverage indicator collapses to a threshold on the net return (`z_star`),
 which drives the fixed-point search for a common near-optimal boundary and the
@@ -39,16 +38,17 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import _EXPORTS
+from . import _EXPORTS, _check_count, _check_index
 from .corridor_math import (
     CorridorPolicy,
     _PayoffMoments,
+    _check_k,
     _searches,
     admissible_min_k,
     horizon_objective,
     n_func,
 )
-from .market_model import GbmParams, _check_count, _path_stream, _return_blocks, density_peak
+from .market_model import GbmParams, _path_stream, _return_blocks, density_peak
 
 if TYPE_CHECKING:
     from .redistribution_index import Ledger
@@ -99,8 +99,7 @@ class PoolConfig:
     def __post_init__(self):
         _check_count(self.n, "n")
         _check_count(self.T, "T")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
+        _check_k(self.gamma, "gamma")
         if self.regime not in _REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         # chained comparisons, so NaN fails each check
@@ -111,8 +110,9 @@ class PoolConfig:
         if not all(0 <= v < math.inf for v in self.initial_values):
             raise ValueError("initial values must be finite and nonnegative")
         if self.k_vec is not None:
-            if len(self.k_vec) != self.n or not all(0 <= k <= 1 for k in self.k_vec):
-                raise ValueError("k_vec needs n entries in [0, 1]")
+            if len(self.k_vec) != self.n:
+                raise ValueError("k_vec needs n entries")
+            _check_k(self.k_vec, "k_vec")
             object.__setattr__(self, "k_vec", tuple(float(k) for k in self.k_vec))
         if self.regime == INDEX_CAPPED_HELP:
             if self.index_source is None:
@@ -207,8 +207,9 @@ def z_star(
     if ks.ndim not in (1, 2) or etas.ndim != 1 or ks.shape[-1:] != etas.shape:
         raise ValueError("k_vec and eta_vec must have equal length")
     _check_pool(etas, theta)
-    if not (np.all((0.0 <= ks) & (ks <= 1.0)) and help_frac >= 0):
-        raise ValueError("invalid pool state")
+    _check_k(ks, "k_vec")
+    if not help_frac >= 0:
+        raise ValueError("invalid pool state: help_frac must be nonnegative")
     z = _threshold(ks, etas, theta, help_frac)
     return float(z) if ks.ndim == 1 else z
 
@@ -577,8 +578,6 @@ def improvement_bound(
     Proportional to the density sup-norm and the agent's unit share of the
     total buffer; vanishes as the pool grows.
     """
-    from .redistribution_index import _check_index
-
     _check_index(j, len(eta_vec), "agent index")
     _check_pool(eta_vec, theta)
     if policy.help_frac <= 0:
@@ -605,8 +604,6 @@ def best_response_gain(
     everyone else stays at k_bar; the gated objective sees the threshold
     produced by the deviated pool.
     """
-    from .redistribution_index import _check_index
-
     n = len(eta_vec)
     _check_index(j, n, "agent index")
     _check_pool(eta_vec, theta)

@@ -27,9 +27,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral, Rational, Real
+from numbers import Rational, Real
 
-from . import _EXPORTS
+from . import _EXPORTS, _check_index
 
 __all__ = _EXPORTS["redistribution_index"]
 
@@ -200,12 +200,6 @@ def _exact(x):
         except (ValueError, ZeroDivisionError):
             pass
     return x
-
-
-def _check_index(j, n: int, name: str):
-    # an index into n items: an integer (numpy ints too), not a bool or 0.5, which none matches
-    if isinstance(j, bool) or not isinstance(j, Integral) or not 0 <= j < n:
-        raise ValueError(f"{name} out of range")
 
 
 def _validate_event(ledger: Ledger, t, contributions: dict, c_pre, a=None):

@@ -369,6 +369,11 @@ def test_settle_bad_inputs(tmp_path, capsys):
     odd.write_text(json.dumps("claims indices pool"))
     code, out = run(capsys, "settle", str(odd), "--out", str(tmp_path / "odd"))
     assert (code, out) == (2, None)
+    # claims that are no list
+    odd.write_text(json.dumps({"claims": "12", "indices": [1], "pool": 5}))
+    capsys.readouterr()
+    assert cli.main(["settle", str(odd), "--out", str(tmp_path / "odd")]) == 2
+    assert "error: claims and indices must be lists" in capsys.readouterr().err
 
 
 def test_index_update_show_check(tmp_path, capsys):

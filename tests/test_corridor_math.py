@@ -568,7 +568,7 @@ def test_searches_check_their_arguments_once(monkeypatch):
     assert (calls["_check_k"], calls["_check_count"]) == (0, 2)  # T and grid
     calls.update(_check_k=0, _check_count=0)
     k_of_c(B, POLB, -0.02, k_min=0.05)
-    assert (calls["_check_k"], calls["_check_count"]) == (0, 1)  # grid
+    assert (calls["_check_k"], calls["_check_count"]) == (1, 1)  # k_min and grid
 
 
 def test_searches_build_one_evaluator_and_call_ndtr_once_per_evaluation(monkeypatch):

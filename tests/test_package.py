@@ -96,6 +96,20 @@ def test_one_objective_builder_in_the_package():
     assert found == ["corridor_math.py:_objective", "pool_simulator.py:dp_check"]
 
 
+def test_one_home_per_input_rule():
+    # the count and index rules are the package's, beside _EXPORTS, so the
+    # numeric modules and the ledger share them without importing each other
+    found = _sites(lambda node: (isinstance(node, ast.Name) and node.id == "Integral")
+                   or (isinstance(node, ast.alias) and node.name == "Integral"))
+    assert found == ["__init__.py:<module>", "__init__.py:_check_count", "__init__.py:_check_index"]
+    # corridor_math._check_k is the one refusal of a value outside [0, 1];
+    # docstrings name the interval too, so only raise statements count
+    found = _sites(lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(part, ast.Constant) and "in [0, 1]" in str(part.value)
+        for part in ast.walk(node)))
+    assert found == ["corridor_math.py:_check_k"]
+
+
 # the ledger layer: the exact ledger and settlement modules and the exact
 # arithmetic they import
 _LEDGER = {"redistribution_index", "claim_settlement", "fractions", "decimal"}
@@ -135,8 +149,9 @@ def test_numeric_modules_import_no_ledger_code_on_load():
 
 
 def test_numeric_subcommands_load_no_ledger_code(tmp_path):
-    # in a fresh interpreter, neither importing the pool engines nor running a
-    # numeric subcommand loads the ledger layer; settling a claim batch does
+    # in a fresh interpreter, neither importing the pool engines, nor the
+    # best-response bounds, nor running a numeric subcommand loads the ledger
+    # layer; settling a claim batch does
     (tmp_path / "batch.json").write_text('{"claims": [4, 6], "indices": [0.5, 0.5], "pool": 5}')
     argvs = [
         ["profitability", "--grid", "101"],
@@ -149,9 +164,14 @@ def test_numeric_subcommands_load_no_ledger_code(tmp_path):
         "import contextlib, io, sys\n"
         "def loaded():\n"
         "    return sorted(n for n in ('corridor_pension.redistribution_index',\n"
-        "                              'corridor_pension.claim_settlement', 'fractions')\n"
+        "                              'corridor_pension.claim_settlement', 'fractions', 'decimal')\n"
         "                  if n in sys.modules)\n"
         "import corridor_pension.pool_simulator\n"
+        "print(loaded())\n"
+        "from corridor_pension import CorridorPolicy, GbmParams, best_response_gain, improvement_bound\n"
+        "params, policy = GbmParams(0.045, 0.06), CorridorPolicy(alpha=4.0)\n"
+        "improvement_bound(0, [1.0, 2.0], 0.2, policy, params)\n"
+        "best_response_gain(params, policy, [1.0, 2.0], 0.2, 0, 0.1)\n"
         "print(loaded())\n"
         "from corridor_pension import cli\n"
         f"for argv in {argvs!r}:\n"
@@ -163,6 +183,6 @@ def test_numeric_subcommands_load_no_ledger_code(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
     *numeric, after_settle = proc.stdout.splitlines()
-    assert numeric == ["[]"] * 5
+    assert numeric == ["[]"] * 6
     assert after_settle == str(["corridor_pension.claim_settlement",
-                                "corridor_pension.redistribution_index", "fractions"])
+                                "corridor_pension.redistribution_index", "decimal", "fractions"])

@@ -206,9 +206,12 @@ def test_config_validation():
     # a scalar stands for every member; a sequence needs one entry each
     config = base_config(pi_ind=0.1, v0_ind=(1.0, 2, 0.5))
     assert config.premiums == (0.1, 0.1, 0.1) and config.initial_values == (1.0, 2.0, 0.5)
-    for field in ("pi_ind", "v0_ind"):
+    for field in ("pi_ind", "v0_ind", "k_vec"):
         with pytest.raises(ValueError, match=f"{field} needs n entries"):
             base_config(**{field: (1.0, 1.0)})
+    for k_vec in ((0.1, 1.5, 0.1), (0.1, math.nan, 0.1)):
+        with pytest.raises(ValueError, match=r"k_vec must be in \[0, 1\]"):
+            base_config(k_vec=k_vec)
 
 
 # each entry point that takes a count, with the smallest count it accepts
@@ -286,6 +289,10 @@ def test_z_star_edges():
             z_star(ks, etas, theta)
     with pytest.raises(ValueError):
         z_star([0.2], [1.0], 0.1, help_frac=math.nan)
+    with pytest.raises(ValueError):
+        z_star([0.2], [1.0], 0.1, help_frac=-0.1)
+    with pytest.raises(ValueError, match=r"k_vec must be in \[0, 1\]"):
+        z_star([1.5], [1.0], 0.0)
     # a pool with no members has no threshold, and so no fixed point: both
     # returned a cutoff of -1.0, the fixed point with converged=True
     with pytest.raises(ValueError, match="unit counts"):

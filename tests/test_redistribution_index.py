@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -277,6 +278,23 @@ def test_check_add_guards():
         wiped.record(t, contributions, c_pre)
     with pytest.raises(ValueError, match="cannot replay through a wiped-out pot"):
         check_add(wiped, 0, 9, F(10))
+
+
+
+def test_check_add_and_check_lin_name_the_event_that_fails():
+    # `record` keeps both rules, so the broken ledgers are built by hand from
+    # its events: shares that ignore member 2's contribution break add, and an
+    # index that grows by more than member 1 paid breaks lin
+    led = Ledger(mode="monotone")
+    led.record(0, {1: F(10), 2: F(20)}, F(0))
+    led.record(1, {1: F(10), 2: F(20)}, F(33))
+    first, second = led.events
+    assert check_add(led, 0, 9, F(5)) and check_lin(led)
+    skewed = Ledger("monotone", events=[first, replace(second, shares_after={1: F(1, 2), 2: F(1, 2)})])
+    assert check_add(skewed, 0, 9, F(5)) == CheckResult(False, "add", (F(1), 1))
+    grown = {**second.indices_after, 1: second.indices_after[1] + 5}
+    inflated = Ledger("monotone", events=[first, replace(second, indices_after=grown)])
+    assert check_lin(inflated) == CheckResult(False, "lin", (F(1), (1, 2)))
 
 
 _amounts = st.fractions(min_value=0, max_value=500, max_denominator=20)
