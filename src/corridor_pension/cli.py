@@ -164,15 +164,13 @@ def _emit(obj):
 
 
 def cmd_profitability(args) -> int:
-    import numpy as np
-
-    from . import _check_count
-    from .corridor_math import LHS_TOL, admissible_min_k, mp_stationary_points, profitability_lhs
+    from .corridor_math import (
+        LHS_TOL, _search_grid, admissible_min_k, mp_stationary_points, profitability_lhs,
+    )
 
     values = _settings(args)
-    _check_count(values["grid"], "grid", 100)  # the rule of the searches that share --grid
     params, policy = _market_policy(values)
-    ks = np.linspace(0.0, 1.0, values["grid"])
+    ks = _search_grid(params, policy, 0.0, values["grid"])  # the grid rule of the searches
     lhs = profitability_lhs(params, policy, ks)
     out = _out_dir(values)
     rows = [[f"{k:.10g}", f"{v:.17g}", int(v <= LHS_TOL)]
@@ -191,10 +189,8 @@ def cmd_profitability(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    import numpy as np
-
     from .corridor_math import (
-        LHS_TOL, admissible_min_k, k_of_c, m1, m2_horizon, maximize_m2, n_func,
+        LHS_TOL, _search_grid, admissible_min_k, k_of_c, m1, m2_horizon, maximize_m2, n_func,
         profitability_lhs,
     )
 
@@ -205,7 +201,7 @@ def cmd_optimize(args) -> int:
     k_min = admissible_min_k(params, policy)
     res = maximize_m2(params, policy, k_min=k_min, grid=grid, T=horizon)
 
-    ks = np.linspace(0.0, 1.0, grid)
+    ks = _search_grid(params, policy, 0.0, grid)
     header = ["k", "m1", "m2", "admissible"]
     include_gated = c is not None
     if include_gated:
@@ -251,7 +247,6 @@ def cmd_simulate(args) -> int:
     params, policy = _market_policy(values)
     ledger = _load_ledger(values["ledger"]) if "ledger" in values else None
     config = PoolConfig(**_section(values, "pool"), policy=policy, index_source=ledger)
-    out = _out_dir(values)
     seed, n_paths = values["seed"], values["paths"]
 
     result = simulate(config, params, n_paths, seed)
@@ -260,6 +255,7 @@ def cmd_simulate(args) -> int:
     # columns are run_path's row keys, ints and bools written as ints
     returns = sample_return_matrix(params, config.T, 1, seed)[0]
     rows = [r for rep in run_path(config, returns) for r in rep.rows]
+    out = _out_dir(values)  # a refused run makes no directory
     _write_csv(
         out / "steps.csv",
         rows[0].keys(),

@@ -24,9 +24,9 @@ Members 0..n-1 match ledger ids by `str(id)`.  The ledger module
 (`redistribution_index`) loads only for an IndexCappedHelp pool, once per
 run; every other pool runs on the numeric modules alone.
 
-The coverage indicator collapses to a threshold on the net return (`z_star`),
-which drives the fixed-point search for a common near-optimal boundary and the
-best-response improvement bound.
+The coverage indicator collapses to a threshold on the net return.  `_threshold`
+computes it for `z_star`, the fixed-point search for a common boundary, the
+best-response improvement bound and `run_path`, each checking its input once.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from .corridor_math import (
     CorridorPolicy,
     _PayoffMoments,
     _check_k,
+    _objective,
     _searches,
     admissible_min_k,
     horizon_objective,
-    n_func,
 )
 from .market_model import GbmParams, _path_stream, _return_blocks, density_peak
 
@@ -139,9 +139,7 @@ class PoolConfig:
 
     @property
     def boundaries(self) -> tuple:
-        if self.k_vec is not None:
-            return self.k_vec
-        return tuple(self.policy.k for _ in range(self.n))
+        return self.k_vec if self.k_vec is not None else (self.policy.k,) * self.n
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,7 @@ def z_star(
 
 def _check_pool(eta_vec, theta: float):
     """Refuse a pool without one or more finite nonnegative unit counts and a finite
-    nonnegative collective, alike in z_star, improvement_bound and best_response_gain."""
+    nonnegative collective, alike in z_star, the fixed point and the two bounds."""
     etas = np.asarray(eta_vec, dtype=float)
     if not (etas.ndim == 1 and etas.size and np.all((0.0 <= etas) & (etas < np.inf))):
         raise ValueError("invalid pool state: unit counts must be nonempty, finite and nonnegative")
@@ -226,9 +224,9 @@ def _check_pool(eta_vec, theta: float):
 
 def _threshold(ks: np.ndarray, etas: np.ndarray, theta: float, help_frac: float) -> np.ndarray:
     # the body of `z_star` on checked arrays, one threshold per profile
-    if help_frac <= 0:
+    buffer = float(theta) / float(help_frac) if help_frac > 0 else math.inf  # 2*theta by default
+    if buffer == math.inf:  # no help leg, or a buffer past the floats (as floats: no numpy warning)
         return np.full(ks.shape[:-1], -1.0)
-    buffer = theta / help_frac  # 2*theta at the default help fraction
     # per-boundary weighted shortfall of everyone with a tighter corridor
     short = np.maximum(ks[..., :, None] - ks[..., None, :], 0.0) @ etas
     active = buffer * (1.0 - ks) - short >= 0.0
@@ -376,13 +374,18 @@ def _trajectory(config: PoolConfig, rule, v0, returns):
 
     Yields, for each period, the (price, values, units, collective) it started
     from and what `_period` returned; the first four of that are the state
-    the next period starts from.
+    the next period starts from.  Once exhausted, it refuses (ValueError) a
+    last state with a price outside (0, inf) or a value or collective not finite.
     """
     state = _initial_state(config, v0, returns.shape[1])
     for t, y in enumerate(returns, 1):
         out = _period(config, rule, t, y, *state)
         yield state, out
         state = out[:4]
+    # such a price, or a value overflowed on a subnormal price, stays so: the last state tells
+    price, v, _, theta = state
+    if not (price.min() > 0.0 and all(np.isfinite(x).all() for x in (price, v, theta))):
+        raise ValueError("the fund price or the accounts left the floats: the returns are too extreme")
 
 
 def run_path(config: PoolConfig, gross_returns: Sequence[float]) -> list[StepReport]:
@@ -391,16 +394,18 @@ def run_path(config: PoolConfig, gross_returns: Sequence[float]) -> list[StepRep
     The period rule is that of `simulate`.  The rows of the last report hold
     the terminal accounts and collective; the support an outside sponsor
     added over the path is the sum of `support_added`.  No returns give no
-    reports.  Every gross return must be > 0 (NaN is not).
+    reports.  The returns are one sequence of finite floats > 0 (NaN is not).
     """
-    returns = np.array(gross_returns, dtype=float).reshape(-1, 1)
-    if not np.all(returns > 0):
-        raise ValueError("gross returns must be positive")
-    ks = config.boundaries
+    returns = np.array(gross_returns, dtype=float)
+    if returns.ndim != 1 or not np.all((0.0 < returns) & (returns < math.inf)):
+        raise ValueError("gross returns must be one sequence of positive finite floats")
+    ks, help_frac = np.array(config.boundaries), config.policy.help_frac
     rule = _rule(config, ks, config.premiums, _member_sum)
+    # the whole trajectory first, so that a state that left the floats raises before any row
+    steps = list(_trajectory(config, rule, config.initial_values, returns[:, None]))
     reports = []
-    for t, (state, out) in enumerate(_trajectory(config, rule, config.initial_values, returns), 1):
-        z = z_star(ks, state[2][:, 0], max(float(state[3][0]), 0.0), config.policy.help_frac)
+    for t, (state, out) in enumerate(steps, 1):
+        z = float(_threshold(ks, state[2][:, 0], max(float(state[3][0]), 0.0), help_frac))
         price, v, eta, theta, claim, net, covered, _, support = out
         price, theta = float(price[0]), float(theta[0])
         v, eta, net = v[:, 0].tolist(), eta[:, 0].tolist(), net[:, 0].tolist()
@@ -460,6 +465,8 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         del block  # a finished block is freed before the next is asked for
 
     mean_vt, mean_rv = float(terminal.mean()), float(rv.mean())
+    if not math.isfinite(mean_vt) or not math.isfinite(mean_rv):  # squares of values near 1e154 do
+        raise ValueError("the mean value or variation overflowed the floats: mu or sigma is too large")
     return SimulationResult(
         mean_terminal_value=mean_vt,
         penalized_objective=mean_vt - config.policy.alpha * mean_rv,
@@ -535,34 +542,29 @@ def fixed_point_barriers(
 ) -> FixedPointResult:
     """Iterate c <- threshold(common k), k <- best response to c, to a fixed point.
 
-    Starts at k = 1 (nobody claims) and stops when k moves by less than
-    _FIXED_POINT_TOL.  A detected 2-cycle returns the iterate with the larger
-    gated objective and sets cycle_flag; running _FIXED_POINT_MAX_ITER
-    iterations without either returns converged = False.  Each best response
-    is `k_of_c` with this `grid`; the grid's normal-CDF rows that do not depend
-    on c are computed once per call, and the pool (eta_vec, theta) checked once.
+    Starts at k = 1 and c = -1 (at k = 1 nobody claims, in any pool) and stops
+    when k moves by less than _FIXED_POINT_TOL.  A detected 2-cycle returns the
+    iterate with the larger gated objective and sets cycle_flag; running
+    _FIXED_POINT_MAX_ITER iterations without either returns converged = False.
+    Each best response is `k_of_c` with this `grid`; the grid's normal-CDF rows
+    that do not depend on c are computed once per call, and the pool checked once.
     """
     etas = np.asarray(eta_vec, dtype=float)
-    c = z_star(np.ones(len(etas)), etas, theta, policy.help_frac)
-    def threshold(k):  # the common threshold of everyone at k, unchecked
+    _check_pool(etas, theta)
+    def threshold(k):  # the common threshold of everyone at k
         return float(_threshold(np.full(len(etas), k), etas, theta, policy.help_frac))
     best_response = _searches(params, policy, grid)
-    k_bar = 1.0
-    history = [k_bar]
+    k_prev, k_bar, c = math.inf, 1.0, -1.0  # no iterate before k = 1, whose threshold is -1
     for it in range(1, _FIXED_POINT_MAX_ITER + 1):
         k_next = best_response(c).k_star
         if abs(k_next - k_bar) < _FIXED_POINT_TOL:
             return FixedPointResult(k_next, threshold(k_next), it, True, False)
-        if len(history) >= 2 and abs(k_next - history[-2]) < _FIXED_POINT_TOL:
+        if abs(k_next - k_prev) < _FIXED_POINT_TOL:
             # 2-cycle: keep whichever iterate scores higher on its own gated objective
-            cand = []
-            for kk in (k_bar, k_next):
-                cz = threshold(kk)
-                cand.append((n_func(params, policy, cz, kk), kk, cz))
-            val, kk, cz = max(cand)
+            _, kk, cz = max((float(_objective(params, policy, cz)(kk)), kk, cz)
+                            for kk, cz in ((k_bar, c), (k_next, threshold(k_next))))
             return FixedPointResult(kk, cz, it, True, True)
-        history.append(k_next)
-        k_bar, c = k_next, threshold(k_next)
+        k_prev, k_bar, c = k_bar, k_next, threshold(k_next)
     return FixedPointResult(k_bar, c, _FIXED_POINT_MAX_ITER, False, False)
 
 
@@ -604,15 +606,17 @@ def best_response_gain(
     everyone else stays at k_bar; the gated objective sees the threshold
     produced by the deviated pool.
     """
-    n = len(eta_vec)
-    _check_index(j, n, "agent index")
-    _check_pool(eta_vec, theta)
-    common = n_func(params, policy, z_star([k_bar] * n, eta_vec, theta, policy.help_frac), k_bar)
+    etas = np.asarray(eta_vec, dtype=float)
+    _check_index(j, len(etas), "agent index")
+    _check_pool(etas, theta)
+    _check_k(k_bar, "k_bar")
+    c = float(_threshold(np.full(len(etas), float(k_bar)), etas, theta, policy.help_frac))
     own = np.linspace(0.0, 1.0, _RESPONSE_GRID)
-    profiles = np.full((_RESPONSE_GRID, n), float(k_bar))
+    profiles = np.full((_RESPONSE_GRID, len(etas)), float(k_bar))
     profiles[:, j] = own
-    cutoffs = z_star(profiles, eta_vec, theta, policy.help_frac)
-    return float(np.max(n_func(params, policy, cutoffs, own))) - common
+    cutoffs = _threshold(profiles, etas, theta, policy.help_frac)
+    best = float(np.max(_objective(params, policy, cutoffs)(own)))
+    return best - float(_objective(params, policy, c)(k_bar))
 
 
 def dp_check(

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -283,6 +284,21 @@ def test_grid_below_100_exits_2_for_every_subcommand_that_reads_it(tmp_path, cap
             assert not out_dir.exists(), (command, grid)
     code, out = run(capsys, "profitability", "--grid", "100", "--out", str(tmp_path))
     assert code == 0 and len(read_csv(tmp_path / "profitability.csv")) == 100
+
+
+@pytest.mark.parametrize("mu", ["800", "-800"])
+def test_simulate_refuses_a_market_that_leaves_the_floats(tmp_path, capsys, mu):
+    # it exited 2 only as z_star refused run_path's NaN units, with a message
+    # about the pool state; simulate.json and steps.csv would have held NaN
+    out_dir = tmp_path / "refused"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main(["simulate", f"--mu={mu}", "--sigma", "0.1", "--paths", "10", "--T", "2",
+                         "--n", "2", "--k", "0.1", "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: the fund price or the accounts left the floats")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -96,6 +96,19 @@ def test_one_objective_builder_in_the_package():
     assert found == ["corridor_math.py:_objective", "pool_simulator.py:dp_check"]
 
 
+def test_one_threshold_route_in_pool_simulator():
+    # pool_simulator takes every threshold from _threshold, on arguments its
+    # entries checked once, and calls neither checked public entry
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    found = _sites(calls("z_star")) + _sites(calls("n_func"))
+    assert [site for site in found if site.startswith("pool_simulator.py:")] == []
+    assert sorted(set(_sites(calls("_threshold")))) == [
+        "pool_simulator.py:best_response_gain", "pool_simulator.py:fixed_point_barriers",
+        "pool_simulator.py:run_path", "pool_simulator.py:z_star"]
+
+
 def test_one_home_per_input_rule():
     # the count and index rules are the package's, beside _EXPORTS, so the
     # numeric modules and the ledger share them without importing each other

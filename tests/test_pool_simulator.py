@@ -42,7 +42,7 @@ from corridor_pension.pool_simulator import (
     simulate,
     z_star,
 )
-from corridor_pension import pool_simulator
+from corridor_pension import corridor_math, pool_simulator
 from corridor_pension.claim_settlement import ClaimBatch, settle
 from corridor_pension.market_model import _path_stream, _return_blocks, expect_mc, sample_return_matrix
 from corridor_pension.redistribution_index import Ledger, index_for_pool
@@ -261,9 +261,39 @@ def test_run_path_starts_from_the_initial_state():
 
 
 def test_run_path_rejects_returns_that_are_not_positive():
-    for bad in (0.0, -0.5, math.nan):
+    for bad in (0.0, -0.5, math.nan, math.inf):  # inf gave NaN rows
         with pytest.raises(ValueError, match="positive"):
             run_path(base_config(), [1.01, bad, 1.02])
+    with pytest.raises(ValueError, match="positive"):
+        run_path(base_config(), [[1.01, 1.02]])  # ran two periods, flattened
+
+
+@pytest.mark.parametrize("returns", [
+    [1e200, 1e200],  # the price overflows to inf: NaN rows
+    [1e-200, 1e-200],  # it underflows to 0: ZeroDivisionError
+    [1e-155, 1e-155, 1e150],  # a subnormal price overflows the units, then recovers: NaN rows
+])
+def test_run_path_refuses_returns_whose_state_leaves_the_floats(returns):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="left the floats"):
+            run_path(base_config(regime=NO_HELP_IF_INSUFFICIENT), returns)
+
+
+@pytest.mark.parametrize("mu, T, match", [
+    (800.0, 2, "left the floats"),  # the draws overflow to inf
+    (-800.0, 2, "left the floats"),  # the draws underflow to 0
+    (-715.0, 1, "left the floats"),  # a subnormal last price: the units overflowed
+    (200.0, 2, "overflowed the floats"),  # finite values whose squares overflow
+])
+def test_simulate_refuses_a_market_that_leaves_the_floats(mu, T, match):
+    # each returned NaN or infinite statistics, and no invariant fired
+    cfg = PoolConfig(n=2, gamma=0.9, pi_ind=0.05, T=T, regime=NO_HELP_IF_INSUFFICIENT,
+                     policy=CorridorPolicy(k=0.1, alpha=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match=match):
+            simulate(cfg, GbmParams(mu, 0.1), 10, 0)
 
 
 def test_z_star_edges():
@@ -275,6 +305,11 @@ def test_z_star_edges():
     assert z_star([0.2], [1.0], 0.1) == pytest.approx(-(0.2 + 0.2) / (0.2 + 1.0))
     # no help leg at all
     assert z_star([0.2], [1.0], 0.1, help_frac=0.0) == -1.0
+    # a buffer theta / help_frac past the floats covers everything; both gave NaN
+    assert z_star([0.2], [1.0], 0.1, help_frac=5e-324) == -1.0
+    assert z_star([0.2, 0.5], [1.0, 1.0], 1e308) == -1.0
+    assert z_star([0.2, 0.5], [1.0, 1.0], np.float64(1e308)) == -1.0  # numpy would warn
+    assert z_star([0.2], [1.0], 0.1, help_frac=np.float64(5e-324)) == -1.0
     # huge buffer covers everything down to the boundary
     assert z_star([0.2], [1.0], 1e6) == pytest.approx(-1.0, abs=1e-5)
     with pytest.raises(ValueError):
@@ -1007,6 +1042,38 @@ def test_improvement_bound_refuses_what_z_star_refuses(eta, j, match):
 def test_best_response_gain_refuses_an_agent_index_that_is_not_an_integer(j):
     with pytest.raises(ValueError, match="agent index out of range"):
         best_response_gain(A, CorridorPolicy(alpha=0.5), [1.0] * 3, 1.2, j, 0.3)
+
+
+@pytest.mark.parametrize("k_bar", [1.5, -0.1, math.nan])
+def test_best_response_gain_checks_k_bar_under_its_own_name(k_bar):
+    # refused as "k_vec must be in [0, 1]", by z_star on the profiles
+    with pytest.raises(ValueError, match=r"k_bar must be in \[0, 1\]"):
+        best_response_gain(A, CorridorPolicy(alpha=0.5), [1.0] * 3, 1.2, 0, k_bar)
+
+
+def test_threshold_callers_check_their_arguments_once(monkeypatch):
+    # each entry checks its pool and boundaries at entry and takes every
+    # threshold from _threshold: best_response_gain ran _check_pool 3 times and
+    # _check_k 4 times, and run_path ran z_star's checks in every period
+    pol, eta, theta = CorridorPolicy(alpha=4.0), [1.0] * 10, 0.2  # a 2-cycle
+    cfg = base_config(k_vec=(0.05, 0.1, 0.2), T=6)
+    calls = {"_check_pool": 0, "_check_k": 0}
+    for module, name in ((pool_simulator, "_check_pool"), (pool_simulator, "_check_k"),
+                         (corridor_math, "_check_k")):
+        def counted(*args, name=name, check=getattr(module, name)):
+            calls[name] += 1
+            return check(*args)
+        monkeypatch.setattr(module, name, counted)
+    for call, want in (
+        (lambda: z_star([0.2, 0.3], [1.0, 2.0], 0.5), (1, 1)),
+        (lambda: improvement_bound(3, eta, theta, pol, A), (1, 0)),
+        (lambda: fixed_point_barriers(A, pol, eta, theta), (1, 0)),
+        (lambda: best_response_gain(A, pol, eta, theta, 3, 0.2), (1, 1)),
+        (lambda: run_path(cfg, [0.7, 1.3, 0.9, 1.1, 0.8, 1.2]), (0, 0)),
+    ):
+        calls.update(_check_pool=0, _check_k=0)
+        call()
+        assert (calls["_check_pool"], calls["_check_k"]) == want
 
 
 def test_dp_check_frozen_values():
