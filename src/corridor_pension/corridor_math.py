@@ -29,11 +29,16 @@ Optimizers are grid scans with a zoomed rescan around each peak because the
 objectives can be bimodal; near-equal maxima are reported as ties and resolved
 by the slope of the transfer-only objective `m1`.  `maximize_m2`, `k_of_c`
 and the fixed point's best responses are one search, `_searches`: it checks
-its grid once, computes the normal-CDF rows of the edges L and U, which do not
-depend on c, once, and scans the objective of one cutoff after another
-(`maximize_m2` is the one at c = -1, compounded over T periods); the gate
-row of a cutoff is made from L's row, so its grid scan needs no new one.  `_objective`
-is the one builder of that objective from the payoff moments.
+its grid once per call, takes the normal-CDF rows of the edges L and U, which
+do not depend on c, computed once per market, and scans the objective of one
+cutoff after another (`maximize_m2` is the one at c = -1, compounded over T
+periods); the gate row of a cutoff is made from L's row, so its grid scan
+needs no new one.  `_objective` is the one builder of that objective.
+
+A small memo holds what one market's study asks for more than once: the last
+`admissible_min_k`, grid with its L/U rows (read-only) and two searches.  Each
+is an `lru_cache` keyed by the pickle of its inputs and computed from it, so
+inputs that compare equal but differ in type or bits (-0.0, 0.0) share no entry.
 
 All evaluation is exact up to normal-CDF accuracy; no quadrature or sampling
 happens here.
@@ -41,7 +46,9 @@ happens here.
 
 from __future__ import annotations
 
+import functools
 import math
+import pickle
 from dataclasses import dataclass
 from typing import Callable
 
@@ -281,9 +288,15 @@ def admissible_min_k(params: GbmParams, policy: CorridorPolicy) -> float:
 
     k = 1 always qualifies: its help leg is empty, so the LHS is
     -give_frac * E[(Y-1-p)+] <= 0.  Coarse scan for the first sign change,
-    then bisection to K_MIN_TOL.
+    then bisection to K_MIN_TOL; the last market's is kept (`_admissible`).
     """
-    mean = _PayoffMoments(params, policy, with_return=False, orders=2)  # E[t(Y)]
+    return _admissible(pickle.dumps((params, policy)))
+
+
+@functools.lru_cache(maxsize=1)
+def _admissible(market: bytes) -> float:
+    # `admissible_min_k` of the pickled (params, policy)
+    mean = _PayoffMoments(*pickle.loads(market), with_return=False, orders=2)  # E[t(Y)]
 
     def admissible(k):
         return mean(k)[0] <= LHS_TOL
@@ -527,21 +540,33 @@ def _searches(
     """c -> the best boundary against cutoff c over T periods: one grid for every cutoff.
 
     `k_of_c` and the fixed point's best responses are its searches at T = 1,
-    `maximize_m2` its search at c = -1.  The grid is checked once and the
-    normal-CDF rows of its edges L and U, which do not depend on c, are
-    computed once; each cutoff's gate row G takes L's row and the CDF column
-    of 1 + c, computed when its evaluator is built (c = -1 has no gate), and
-    each cutoff is checked as it comes.
+    `maximize_m2` its search at c = -1.  The grid is checked once per call and
+    its normal-CDF rows of L and U, free of c, computed once per market
+    (`_grid_rows`); the last two searches are kept (`_search`).  A cutoff's gate
+    row takes L's row and the CDF column of 1 + c; each is checked as it comes.
     """
-    ks = _search_grid(params, policy, k_min, grid)
-    lu = _PayoffMoments(params, policy).rows(ks)
+    market = pickle.dumps((params, policy))
+    ks = _search_grid(params, policy, k_min, grid).tobytes()
+    return lambda c: _search(market, ks, pickle.dumps((T, c)))
 
-    def search(c) -> OptResult:
-        _check_cutoff(c)
-        objective = _objective(params, policy, c, T)
-        return _maximize_scalar(objective, params, policy, ks, objective(ks, lu))
 
-    return search
+@functools.lru_cache(maxsize=2)
+def _search(market: bytes, ks: bytes, cutoff: bytes) -> OptResult:
+    # the search of `_searches` for the pickled (params, policy) and (T, c) on the grid of ks
+    (params, policy), (T, c) = pickle.loads(market), pickle.loads(cutoff)
+    _check_cutoff(c)
+    grid, lu = _grid_rows(market, ks)
+    objective = _objective(params, policy, c, T)
+    return _maximize_scalar(objective, params, policy, grid, objective(grid, lu))
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_rows(market: bytes, ks: bytes):
+    # the grid of ks and the normal-CDF rows of its edges L and U, both read-only
+    grid = np.frombuffer(ks)
+    lu = _PayoffMoments(*pickle.loads(market)).rows(grid)
+    lu.flags.writeable = False
+    return grid, lu
 
 
 def k_of_c(

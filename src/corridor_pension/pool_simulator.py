@@ -547,7 +547,7 @@ def fixed_point_barriers(
     iterate with the larger gated objective and sets cycle_flag; running
     _FIXED_POINT_MAX_ITER iterations without either returns converged = False.
     Each best response is `k_of_c` with this `grid`; the grid's normal-CDF rows
-    that do not depend on c are computed once per call, and the pool checked once.
+    that do not depend on c are computed once per market, and the pool checked once.
     """
     etas = np.asarray(eta_vec, dtype=float)
     _check_pool(etas, theta)

@@ -325,6 +325,31 @@ def test_fixed_point(capsys):
     assert -1.0 <= out["c"] <= 0.0
 
 
+def test_each_subcommand_gives_the_same_bytes_twice_in_one_process(tmp_path, capsys):
+    # the boundary-search memo outlives a call of cli.main; a second run of
+    # each subcommand in the same process writes the same stdout, CSV and JSON
+    market = ["--mu", "0.045", "--sigma", "0.12", "--alpha", "2.5"]
+    commands = (
+        ["optimize", *market, "--horizon", "20", "--c", "-0.2", "--out", str(tmp_path / "o")],
+        ["fixed-point", *market, "--theta", "0.2", "--eta", ",".join(["1"] * 10)],
+        ["profitability", *market, "--out", str(tmp_path / "p")],
+    )
+    runs = []
+    for _ in range(2):
+        outputs = []
+        for argv in commands:
+            code = cli.main(argv)
+            files = {f.name: f.read_bytes() for f in sorted(tmp_path.glob("*/*"))}
+            for f in tmp_path.glob("*/*"):
+                f.unlink()
+            outputs.append((code, capsys.readouterr().out, files))
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+    assert [sorted(files) for _, _, files in runs[0]] == [
+        ["optimize.json", "optimize_curves.csv"], [], ["profitability.csv"]]
+    assert json.loads(runs[0][1][1])["cycle_flag"] is True
+
+
 def test_fixed_point_nonconvergence_exit(monkeypatch, capsys):
     # this pool converges in 2 iterations; capped at 1, the search gives up
     monkeypatch.setattr(pool_simulator, "_FIXED_POINT_MAX_ITER", 1)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -769,3 +770,149 @@ def test_xi_d1_matches_numeric():
         assert xi_d1(A, xp, k) == pytest.approx(num, abs=1e-8)
         num2 = (xi_d1(A, xp, k + 1e-6) - xi_d1(A, xp, k - 1e-6)) / 2e-6
         assert xi_d2(A, xp, k) == pytest.approx(num2, abs=1e-6)
+
+
+# -- the memo of the boundary searches --------------------------------------
+
+MEMOS = (corridor_math._admissible, corridor_math._grid_rows, corridor_math._search)
+
+
+def _study(params, policy, clear=lambda: None):
+    # one market's boundary study in the order of the bench's boundary_design;
+    # `clear` runs before every call
+    from corridor_pension.pool_simulator import fixed_point_barriers
+
+    calls = (
+        lambda: admissible_min_k(params, policy),
+        lambda: mp_stationary_points(params, policy),
+        lambda: maximize_m2(params, policy, k_min=out[0]),
+        lambda: maximize_m2(params, policy, k_min=out[0], T=20),
+        lambda: fixed_point_barriers(params, policy, [1.0] * 10, 0.2),
+    )
+    out = []
+    for call in calls:
+        clear()
+        out.append(call())
+    return out
+
+
+def _study_markets():
+    # acceptance 2, the acceptance-3 tie and the eight markets that the bench's
+    # boundary_design draws at seed 29, in the order it draws them
+    u = np.random.default_rng(29).uniform
+    markets = [(A, POL4), (GbmParams(0.06, 0.09328707495450515), POLB)]
+    for _ in range(2):
+        markets += [
+            (GbmParams(0.045, u(0.09, 0.15)), CorridorPolicy(alpha=u(2.0, 3.0))),
+            (GbmParams(0.045, u(0.12, 0.17)), CorridorPolicy(p=u(1.4, 1.6), alpha=u(2.0, 3.0))),
+            (GbmParams(0.045, u(0.09, 0.17)), CorridorPolicy(p=u(1.9, 2.1), alpha=u(1.0, 2.0))),
+            (GbmParams(0.045, u(0.11, 0.17)),
+             CorridorPolicy(give_frac=0.1, p=u(1.5, 2.0), alpha=u(1.0, 3.0))),
+        ]
+    return markets
+
+
+def test_a_study_scans_admissibility_and_the_rows_once(monkeypatch, cold_memo):
+    # on a cold memo one market's study builds the admissibility evaluator once
+    # and computes the L/U rows once, and the fixed point's first best response
+    # (c = -1, T = 1) is maximize_m2's search, so it builds no evaluator
+    built, rows = [], [0]
+
+    class Counted(corridor_math._PayoffMoments):
+        def __init__(self, params, policy, c=-1.0, with_return=True, orders=3):
+            super().__init__(params, policy, c, with_return, orders)
+            built.append((c, with_return))
+
+        def rows(self, k):
+            rows[0] += 1
+            return super().rows(k)
+
+    monkeypatch.setattr(corridor_math, "_PayoffMoments", Counted)
+    cycles = []
+    for params, policy in ((A, POL4), (B, POLB)):
+        cold_memo()
+        built.clear()
+        rows[0] = 0
+        starts = []  # where each call's evaluators begin in `built`
+        *_, res = _study(params, policy, lambda: starts.append(len(built)))
+        assert [with_return for _, with_return in built].count(False) == 1
+        assert rows[0] == 1
+        # the fixed point builds one evaluator per best response after the
+        # first, and two to score a 2-cycle
+        in_fixed_point = built[starts[-1]:]
+        assert len(in_fixed_point) == res.iterations - 1 + 2 * res.cycle_flag
+        assert all(c != -1.0 for c, _ in in_fixed_point)
+        cycles.append(res.cycle_flag)
+    assert cycles == [True, False]
+
+
+def test_studies_on_the_memo_equal_studies_on_a_cold_one(cold_memo):
+    for params, policy in _study_markets():
+        assert _study(params, policy) == _study(params, policy, cold_memo)
+
+
+def test_the_memo_keeps_read_only_arrays_of_about_112_kb():
+    maximize_m2(A, POL4)
+    market, ks = pickle.dumps((A, POL4)), corridor_math._search_grid(A, POL4, None, 2001).tobytes()
+    grid, lu = corridor_math._grid_rows(market, ks)
+    assert corridor_math._grid_rows.cache_info().hits == 1
+    assert grid.nbytes + lu.nbytes == 7 * 2001 * 8
+    for array in (grid, lu):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+
+
+def test_inputs_equal_in_value_but_not_in_bits_share_no_entry(cold_memo):
+    # -0.0 == 0.0 and 2 == 2.0 hash alike, but each input gets its own entry,
+    # and what the memo returns is bit for bit what a cold call returns
+    from corridor_pension.pool_simulator import fixed_point_barriers
+
+    markets = [(GbmParams(mu, 0.1), CorridorPolicy(alpha=alpha))
+               for mu, alpha in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                                 (0.0, 2.0), (0.0, 2))]
+    searches = (
+        lambda params, policy: admissible_min_k(params, policy),
+        lambda params, policy: maximize_m2(params, policy, T=20),
+        lambda params, policy: k_of_c(params, policy, -0.05),
+        lambda params, policy: fixed_point_barriers(params, policy, [1.0] * 10, 0.2),
+    )
+    for i, search in enumerate(searches):
+        cold = []
+        for params, policy in markets:
+            cold_memo()
+            cold.append(pickle.dumps(search(params, policy)))
+        cold_memo()
+        for (params, policy), want in zip(markets, cold):
+            misses = [memo.cache_info().misses for memo in MEMOS[:2]]
+            assert pickle.dumps(search(params, policy)) == want
+            assert corridor_math._admissible.cache_info().misses == misses[0] + 1
+            assert corridor_math._grid_rows.cache_info().misses == misses[1] + (i > 0)
+
+
+def test_a_cutoff_of_any_scalar_type_gets_the_search_of_a_cold_call(cold_memo):
+    cutoffs = (-0.02, np.float64(-0.02), np.array(-0.02), -1.0, np.float64(-1.0), np.array(-1.0))
+    cold = []
+    for c in cutoffs:
+        cold_memo()
+        cold.append(k_of_c(B, POLB, c))
+    assert cold[:3] == [cold[0]] * 3 and cold[3:] == [maximize_m2(B, POLB)] * 3
+    cold_memo()
+    maximize_m2(B, POLB)  # the search at c = -1.0 is in the memo
+    for c, want in zip(cutoffs, cold):
+        assert pickle.dumps(k_of_c(B, POLB, c)) == pickle.dumps(want)
+
+
+def test_the_memo_holds_nothing_of_a_market_after_the_next_study(cold_memo):
+    first, second = (A, POL4), (B, POLB)
+    k_first = _study(*first)[0]
+    misses = [memo.cache_info().misses for memo in MEMOS]
+    _study(*second)
+    # the second study fills every entry (the sizes are 1, 1 and 2) ...
+    for memo, before in zip(MEMOS, misses):
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize and info.misses - before >= info.maxsize
+    # ... so the first market's searches and its boundary all miss
+    misses = [memo.cache_info().misses for memo in MEMOS]
+    maximize_m2(*first, k_min=k_first)
+    admissible_min_k(*first)
+    assert [memo.cache_info().misses for memo in MEMOS] == [m + 1 for m in misses]
