@@ -276,24 +276,24 @@ def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray):
     """
     alloc = np.zeros_like(claims)
     active = claims > 0
-    for _ in range(claims.shape[0]):
-        if not active.any():
-            break
-        total_w = _member_sum(np.where(active, weights, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(claims.shape[0]):
+            if not active.any():
+                break
+            total_w = _member_sum(np.where(active, weights, 0.0))
             slices = np.where(total_w > 0, pool * (weights / total_w), 0.0)  # as settle
-        fits = active & (claims <= slices)
-        # a round where nothing fits pays min(claim, slice) and ends the batch
-        paying = fits | (active & ~fits.any(axis=0))
-        due = np.where(paying, np.minimum(claims, slices), 0.0)
-        # settle pays member after member, none more than the pool left.  The
-        # running pool, unclamped, first goes below 0 at the payment that
-        # overdraws it; clamped at 0, it pays that one what was left, and the
-        # later ones nothing
-        left = np.subtract.accumulate(np.concatenate((pool[None], due)), axis=0)
-        alloc += np.minimum(due, np.maximum(left[:-1], 0.0))  # 0 where not paying
-        pool = np.maximum(left[-1], 0.0)
-        active &= ~paying
+            fits = active & (claims <= slices)
+            # a round where nothing fits pays min(claim, slice) and ends the batch
+            paying = fits | (active & ~fits.any(axis=0))
+            due = np.where(paying, np.minimum(claims, slices), 0.0)
+            # settle pays member after member, none more than the pool left.  The
+            # running pool, unclamped, first goes below 0 at the payment that
+            # overdraws it; clamped at 0, it pays that one what was left, and the
+            # later ones nothing
+            left = np.subtract.accumulate(np.concatenate((pool[None], due)), axis=0)
+            alloc += np.minimum(due, np.maximum(left[:-1], 0.0))  # 0 where not paying
+            pool = np.maximum(left[-1], 0.0)
+            active &= ~paying
     return alloc, pool
 
 
@@ -310,23 +310,25 @@ def _rule(config: PoolConfig, ks, prem, total) -> tuple:
             shares = _lagged_shares(index_for_pool(config.index_source, t), range(config.n))
             return np.array(shares, dtype=float)[:, None]
 
-    gp = config.gamma * np.array(prem)[:, None]
-    return np.array(ks)[:, None], gp, (1.0 - config.gamma) * config.premium_total, total, weights
+    k, gp = np.array(ks)[:, None], config.gamma * np.array(prem)[:, None]
+    return -k, k * config.policy.p, gp, (1.0 - config.gamma) * config.premium_total, total, weights
 
 
 def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
     """Period t of the transfer rule on (columns, paths) arrays, from returns y.
 
-    `rule` holds what stays fixed over the periods: the boundaries k and the
-    premium purchases gamma * pi (columns x 1), the collective's inflow, the
-    member sum `total` of a (columns, paths) array and `weights(t)`, the lagged
-    ledger shares by column.  Returns the new price, values, units and
-    collective, the claims and net transfers by column, and per path whether
-    the collective covered the claims, whether coverage failed with a claim
-    open, and the support an outside sponsor added.
+    `rule` holds what stays fixed over the periods: -k and k * p for the
+    boundaries k and the premium purchases gamma * pi (columns x 1), the
+    collective's inflow, the member sum `total` of a (columns, paths) array
+    and `weights(t)`, the lagged ledger shares by column.  Returns the new
+    price, values, units and collective, the claims and net transfers by
+    column, and per path whether the collective covered the claims, whether
+    coverage failed with a claim open, and the support an outside sponsor
+    added: only where the collective ended below zero, None (+0.0 on every
+    path) in a period where it did so on no path.
     """
     pol, regime = config.policy, config.regime
-    k, gp, inflow, total, weights = rule
+    neg_k, kp, gp, inflow, total, weights = rule
     if eta.min() < 0:
         raise ValueError("invalid pool state: negative unit count")
     rho = y - 1.0
@@ -335,10 +337,16 @@ def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
     eta = eta_prev + gp / price
     theta = theta_prev + inflow / price
 
-    give = pol.give_frac * v * np.maximum(rho - k * pol.p, 0.0)
-    short = np.maximum(-k - rho, 0.0)
-    claim = pol.help_frac * v * short
-    covered = _coverage_ok(theta_prev, rho, total(eta_prev * short), pol.help_frac)
+    # clipped and scaled in place: each is (frac * v) times its clipped excess
+    give = rho - kp
+    np.maximum(give, 0.0, out=give)
+    give *= pol.give_frac * v
+    short = neg_k - rho
+    np.maximum(short, 0.0, out=short)
+    claim = pol.help_frac * v
+    claim *= short
+    short *= eta_prev
+    covered = _coverage_ok(theta_prev, rho, total(short), pol.help_frac)
     failed = ~covered & (claim > 0).any(axis=0)
     paid = claim if regime == ALWAYS_HELP else np.where(covered, claim, 0.0)
     if regime == INDEX_CAPPED_HELP:
@@ -349,18 +357,19 @@ def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
             units, left = _settle_rounds(claim[:, paths] / price[paths], weights(t), theta_prev[paths])
             paid[:, paths] = units * price[paths]
 
-    deficit_before = np.maximum(0.0, -theta)
     net = paid - give
-    eta = eta + net / price
-    theta = theta - total(net) / price
+    eta += net / price
+    theta_next = theta - total(net) / price
     if regime == INDEX_CAPPED_HELP and paths.size:
         # the units settlement left, not a round trip of the paid units
         # through their value, which can leave the collective an ulp below 0
-        theta[paths] = left + (inflow + total(give[:, paths])) / price[paths]
-    support = np.maximum(0.0, np.maximum(0.0, -theta) - deficit_before)
-    if regime != ALWAYS_HELP and theta.min() < -1e-12:
+        theta_next[paths] = left + (inflow + total(give[:, paths])) / price[paths]
+    low = theta_next.min()
+    if regime != ALWAYS_HELP and low < -1e-12:
         raise RuntimeError("collective went negative outside AlwaysHelp")
-    return price, eta * price, eta, theta, claim, net, covered, failed, support
+    # the deficit's growth, max(0, -theta_next) - max(0, -theta), where it is above 0
+    support = np.maximum(np.minimum(theta, 0.0) - theta_next, 0.0) if low < 0 else None
+    return price, eta * price, eta, theta_next, claim, net, covered, failed, support
 
 
 def _initial_state(config: PoolConfig, v0, paths: int) -> tuple:
@@ -425,7 +434,8 @@ def run_path(config: PoolConfig, gross_returns: Sequence[float]) -> list[StepRep
             for i in range(config.n)
         )
         claims_total = float(_member_sum(claim)[0])
-        reports.append(StepReport(price, bool(covered[0]), claims_total, float(support[0]), rows))
+        support = 0.0 if support is None else float(support[0])
+        reports.append(StepReport(price, bool(covered[0]), claims_total, support, rows))
     return reports
 
 
@@ -443,7 +453,7 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
     else:
         total, mean = _member_sum, (lambda x: _member_sum(x) / n)
     rule = _rule(config, ks, prem, total)
-    gp = rule[1]
+    gp = rule[2]
     terminal, rv, support = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     shortfall_steps, lo = 0, 0
     for block in blocks:
@@ -455,11 +465,15 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         for (_, v, _, _), out in _trajectory(config, rule, v0, np.ascontiguousarray(block.T)):
             _, v_next, _, _, _, _, _, failed, added = out
             shortfall_steps += int(np.count_nonzero(failed))
-            path_support += added
-            # a member holding nothing adds the limit of its term, 0: with
-            # V_{t-1} = eps the numerator is O(eps^2)
+            if added is not None:
+                path_support += added
             sq = (v_next - v - gp) ** 2
-            path_rv += mean(np.divide(sq, v, out=np.zeros_like(sq), where=v > 0))
+            if v.min() > 0:
+                sq /= v
+            else:  # a member holding nothing adds the limit of its term, 0: with
+                # V_{t-1} = eps the numerator is O(eps^2)
+                sq = np.divide(sq, v, out=np.zeros_like(sq), where=v > 0)
+            path_rv += mean(sq)
         terminal[lo:hi] = mean(v_next)  # T >= 1, so the loop ran
         lo = hi
         del block  # a finished block is freed before the next is asked for

@@ -662,6 +662,80 @@ def test_pipelined_simulate_equals_one_block(config):
         assert simulate(config, STRESSED, n_paths, 3) == one_block, n_paths
 
 
+BENCH_POOL = dict(n=10, gamma=0.8, pi_ind=0.1, T=40)
+BENCH_MARKET = GbmParams(0.045, 0.12)
+# simulate(config, market, n_paths, seed=11), each field as float.hex, as the
+# period rule gave them before its passes were fused; the bench pools run the
+# helper thread and end on a partial block, and the last pool's collective
+# goes below 0, so its support is not 0
+PINNED = {
+    "AlwaysHelp, bench pool": (
+        PoolConfig(regime=ALWAYS_HELP, policy=CorridorPolicy(k=0.1, alpha=2.0), **BENCH_POOL),
+        BENCH_MARKET, 3 * 8192 + 5,
+        ("0x1.fce5cbb750070p+3", "0x1.1e5b801450917p+3", "0x1.bd149745feeb2p+1",
+         "0x1.077acf7864edfp-7", "0x1.1cc8db2ae85f5p-4")),
+    "NoHelpIfInsufficient, bench pool": (
+        PoolConfig(regime=NO_HELP_IF_INSUFFICIENT, policy=CorridorPolicy(k=0.1, alpha=2.0),
+                   **BENCH_POOL),
+        BENCH_MARKET, 3 * 8192 + 5,
+        ("0x1.fa72f9e9f3b7dp+3", "0x1.1c9e5d4c4b412p+3", "0x1.bba9393b50ed5p+1",
+         "0x1.a0fb594f14f2ap-8", "0x0.0p+0")),
+    "heterogeneous AlwaysHelp": (
+        PoolConfig(regime=ALWAYS_HELP, policy=CorridorPolicy(alpha=2.0),
+                   k_vec=(0.02, 0.04, 0.07, 0.1, 0.12, 0.15, 0.18, 0.22, 0.26, 0.3), **BENCH_POOL),
+        BENCH_MARKET, 150,
+        ("0x1.110b26c9ecaf1p+4", "0x1.316d046d04842p+3", "0x1.e152924da9b41p+1",
+         "0x1.c54a6921735eep-7", "0x1.68259f51cb490p-6")),
+    "IndexCappedHelp": (
+        PoolConfig(regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05, alpha=2.0), c0=0.05,
+                   index_source=capped_ledger(range(10), 40), **BENCH_POOL),
+        STRESSED, 150,
+        ("0x1.181d12e841450p+4", "0x1.197f750661febp+3", "0x1.16bab0ca208b5p+2",
+         "0x1.70a3d70a3d70ap-5", "0x0.0p+0")),
+    "AlwaysHelp, collective below zero": (
+        PoolConfig(regime=ALWAYS_HELP, policy=CorridorPolicy(k=0.05, alpha=2.0), n=3, gamma=1.0,
+                   pi_ind=0.1, T=12, c0=0.01),
+        STRESSED, 150,
+        ("0x1.ba3ea3af1e937p+1", "0x1.4d8460ace9997p+1", "0x1.b2e90c08d3e81p-2",
+         "0x1.740da740da741p-3", "0x1.d715888cb078cp-2")),
+    # transfer fractions that are not powers of 2, so the order of a product shows
+    "AlwaysHelp, give 0.3 and help 0.7": (
+        PoolConfig(regime=ALWAYS_HELP, c0=0.05, **BENCH_POOL,
+                   policy=CorridorPolicy(k=0.1, alpha=2.0, give_frac=0.3, help_frac=0.7)),
+        STRESSED, 2000,
+        ("0x1.0fb471d2e860fp+4", "0x1.e9ea21dd35e94p+2", "0x1.2a73d2b735cd4p+2",
+         "0x1.53404ea4a8c15p-5", "0x1.dfc9e41892d39p+0")),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_simulate_gives_the_pinned_floats(name):
+    config, market, n_paths, fields = PINNED[name]
+    got = simulate(config, market, n_paths, 11)
+    assert got == SimulationResult(*map(float.fromhex, fields), n_paths)
+
+
+@pytest.mark.parametrize("name", ["NoHelpIfInsufficient, bench pool", "IndexCappedHelp"])
+def test_a_collective_that_cannot_go_negative_adds_no_support(name):
+    config, market, _, _ = PINNED[name]
+    result = simulate(config, market, 300, 4)
+    assert result.shortfall_freq > 0 and result.external_support == 0.0
+
+
+def test_run_path_reports_no_support_as_positive_zero():
+    # a run_path whose collective stays nonnegative reports +0.0, never -0.0, also
+    # where settlement empties the collective to exactly 0 (-0.0 before)
+    emptied = PoolConfig(regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.1), n=3, gamma=1.0,
+                         pi_ind=0.1, T=1, c0=0.01, index_source=capped_ledger(range(3), 1))
+    cfg = base_config(T=6)
+    runs = [run_path(emptied, [0.7])]
+    runs += [run_path(cfg, row) for row in sample_return_matrix(STRESSED, cfg.T, 40, 2)]
+    assert runs[0][0].rows[0]["theta"] == 0.0 and not runs[0][0].covered
+    for rep in itertools.chain.from_iterable(runs):
+        assert rep.rows[0]["theta"] >= 0
+        assert rep.support_added == 0.0 and math.copysign(1.0, rep.support_added) == 1.0
+
+
 class DrawFailed(Exception):
     pass
 
