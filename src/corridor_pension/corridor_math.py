@@ -29,16 +29,17 @@ Optimizers are grid scans with a zoomed rescan around each peak because the
 objectives can be bimodal; near-equal maxima are reported as ties and resolved
 by the slope of the transfer-only objective `m1`.  `maximize_m2`, `k_of_c`
 and the fixed point's best responses are one search, `_searches`: it checks
-its grid once per call, takes the normal-CDF rows of the edges L and U, which
-do not depend on c, computed once per market, and scans the objective of one
-cutoff after another (`maximize_m2` is the one at c = -1, compounded over T
-periods); the gate row of a cutoff is made from L's row, so its grid scan
-needs no new one.  `_objective` is the one builder of that objective.
+its grid once per call and scans the objective of one cutoff after another
+(`maximize_m2` is the one at c = -1, compounded over T periods) on the grid's
+normal-CDF rows of the edges L and U, which do not depend on c; the gate row
+of a cutoff is made from L's row, and c = -1 reads the grid's moments there,
+so no grid scan calls ndtr.  `_objective` is the one builder of that objective.
 
 A small memo holds what one market's study asks for more than once: the last
-`admissible_min_k`, grid with its L/U rows (read-only) and two searches.  Each
-is an `lru_cache` keyed by the pickle of its inputs and computed from it, so
-inputs that compare equal but differ in type or bits (-0.0, 0.0) share no entry.
+`admissible_min_k`, grid (read-only, with its L/U rows and c = -1 moments from
+one pass, which the admissibility scan reads on [0, 1]) and two searches.  Each
+is an `lru_cache` keyed by `_Bits`, the pickle of its inputs that keeps them for
+a miss, so inputs equal but of other type or bits (-0.0, 0.0) share no entry.
 
 All evaluation is exact up to normal-CDF accuracy; no quadrature or sampling
 happens here.
@@ -69,11 +70,13 @@ TIE_SEPARATION = 1e-3
 # fixed tolerances and grid sizes of the boundary searches: admissible_min_k
 # bisects to K_MIN_TOL; maximize_m2 and k_of_c zoom each peak to ZOOM_TOL and
 # count maxima within TIE_TOL of the best as tied; mp_stationary_points scans
-# STATIONARY_GRID points for sign changes
+# STATIONARY_GRID points for sign changes; `_bisect` halves _BISECT_LEVELS
+# times per call of its predicate
 K_MIN_TOL = 1e-6
 ZOOM_TOL = 1e-10
 TIE_TOL = 1e-6
 STATIONARY_GRID = 4001
+_BISECT_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ class _PayoffMoments:
         self.gate = None if np.isscalar(c) and c == -1.0 else np.maximum(np.add(1.0, c), 0.0)
         g = self.gate is not None  # the piece (0, G] comes first
         self.b = np.array([r] * g + [r - policy.help_frac, r, r - policy.give_frac])[:, None]
-        self.b2 = self.b * self.b
+        self.b2, self.twob = self.b * self.b, 2.0 * self.b  # a * twob is 2.0 * a * b to the bit
         # per piece, its edge row 1 + side*k (G before the gate, L, U, U) and constant fracs*row - r
         self.side = np.array([-1.0] * g + [-1.0, policy.p, policy.p])[:, None]
         self.fracs = np.array([0.0] * g + [policy.help_frac, 0.0, policy.give_frac])[:, None]
@@ -198,11 +201,15 @@ class _PayoffMoments:
         return ndtr(z - self.shift, out=out)
 
     def rows(self, k):
-        """The normal-CDF rows of the edges L and U of k: the `lu`, free of c, of a call on k."""
-        return self._cdf(self._pieces(k)[1][-2:])
+        """The normal-CDF rows of L and U of k (a call's `lu`, free of c) and the call's moments."""
+        shape, edges, a = self._pieces(k)
+        lu = self._cdf(edges[-2:])
+        return lu, self._moments(shape, edges, a, lu)
 
     def __call__(self, k, lu=None):
-        shape, edges, a = self._pieces(k)
+        return self._moments(*self._pieces(k), lu)
+
+    def _moments(self, shape, edges, a, lu):
         cdf = np.empty((self.orders, len(edges) + 2, edges.shape[1]))
         cdf[:, 0], cdf[:, -1] = 0.0, 1.0
         if lu is not None:
@@ -216,11 +223,11 @@ class _PayoffMoments:
             cdf[:, 1] = np.where(edges[1] < self.gate, cdf[:, 2], self.gate_cdf)
         cdf *= self.scale
         mass = cdf[:, 1:] - cdf[:, :-1]
-        first = (a * mass[0] + self.b * mass[1]).sum(axis=0).reshape(shape)
+        first = np.add.reduce(a * mass[0] + self.b * mass[1]).reshape(shape)
         if self.orders < 3:
             return first, 0.0
-        second = a * a * mass[0] + 2.0 * a * self.b * mass[1] + self.b2 * mass[2]
-        return first, second.sum(axis=0).reshape(shape)
+        second = a * a * mass[0] + a * self.twob * mass[1] + self.b2 * mass[2]
+        return first, np.add.reduce(second).reshape(shape)
 
 
 def _transfer_slope(params: GbmParams, help_frac, give_frac, p, k):
@@ -271,16 +278,37 @@ def profitability_lhs(params: GbmParams, policy: CorridorPolicy, k):
     return _like(k, _PayoffMoments(params, policy, with_return=False, orders=2)(k)[0])
 
 
+class _Bits(bytes):
+    """A memo key, the pickle of its values, kept as `value`: values equal but of other type or
+    bits (-0.0 and 0.0, 2 and 2.0) share no entry, and a miss computes from the values."""
+
+    def __new__(cls, *value):
+        key = super().__new__(cls, pickle.dumps(value))
+        key.value = value
+        return key
+
+
 def _bisect(inside: Callable, lo, hi, tol: float):
     """Halve brackets with `inside` false at lo and true at hi to width <= tol; returns hi.
 
-    lo and hi may be arrays of brackets of equal width, halved together.
+    lo and hi may be arrays of brackets of equal width, halved together.  One
+    call of `inside` takes the midpoints 0.5 * (lo + hi) of _BISECT_LEVELS levels,
+    walked one by one after the width test: the midpoints and stops of one call per level.
     """
-    while np.any(hi - lo > tol):
-        mid = 0.5 * (lo + hi)
-        yes = inside(mid)
-        lo, hi = np.where(yes, lo, mid), np.where(yes, mid, hi)
-    return hi
+    shape, lo, hi = np.shape(lo), np.ravel(lo).tolist(), np.ravel(hi).tolist()
+    half = 0  # a bracket's half width, in points of the levels
+    while any(h - l > tol for l, h in zip(lo, hi)):
+        if not half:  # the points of the next levels: 0.5 * (a + b) between neighbours a, b
+            half = 2 ** (_BISECT_LEVELS - 1)
+            pts = np.empty((2 * half + 1, len(lo)))
+            pts[0], pts[-1] = lo, hi
+            for step in (half >> level for level in range(_BISECT_LEVELS)):
+                pts[step::2 * step] = 0.5 * (pts[:-step:2 * step] + pts[2 * step::2 * step])
+            yes, pts, at = inside(pts[1:-1]).T.tolist(), pts.T.tolist(), [0] * len(lo)
+        at = [a if y[a + half - 1] else a + half for a, y in zip(at, yes)]  # each bracket's lo
+        lo, hi = [p[a] for a, p in zip(at, pts)], [p[a + half] for a, p in zip(at, pts)]
+        half //= 2
+    return np.reshape(hi, shape)
 
 
 def admissible_min_k(params: GbmParams, policy: CorridorPolicy) -> float:
@@ -290,20 +318,20 @@ def admissible_min_k(params: GbmParams, policy: CorridorPolicy) -> float:
     -give_frac * E[(Y-1-p)+] <= 0.  Coarse scan for the first sign change,
     then bisection to K_MIN_TOL; the last market's is kept (`_admissible`).
     """
-    return _admissible(pickle.dumps((params, policy)))
+    return _admissible(_Bits(params, policy))
 
 
 @functools.lru_cache(maxsize=1)
-def _admissible(market: bytes) -> float:
-    # `admissible_min_k` of the pickled (params, policy)
-    mean = _PayoffMoments(*pickle.loads(market), with_return=False, orders=2)  # E[t(Y)]
+def _admissible(market: _Bits) -> float:
+    # `admissible_min_k` of the market (params, policy); the scan reads orders
+    # 0 and 1 of the L/U rows of its grid, np.linspace(0, 1, 2001), in the memo
+    mean = _PayoffMoments(*market.value, with_return=False, orders=2)  # E[t(Y)]
 
-    def admissible(k):
-        return mean(k)[0] <= LHS_TOL
+    def admissible(k, lu=None):
+        return mean(k, lu)[0] <= LHS_TOL
 
-    ks = np.linspace(0.0, 1.0, 2001)
-    ok = admissible(ks)
-    i = int(np.argmax(ok))
+    ks, lu, _ = _grid_rows(market, _Bits(0.0, 2001))
+    i = int(np.argmax(admissible(ks, lu[:2])))
     if i == 0:
         return 0.0
     return float(_bisect(admissible, ks[i - 1], ks[i], K_MIN_TOL))
@@ -427,12 +455,18 @@ def _grid_peaks(vs, tie_tol: float) -> list[int]:
 
 def _search_grid(params: GbmParams, policy: CorridorPolicy, k_min: float | None, grid: int):
     """The `grid` points on [k_min, 1] a boundary search scans; k_min defaults to `admissible_min_k`."""
+    market = _Bits(params, policy)
+    return _grid_rows(market, _grid_key(market, k_min, grid))[0]
+
+
+def _grid_key(market: _Bits, k_min: float | None, grid: int) -> _Bits:
+    # the memo key (k_min, grid) of the grid np.linspace(k_min, 1, grid) of
+    # `_search_grid`, with its count and k_min checked once per search
     _check_count(grid, "grid", 100)
     if k_min is None:
-        k_min = admissible_min_k(params, policy)
-    else:
-        _check_k(k_min, "k_min")
-    return np.linspace(float(k_min), 1.0, grid)
+        return _Bits(_admissible(market), grid)
+    _check_k(k_min, "k_min")
+    return _Bits(float(k_min), grid)
 
 
 def _maximize_scalar(
@@ -521,12 +555,13 @@ def _check_cutoff(c):
 
 
 def _objective(params: GbmParams, policy: CorridorPolicy, c=-1.0, T: int = 1) -> Callable:
-    # (k, lu=None) -> the objective of `n_func` compounded over T periods by
-    # `horizon_objective` (`m2` at c = -1 and T = 1), unchecked, by one evaluator
+    # (k, lu=None, ungated=None) -> the objective of `n_func` compounded over T periods by
+    # `horizon_objective` (`m2` at c = -1 and T = 1), unchecked, by one evaluator, or at
+    # c = -1 from `ungated`, k's moments there
     moments = _PayoffMoments(params, policy, c)
 
-    def objective(k, lu=None):
-        s1, s2 = moments(k, lu)
+    def objective(k, lu=None, ungated=None):
+        s1, s2 = ungated if ungated is not None and moments.gate is None else moments(k, lu)
         if T == 1:  # the one-period value of `horizon_objective`, without its loop
             return s1 - policy.alpha * s2
         return horizon_objective([(s1, s2)] * T, policy.alpha)
@@ -541,32 +576,35 @@ def _searches(
 
     `k_of_c` and the fixed point's best responses are its searches at T = 1,
     `maximize_m2` its search at c = -1.  The grid is checked once per call and
-    its normal-CDF rows of L and U, free of c, computed once per market
-    (`_grid_rows`); the last two searches are kept (`_search`).  A cutoff's gate
-    row takes L's row and the CDF column of 1 + c; each is checked as it comes.
+    its normal-CDF rows of L and U, free of c, and moments at c = -1 computed
+    once per market and grid (`_grid_rows`), which every T reads at c = -1; the
+    last two searches are kept (`_search`).  A cutoff's gate row takes L's row
+    and the CDF column of 1 + c; each is checked as it comes.
     """
-    market = pickle.dumps((params, policy))
-    ks = _search_grid(params, policy, k_min, grid).tobytes()
-    return lambda c: _search(market, ks, pickle.dumps((T, c)))
+    market = _Bits(params, policy)
+    ks = _grid_key(market, k_min, grid)
+    return lambda c: _search(market, ks, _Bits(T, c))
 
 
 @functools.lru_cache(maxsize=2)
-def _search(market: bytes, ks: bytes, cutoff: bytes) -> OptResult:
-    # the search of `_searches` for the pickled (params, policy) and (T, c) on the grid of ks
-    (params, policy), (T, c) = pickle.loads(market), pickle.loads(cutoff)
+def _search(market: _Bits, ks: _Bits, cutoff: _Bits) -> OptResult:
+    # the search of `_searches` for the market (params, policy) and (T, c) on the grid of ks
+    (params, policy), (T, c) = market.value, cutoff.value
     _check_cutoff(c)
-    grid, lu = _grid_rows(market, ks)
+    grid, lu, ungated = _grid_rows(market, ks)
     objective = _objective(params, policy, c, T)
-    return _maximize_scalar(objective, params, policy, grid, objective(grid, lu))
+    return _maximize_scalar(objective, params, policy, grid, objective(grid, lu, ungated))
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_rows(market: bytes, ks: bytes):
-    # the grid of ks and the normal-CDF rows of its edges L and U, both read-only
-    grid = np.frombuffer(ks)
-    lu = _PayoffMoments(*pickle.loads(market)).rows(grid)
-    lu.flags.writeable = False
-    return grid, lu
+def _grid_rows(market: _Bits, ks: _Bits):
+    # the grid of ks, the normal-CDF rows of its edges L and U and its moments
+    # at c = -1, from one `_pieces` call, all read-only
+    grid = np.linspace(ks.value[0], 1.0, ks.value[1])
+    lu, ungated = _PayoffMoments(*market.value).rows(grid)
+    for array in (grid, lu, *ungated):
+        array.flags.writeable = False
+    return grid, lu, ungated
 
 
 def k_of_c(

@@ -351,12 +351,15 @@ def test_closed_forms_are_the_floats_of_cum_moment_per_edge(mu, sigma, give, hel
     xi_ref = _moments_by_cum_moment(params, 1.0 / xp.a, 1.0 / xp.b, 1.0, k)[0]
     assert _same(xi(params, xp, k), xi_ref)
     # one cutoff after another on the rows of L and U computed once, as the
-    # fixed point's searches evaluate their grid
-    lu = _PayoffMoments(params, pol).rows(k)
+    # fixed point's searches evaluate their grid, and at c = -1 on the moments
+    # computed with those rows
+    lu, ungated = _PayoffMoments(params, pol).rows(k)
+    assert all(_same(got, want) for got, want in zip(ungated, ref()))
     for cut in (c, -1.0, 0.0, c, -1.0):
         objective = _objective(params, pol, cut)
         assert _same(objective(k, lu), n_func(params, pol, cut, k))
         assert _same(objective(k, lu), objective(k))
+        assert _same(objective(k, lu, ungated), objective(k))
 
 
 def _merge_by_slices(vs, tie_tol):
@@ -457,7 +460,7 @@ def test_scalar_gate_row_is_the_per_edge_row(mu, sigma, give, helpf, p, c, lo, n
     pol = CorridorPolicy(p=p, give_frac=give, help_frac=helpf)
     ks = np.r_[np.linspace(lo, 1.0, n), 0.0, 1.0, -c]
     assert 1.0 - ks[-1] == 1.0 + c
-    lu = _PayoffMoments(params, pol).rows(ks)
+    lu = _PayoffMoments(params, pol).rows(ks)[0]
     for with_return, orders in ((True, 3), (False, 2)):
         scalar = _PayoffMoments(params, pol, c, with_return, orders)
         per_edge = _PayoffMoments(params, pol, np.full(ks.shape, c), with_return, orders)
@@ -796,10 +799,10 @@ def _study(params, policy, clear=lambda: None):
     return out
 
 
-def _study_markets():
+def _study_markets(seed=29):
     # acceptance 2, the acceptance-3 tie and the eight markets that the bench's
-    # boundary_design draws at seed 29, in the order it draws them
-    u = np.random.default_rng(29).uniform
+    # boundary_design draws at `seed`, in the order it draws them
+    u = np.random.default_rng(seed).uniform
     markets = [(A, POL4), (GbmParams(0.06, 0.09328707495450515), POLB)]
     for _ in range(2):
         markets += [
@@ -813,10 +816,18 @@ def _study_markets():
 
 
 def test_a_study_scans_admissibility_and_the_rows_once(monkeypatch, cold_memo):
-    # on a cold memo one market's study builds the admissibility evaluator once
-    # and computes the L/U rows once, and the fixed point's first best response
-    # (c = -1, T = 1) is maximize_m2's search, so it builds no evaluator
-    built, rows = [], [0]
+    # on a cold memo one market's study builds the admissibility evaluator once,
+    # and the fixed point's first best response (c = -1, T = 1) is maximize_m2's
+    # search, so it builds no evaluator.  The admissibility scan reads the L/U
+    # rows of its grid on [0, 1] and calls no ndtr; where k_min = 0 that is the
+    # search grid, so the study makes one row pass, and with it the one pass of
+    # c = -1 moments that both maximize_m2 searches read; where k_min > 0 the
+    # search grid makes a second row pass
+    built, rows, grid_calls, ndtr_calls = [], [0], [], [0]
+
+    def counted_ndtr(*args, real=corridor_math.ndtr, **kw):
+        ndtr_calls[0] += 1
+        return real(*args, **kw)
 
     class Counted(corridor_math._PayoffMoments):
         def __init__(self, params, policy, c=-1.0, with_return=True, orders=3):
@@ -827,23 +838,33 @@ def test_a_study_scans_admissibility_and_the_rows_once(monkeypatch, cold_memo):
             rows[0] += 1
             return super().rows(k)
 
+        def __call__(self, k, lu=None):
+            before = ndtr_calls[0]
+            out = super().__call__(k, lu)
+            if np.size(k) == 2001:  # (with_return, gated, ndtr calls)
+                grid_calls.append((self.r == 1.0, self.gate is not None, ndtr_calls[0] - before))
+            return out
+
+    monkeypatch.setattr(corridor_math, "ndtr", counted_ndtr)
     monkeypatch.setattr(corridor_math, "_PayoffMoments", Counted)
     cycles = []
-    for params, policy in ((A, POL4), (B, POLB)):
+    for params, policy in ((A, POL4), (B, POLB), _study_markets()[-1]):
         cold_memo()
-        built.clear()
+        built.clear(), grid_calls.clear()
         rows[0] = 0
         starts = []  # where each call's evaluators begin in `built`
-        *_, res = _study(params, policy, lambda: starts.append(len(built)))
+        k_min, *_, res = _study(params, policy, lambda: starts.append(len(built)))
         assert [with_return for _, with_return in built].count(False) == 1
-        assert rows[0] == 1
+        assert rows[0] == 1 + (k_min > 0)
+        # the scan, then the fixed point's gated best responses; no ungated grid call
+        assert grid_calls == [(False, False, 0)] + [(True, True, 0)] * (res.iterations - 1)
         # the fixed point builds one evaluator per best response after the
         # first, and two to score a 2-cycle
         in_fixed_point = built[starts[-1]:]
         assert len(in_fixed_point) == res.iterations - 1 + 2 * res.cycle_flag
         assert all(c != -1.0 for c, _ in in_fixed_point)
-        cycles.append(res.cycle_flag)
-    assert cycles == [True, False]
+        cycles.append((k_min > 0, res.cycle_flag))
+    assert cycles == [(False, True), (False, False), (True, False)]
 
 
 def test_studies_on_the_memo_equal_studies_on_a_cold_one(cold_memo):
@@ -851,13 +872,16 @@ def test_studies_on_the_memo_equal_studies_on_a_cold_one(cold_memo):
         assert _study(params, policy) == _study(params, policy, cold_memo)
 
 
-def test_the_memo_keeps_read_only_arrays_of_about_112_kb():
+def test_the_memo_keeps_read_only_arrays_of_about_144_kb():
+    # the grid, its L/U rows (3 orders) and its moments at c = -1 (2 arrays);
+    # k_min = 0, so maximize_m2's search hit the grid of the admissibility scan
     maximize_m2(A, POL4)
-    market, ks = pickle.dumps((A, POL4)), corridor_math._search_grid(A, POL4, None, 2001).tobytes()
-    grid, lu = corridor_math._grid_rows(market, ks)
-    assert corridor_math._grid_rows.cache_info().hits == 1
-    assert grid.nbytes + lu.nbytes == 7 * 2001 * 8
-    for array in (grid, lu):
+    market = corridor_math._Bits(A, POL4)
+    key = corridor_math._grid_key(market, None, 2001)
+    grid, lu, ungated = corridor_math._grid_rows(market, key)
+    assert corridor_math._grid_rows.cache_info().hits == 2
+    assert grid.nbytes + lu.nbytes + sum(m.nbytes for m in ungated) == 9 * 2001 * 8
+    for array in (grid, lu, *ungated):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.5
 
@@ -886,7 +910,8 @@ def test_inputs_equal_in_value_but_not_in_bits_share_no_entry(cold_memo):
             misses = [memo.cache_info().misses for memo in MEMOS[:2]]
             assert pickle.dumps(search(params, policy)) == want
             assert corridor_math._admissible.cache_info().misses == misses[0] + 1
-            assert corridor_math._grid_rows.cache_info().misses == misses[1] + (i > 0)
+            # the admissibility scan's grid on [0, 1], and each search's on [k_min, 1], k_min > 0
+            assert corridor_math._grid_rows.cache_info().misses == misses[1] + 1 + (i > 0)
 
 
 def test_a_cutoff_of_any_scalar_type_gets_the_search_of_a_cold_call(cold_memo):
@@ -916,3 +941,54 @@ def test_the_memo_holds_nothing_of_a_market_after_the_next_study(cold_memo):
     maximize_m2(*first, k_min=k_first)
     admissible_min_k(*first)
     assert [memo.cache_info().misses for memo in MEMOS] == [m + 1 for m in misses]
+
+
+# -- the bisection -----------------------------------------------------------
+
+
+def _bisect_a_level_a_call(inside, lo, hi, tol):
+    # the reference for `_bisect`: one call of `inside` per level
+    while np.any(hi - lo > tol):
+        mid = 0.5 * (lo + hi)
+        yes = inside(mid)
+        lo, hi = np.where(yes, lo, mid), np.where(yes, mid, hi)
+    return hi
+
+
+def test_the_bisection_takes_five_levels_a_call_with_the_results_of_one(monkeypatch, cold_memo):
+    # 400 random markets (136 with k_min > 0, whose one scalar bracket
+    # admissible_min_k bisects over 9 levels, and 97 with two stationary
+    # points, bisected together over 28 levels) and the bench's markets at seeds
+    # 29 and 61.  admissible_min_k sums its predicate over pieces for 31 points
+    # at once, where the reference sums them for one (see `_member_sum`)
+    rng = np.random.default_rng(2030)
+    markets = [(GbmParams(rng.uniform(-0.1, 0.15), rng.uniform(0.02, 0.4)),
+                CorridorPolicy(p=rng.uniform(1.0, 3.0), give_frac=rng.uniform(0.0, 1.0),
+                               help_frac=rng.uniform(0.0, 1.0)))
+               for _ in range(400)] + _study_markets(29) + _study_markets(61)
+
+    def boundaries(bisect):
+        calls = []  # per bisection, the calls of its predicate
+
+        def counted(inside, lo, hi, tol):
+            n = len(calls)
+            calls.append(0)
+
+            def predicate(k):
+                calls[n] += 1
+                return inside(k)
+            return bisect(predicate, lo, hi, tol)
+
+        monkeypatch.setattr(corridor_math, "_bisect", counted)
+        out = []
+        for params, policy in markets:
+            cold_memo()
+            out.append((admissible_min_k(params, policy), mp_stationary_points(params, policy)))
+        return pickle.dumps(out), out, calls
+
+    (got, out, calls), (want, _, levels) = boundaries(corridor_math._bisect), boundaries(
+        _bisect_a_level_a_call)
+    assert got == want
+    assert calls == [-(-n // 5) for n in levels]
+    assert sum(k > 0 for k, _ in out) >= 120 and sum(len(s) == 2 for _, s in out) >= 80
+    assert min(levels) == 0 and 9 in levels and max(levels) == 28

@@ -797,8 +797,9 @@ def test_simulate_memory_stays_flat_in_the_path_count():
         finally:
             tracemalloc.stop()
     # drawing every return at once took 122 MiB at 200k paths; the pipeline
-    # reads 13.19-13.26 however its thread interleaves with the kernel, and
-    # one that keeps a finished block alive, or draws two blocks ahead, 15.1
+    # reads 13.62-13.63 (9.25-10.53 at 20k) however its thread interleaves
+    # with the kernel, alone or in this file's run (numpy 2.4), and one that
+    # keeps a finished block alive, or draws two blocks ahead, 15.1
     assert peaks[200_000] < 14, peaks
     assert peaks[200_000] - peaks[20_000] < 8, peaks
 
