@@ -264,7 +264,7 @@ def _member_sum(x: np.ndarray) -> np.ndarray:
     column, so a lone path (the last of a block, or the one failing path of a
     settlement) would round differently from the same path among others.
     """
-    return x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
+    return np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
 
 
 def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray):
@@ -272,29 +272,32 @@ def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray):
 
     Column b of `claims` and `weights` (members x batches; weights need not sum
     to 1) with `pool[b]` is one batch.  Each batch ends within `members` rounds.
+    Claimants without weight, whom `settle` never pays (their slice is 0), are dropped
+    up front.  Row 0 of `running`, (members + 1) x batches, holds the pool left.
     Returns the allocations and the pool left, as `settle` computes them.
     """
-    alloc = np.zeros_like(claims)
-    active = claims > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    alloc = np.zeros(claims.shape)
+    active = (claims > 0) & (weights > 0)
+    running = np.concatenate((pool[None], alloc))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(claims.shape[0]):
-            if not active.any():
+            if not np.count_nonzero(active):
                 break
-            total_w = _member_sum(np.where(active, weights, 0.0))
-            slices = np.where(total_w > 0, pool * (weights / total_w), 0.0)  # as settle
+            # an active batch's total weight is > 0; the other batches' slices are masked
+            slices = running[0] * (weights / _member_sum(np.where(active, weights, 0.0)))
             fits = active & (claims <= slices)
             # a round where nothing fits pays min(claim, slice) and ends the batch
-            paying = fits | (active & ~fits.any(axis=0))
+            paying = np.where(fits.any(axis=0), fits, active)
             due = np.where(paying, np.minimum(claims, slices), 0.0)
-            # settle pays member after member, none more than the pool left.  The
-            # running pool, unclamped, first goes below 0 at the payment that
-            # overdraws it; clamped at 0, it pays that one what was left, and the
-            # later ones nothing
-            left = np.subtract.accumulate(np.concatenate((pool[None], due)), axis=0)
-            alloc += np.minimum(due, np.maximum(left[:-1], 0.0))  # 0 where not paying
-            pool = np.maximum(left[-1], 0.0)
-            active &= ~paying
-    return alloc, pool
+            # settle pays member after member, none more than the pool left.  The running
+            # pool, unclamped, first goes below 0 at the payment that overdraws it; clamped
+            # at 0, it pays that one what was left, and the later ones nothing
+            running[1:] = due
+            np.maximum(np.subtract.accumulate(running, axis=0, out=running), 0.0, out=running)
+            alloc += np.minimum(due, running[:-1])  # 0 where not paying
+            running[0] = running[-1]
+            active ^= paying
+    return alloc, running[0]
 
 
 def _rule(config: PoolConfig, ks, prem, total) -> tuple:
@@ -354,8 +357,9 @@ def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
         # collective by the claimants' lagged ledger shares
         paths = np.flatnonzero(failed & (theta_prev > 0))
         if paths.size:
-            units, left = _settle_rounds(claim[:, paths] / price[paths], weights(t), theta_prev[paths])
-            paid[:, paths] = units * price[paths]
+            at = price[paths]
+            units, left = _settle_rounds(claim[:, paths] / at, weights(t), theta_prev[paths])
+            paid[:, paths] = units * at
 
     net = paid - give
     eta += net / price
@@ -363,7 +367,7 @@ def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
     if regime == INDEX_CAPPED_HELP and paths.size:
         # the units settlement left, not a round trip of the paid units
         # through their value, which can leave the collective an ulp below 0
-        theta_next[paths] = left + (inflow + total(give[:, paths])) / price[paths]
+        theta_next[paths] = left + (inflow + total(give[:, paths])) / at
     low = theta_next.min()
     if regime != ALWAYS_HELP and low < -1e-12:
         raise RuntimeError("collective went negative outside AlwaysHelp")

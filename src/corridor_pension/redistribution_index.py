@@ -23,6 +23,7 @@ have C_pre = 0 (the pot starts empty) and a positive first contribution.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -406,12 +407,7 @@ def index_for_pool(ledger: Ledger, t) -> dict:
     calls it at t = 1, so a pool's first period always has shares to read."""
     if t <= 0:
         raise ValueError("shares are undefined at t = 0; the pot starts empty")
-    chosen = None
-    for ev in ledger.events:
-        if ev.t < t:
-            chosen = ev
-        else:
-            break
-    if chosen is None:
+    i = bisect.bisect_left(ledger.events, t, key=lambda ev: ev.t)  # event times increase
+    if i == 0:
         raise ValueError(f"the ledger needs an event before t = {t}")
-    return dict(chosen.shares_after)
+    return dict(ledger.events[i - 1].shares_after)

@@ -692,6 +692,14 @@ PINNED = {
         STRESSED, 150,
         ("0x1.181d12e841450p+4", "0x1.197f750661febp+3", "0x1.16bab0ca208b5p+2",
          "0x1.70a3d70a3d70ap-5", "0x0.0p+0")),
+    # member 4 is not in the ledger, so a claimant without weight reaches the
+    # settlement: floats of the round loop that still kept it active
+    "IndexCappedHelp, a member outside the ledger": (
+        PoolConfig(regime=INDEX_CAPPED_HELP, policy=CorridorPolicy(k=0.05, alpha=2.0), c0=0.05,
+                   index_source=capped_ledger([i for i in range(10) if i != 4], 40), **BENCH_POOL),
+        STRESSED, 150,
+        ("0x1.181216a3c9e3fp+4", "0x1.196001b39ed33p+3", "0x1.16c42b93f4f4bp+2",
+         "0x1.6f46508dfea28p-5", "0x0.0p+0")),
     "AlwaysHelp, collective below zero": (
         PoolConfig(regime=ALWAYS_HELP, policy=CorridorPolicy(k=0.05, alpha=2.0), n=3, gamma=1.0,
                    pi_ind=0.1, T=12, c0=0.01),
@@ -968,6 +976,69 @@ def test_settle_rounds_match_settle(members, batches, data):
         assert np.all(paid.sum(axis=0) <= pools + ulps)
         assert np.all(np.abs(paid.sum(axis=0) + rest - pools) <= ulps)
     assert np.allclose(left, want_left, rtol=1e-12, atol=1e-12 * max(pools.max(), 1e-300))
+
+
+def reference_settle_rounds(claims, weights, pool):
+    # the round loop of `_settle_rounds` with the running pool concatenated and
+    # claimants without weight kept active: the reference for its bit identity
+    alloc = np.zeros_like(claims)
+    active = claims > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(claims.shape[0]):
+            if not active.any():
+                break
+            total_w = pool_simulator._member_sum(np.where(active, weights, 0.0))
+            slices = np.where(total_w > 0, pool * (weights / total_w), 0.0)
+            fits = active & (claims <= slices)
+            paying = fits | (active & ~fits.any(axis=0))
+            due = np.where(paying, np.minimum(claims, slices), 0.0)
+            left = np.subtract.accumulate(np.concatenate((pool[None], due)), axis=0)
+            alloc += np.minimum(due, np.maximum(left[:-1], 0.0))
+            pool = np.maximum(left[-1], 0.0)
+            active &= ~paying
+    return alloc, pool
+
+
+def random_settlement(rng):
+    """Claims, weights and pools of 1-12 batches of 1-10 members, with the edge cases mixed in."""
+    members, batches = int(rng.integers(1, 11)), int(rng.integers(1, 13))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    claims = rng.uniform(0, scale, (members, batches)) * (rng.random((members, batches)) < 0.7)
+    shape = (members, 1) if rng.random() < 0.5 else (members, batches)
+    weights = rng.uniform(0, 1, shape) * (rng.random(shape) < 0.75)
+    tiny = rng.random(shape) < 0.05
+    weights[tiny] = rng.uniform(0, 2.3e-308, tiny.sum())  # subnormal
+    # batches whose only claimants hold no weight
+    unweighted = rng.random(batches) < 0.1
+    claims[:, unweighted] *= np.broadcast_to(weights == 0, claims.shape)[:, unweighted]
+    pools = rng.uniform(0, 2 * members * scale, batches)
+    kind = rng.random(batches)
+    pools[kind < 0.1] = 0.0
+    pools[kind > 0.9] = rng.uniform(0, 2.3e-308, (kind > 0.9).sum())  # subnormal
+    if shape[1] == batches and members >= 5 and rng.random() < 0.3:
+        # an overdraw in one column, members past the fifth without claim or weight
+        c, w, pool = (TERMINAL_OVERDRAW, FITTING_OVERDRAW)[int(rng.integers(2))]
+        b = int(rng.integers(batches))
+        claims[:, b], weights[:, b], pools[b] = 0.0, 0.0, pool
+        claims[:5, b], weights[:5, b] = c, w
+    return claims, weights, pools
+
+
+def test_settle_rounds_are_the_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    seen = dict(batches=0, single=0, shared=0, overdraw=0, unweighted=0)
+    while seen["batches"] < 20_000:
+        claims, weights, pools = random_settlement(rng)
+        got, left = _settle_rounds(claims, weights, pools)
+        with np.errstate(over="ignore"):  # in slices no claimant reads
+            want, want_left = reference_settle_rounds(claims, weights, pools)
+        assert got.tobytes() == want.tobytes() and left.tobytes() == want_left.tobytes()
+        seen["batches"] += claims.shape[1]
+        seen["single"] += claims.shape[1] == 1
+        seen["shared"] += weights.shape[1] == 1
+        seen["overdraw"] += any(p in pools for p in (TERMINAL_OVERDRAW[2], FITTING_OVERDRAW[2]))
+        seen["unweighted"] += np.any((claims > 0).any(axis=0) & ~((claims > 0) & (weights > 0)).any(axis=0))
+    assert min(seen.values()) > 100, seen
 
 
 def test_index_capped_at_money_scale_keeps_the_collective_nonnegative():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -258,6 +259,43 @@ def test_index_for_pool_lag():
         index_for_pool(led, 0)
     with pytest.raises(ValueError):
         index_for_pool(led, 0.5)
+
+
+def scanned_index_for_pool(ledger, t):
+    # the linear scan `index_for_pool` replaced by a bisection: the reference
+    if t <= 0:
+        raise ValueError("shares are undefined at t = 0; the pot starts empty")
+    chosen = None
+    for ev in ledger.events:
+        if ev.t < t:
+            chosen = ev
+        else:
+            break
+    if chosen is None:
+        raise ValueError(f"the ledger needs an event before t = {t}")
+    return dict(chosen.shares_after)
+
+
+@pytest.mark.parametrize("times", [
+    [1, 2, 3, 5, 8, 13, 21], [0.5, 1.25, 2.0, 3.75, 7.5], [F(1, 3), F(1, 2), F(2), F(7, 2), F(9)],
+    [0, F(1, 2), 1.5, 4],
+])
+def test_index_for_pool_finds_the_event_the_scan_finds(times):
+    led = Ledger(mode="proportional")
+    c_post = 0.0
+    for i, t in enumerate(times):
+        led.record(t, {i % 3: 1.0 + i}, c_post)
+        c_post += 1.0 + i
+    mids = [a + (b - a) / 2 for a, b in zip(times, times[1:])]
+    queries = [times[0] / 2, *times, *mids, times[-1] + 1, -1, 0]
+    for t in queries + [float(t) for t in queries] + [F(t) for t in queries]:
+        try:
+            want = scanned_index_for_pool(led, t)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                index_for_pool(led, t)
+        else:
+            assert index_for_pool(led, t) == want, t
 
 
 def test_check_add_guards():
