@@ -20,9 +20,9 @@ regime, and one loop, `_trajectory`, runs it from the initial state:
 `simulate` over blocks of paths, and `run_path` on one path with a column per
 member, returning a `StepReport` (price, coverage, claims, support and one row
 per member) for each period.
-Members 0..n-1 match ledger ids by `str(id)`.  The ledger module
-(`redistribution_index`) loads only for an IndexCappedHelp pool, once per
-run; every other pool runs on the numeric modules alone.
+An IndexCappedHelp run reads its ledger once, as it starts, into one row of
+shares per period (`_share_table`, the one place members 0..n-1 match ledger
+ids, by `str(id)`); every other pool runs on the numeric modules alone.
 
 The coverage indicator collapses to a threshold on the net return.  `_threshold`
 computes it for `z_star`, the fixed-point search for a common boundary, the
@@ -31,7 +31,6 @@ best-response improvement bound and `run_path`, each checking its input once.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -79,9 +78,9 @@ class PoolConfig:
     boundary per individual.  index_source must be a recorded ledger when the regime is
     IndexCappedHelp, with an event before t = 1 (the first period reads the
     shares before it), and at least one member id 0..n-1 must appear in it
-    (compared as strings, so a JSON ledger's "0" is member 0); under any
-    other regime it must be None, as no other regime reads it.  Initial
-    values must be nonnegative.
+    (compared as strings, so a JSON ledger's "0" is member 0); each run reads
+    it as it stands when the run starts.  Under any other regime it must be
+    None, as no other regime reads it.  Initial values must be nonnegative.
     """
 
     n: int
@@ -117,11 +116,7 @@ class PoolConfig:
         if self.regime == INDEX_CAPPED_HELP:
             if self.index_source is None:
                 raise ValueError("IndexCappedHelp needs an index_source ledger")
-            from .redistribution_index import index_for_pool
-
-            index_for_pool(self.index_source, 1)  # raises unless an event precedes t = 1
-            if not {str(j) for j in self.index_source.ids} & {str(i) for i in range(self.n)}:
-                raise ValueError("no pool member (ids 0..n-1) appears in the index_source ledger")
+            _share_table(self, 1)  # raises unless an event precedes t = 1 and a member is named
         elif self.index_source is not None:
             raise ValueError(f"{self.regime} reads no index_source ledger; pass None")
 
@@ -300,19 +295,28 @@ def _settle_rounds(claims: np.ndarray, weights: np.ndarray, pool: np.ndarray):
     return alloc, running[0]
 
 
-def _rule(config: PoolConfig, ks, prem, total) -> tuple:
-    """What `_period` holds fixed, for columns with boundaries ks and premia prem."""
+def _share_table(config: PoolConfig, periods: int) -> np.ndarray:
+    """The lagged shares of periods 1..periods, (periods, n, 1) floats: row t - 1 holds
+    what `index_for_pool` reads at t for members 0..n-1, matched to ledger ids by
+    str(id) as `Ledger.to_json` writes them (0 for one not named by then).  Raises
+    as `index_for_pool` does without an event before t = 1, then if no member is
+    among the ledger's ids."""
+    from .redistribution_index import index_for_pool
 
-    if config.regime != INDEX_CAPPED_HELP:
-        weights = None  # no other regime reads the ledger
-    else:  # IndexCappedHelp runs a column per member; its ledger code loads once per run
-        from .redistribution_index import index_for_pool
+    ledger, members = config.index_source, [str(i) for i in range(config.n)]
+    rows = []
+    for t in range(1, periods + 1):
+        shares = {str(j): s for j, s in index_for_pool(ledger, t).items()}
+        rows.append([shares.get(i, 0.0) for i in members])
+    if not {str(j) for j in ledger.ids}.intersection(members):
+        raise ValueError("no pool member (ids 0..n-1) appears in the index_source ledger")
+    return np.array(rows, dtype=float).reshape(periods, config.n, 1)
 
-        @functools.cache
-        def weights(t):
-            shares = _lagged_shares(index_for_pool(config.index_source, t), range(config.n))
-            return np.array(shares, dtype=float)[:, None]
 
+def _rule(config: PoolConfig, ks, prem, total, periods: int) -> tuple:
+    """What `_period` holds fixed over `periods` periods, for columns with boundaries ks and
+    premia prem; IndexCappedHelp, which runs a column per member, reads its share table."""
+    weights = _share_table(config, periods) if config.regime == INDEX_CAPPED_HELP else None
     k, gp = np.array(ks)[:, None], config.gamma * np.array(prem)[:, None]
     return -k, k * config.policy.p, gp, (1.0 - config.gamma) * config.premium_total, total, weights
 
@@ -323,7 +327,8 @@ def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
     `rule` holds what stays fixed over the periods: -k and k * p for the
     boundaries k and the premium purchases gamma * pi (columns x 1), the
     collective's inflow, the member sum `total` of a (columns, paths) array
-    and `weights(t)`, the lagged ledger shares by column.  Returns the new
+    and `weights`, the share table (None outside IndexCappedHelp), whose row
+    t - 1 holds the lagged ledger shares by column.  Returns the new
     price, values, units and collective, the claims and net transfers by
     column, and per path whether the collective covered the claims, whether
     coverage failed with a claim open, and the support an outside sponsor
@@ -358,7 +363,7 @@ def _period(config: PoolConfig, rule, t, y, price, v, eta, theta):
         paths = np.flatnonzero(failed & (theta_prev > 0))
         if paths.size:
             at = price[paths]
-            units, left = _settle_rounds(claim[:, paths] / at, weights(t), theta_prev[paths])
+            units, left = _settle_rounds(claim[:, paths] / at, weights[t - 1], theta_prev[paths])
             paid[:, paths] = units * at
 
     net = paid - give
@@ -413,7 +418,7 @@ def run_path(config: PoolConfig, gross_returns: Sequence[float]) -> list[StepRep
     if returns.ndim != 1 or not np.all((0.0 < returns) & (returns < math.inf)):
         raise ValueError("gross returns must be one sequence of positive finite floats")
     ks, help_frac = np.array(config.boundaries), config.policy.help_frac
-    rule = _rule(config, ks, config.premiums, _member_sum)
+    rule = _rule(config, ks, config.premiums, _member_sum, len(returns))
     # the whole trajectory first, so that a state that left the floats raises before any row
     steps = list(_trajectory(config, rule, config.initial_values, returns[:, None]))
     reports = []
@@ -456,7 +461,7 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         total, mean = (lambda x: n * x[0]), (lambda x: x[0])
     else:
         total, mean = _member_sum, (lambda x: _member_sum(x) / n)
-    rule = _rule(config, ks, prem, total)
+    rule = _rule(config, ks, prem, total, T)
     gp = rule[2]
     terminal, rv, support = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     shortfall_steps, lo = 0, 0
@@ -493,15 +498,6 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         external_support=float(support.mean()),
         n_paths=n_paths,
     )
-
-
-def _lagged_shares(lagged: dict, owner_ids) -> list:
-    """Each owner's share in `lagged`, a result of `index_for_pool`, matched by str(id).
-
-    Ids compare as strings, as `Ledger.to_json` writes them.
-    """
-    shares = {str(j): s for j, s in lagged.items()}
-    return [shares.get(str(i), 0.0) for i in owner_ids]
 
 
 def _one_ahead(blocks):

@@ -109,6 +109,17 @@ def test_one_threshold_route_in_pool_simulator():
         "pool_simulator.py:run_path", "pool_simulator.py:z_star"]
 
 
+def test_one_ledger_reader_in_pool_simulator():
+    # a pool reads its ledger's shares in pool_simulator._share_table alone,
+    # once per run, and keeps no functools memo of them
+    found = _sites(lambda node: isinstance(node, ast.Call) and "index_for_pool" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert found == ["pool_simulator.py:_share_table"]
+    found = _sites(lambda node: (isinstance(node, ast.alias) and node.name.split(".")[0] == "functools")
+                   or (isinstance(node, ast.ImportFrom) and node.module == "functools"))
+    assert [site for site in found if site.startswith("pool_simulator.py:")] == []
+
+
 def test_one_home_per_input_rule():
     # the count and index rules are the package's, beside _EXPORTS, so the
     # numeric modules and the ledger share them without importing each other

@@ -32,7 +32,6 @@ from corridor_pension.pool_simulator import (
     SimulationResult,
     StepReport,
     _coverage_ok,
-    _lagged_shares,
     _settle_rounds,
     best_response_gain,
     dp_check,
@@ -44,7 +43,7 @@ from corridor_pension.pool_simulator import (
 )
 from corridor_pension import corridor_math, pool_simulator
 from corridor_pension.claim_settlement import ClaimBatch, settle
-from corridor_pension.market_model import _path_stream, _return_blocks, expect_mc, sample_return_matrix
+from corridor_pension.market_model import _path_stream, _return_blocks, expect_mc, ndtr, sample_return_matrix
 from corridor_pension.redistribution_index import Ledger, index_for_pool
 
 A = GbmParams(0.045, 0.06)
@@ -92,7 +91,8 @@ def _scalar_step(state, t, gross_return, config):
         paid = [0.0] * config.n
         claimants = [i for i, c in enumerate(claims) if c > 0]  # member i has owner id i
         if claimants and theta_prev > 0:
-            weights = _lagged_shares(index_for_pool(config.index_source, t), claimants)
+            shares = {str(j): s for j, s in index_for_pool(config.index_source, t).items()}
+            weights = [shares.get(str(i), 0.0) for i in claimants]
             total_w = sum(weights)
             if total_w > 0:
                 batch = ClaimBatch(
@@ -822,6 +822,96 @@ def test_json_ledger_acts_like_python_ledger():
     assert run_path(as_json, [0.7, 1.1, 0.8]) == run_path(as_python, [0.7, 1.1, 0.8])
 
 
+def joining_ledger(exact=False):
+    # shares that move at every event, at times that are not integers: member 0
+    # pays more each time, member 2 joins at t = 2.5 and member 3 at t = 6.5,
+    # member 4 never does, and "x" is no pool member
+    num = F if exact else float
+    led, pot = Ledger(mode="proportional"), num(0)
+    times = (0.5, 1.25, 2.5, 3.75, 4.5, 5.25, 6.5, 7.75, 8.5, 9.25, 10.5, 11.75, 12.5)
+    for e, t in enumerate(times):
+        contrib = {0: num(1 + e), 1: num(2), "x": num(1, 2) if exact else 0.5}
+        contrib.update({2: num(3)} if t >= 2.5 else {})
+        contrib.update({3: num(1)} if t >= 6.5 else {})
+        led.record(t, contrib, pot)
+        pot = (pot + sum(contrib.values())) * (F(21, 20) if exact else 1.05)
+    return led
+
+
+SHARE_POOL = dict(n=5, gamma=0.8, pi_ind=0.1, T=8, regime=INDEX_CAPPED_HELP,
+                  policy=CorridorPolicy(k=0.05), c0=0.05)
+SHARE_CONFIGS = [
+    ("integer ids", PoolConfig(index_source=joining_ledger(), **SHARE_POOL)),
+    ("JSON ids", PoolConfig(index_source=Ledger.from_json(joining_ledger().to_json()), **SHARE_POOL)),
+    ("Fraction shares", PoolConfig(index_source=joining_ledger(exact=True), **SHARE_POOL)),
+]
+
+
+def lookup_shares(config, t):
+    # the lagged shares of period t looked up on their own, as the share table's
+    # oracle: index_for_pool at t, members 0..n-1 matched to ledger ids by str(id)
+    shares = {str(j): s for j, s in index_for_pool(config.index_source, t).items()}
+    return np.array([shares.get(str(i), 0.0) for i in range(config.n)], dtype=float)[:, None]
+
+
+@pytest.mark.parametrize("name, config", SHARE_CONFIGS)
+def test_share_table_is_the_per_period_lookup(name, config, monkeypatch):
+    tables, share_table = [], pool_simulator._share_table
+    def spy(config, periods):
+        tables.append(share_table(config, periods))
+        return tables[-1]
+    monkeypatch.setattr(pool_simulator, "_share_table", spy)
+    simulate(config, STRESSED, 20, 3)
+    run_path(config, sample_return_matrix(STRESSED, config.T + 7, 1, 3)[0])  # past T, as run_path may
+    run_path(config, [])
+    assert [len(table) for table in tables] == [config.T, config.T + 7, 0]
+    for table in tables:
+        want = np.array([lookup_shares(config, t) for t in range(1, len(table) + 1)])
+        assert np.array_equal(table, want.reshape(-1, config.n, 1))  # shapes too
+    # members who join later hold no share before they do, and member 4 none at all
+    table = tables[1]
+    assert not table[:2, 2].any() and table[2:, 2].all()
+    assert not table[:6, 3].any() and table[6:, 3].all()
+    assert not table[:, 4].any()
+
+
+@pytest.mark.parametrize("name, config", SHARE_CONFIGS)
+def test_settlement_reads_the_shares_of_its_own_period(name, config, monkeypatch):
+    # every settlement of period t weighs the claims by the shares recorded before t
+    seen, now, period, settle_rounds = [], [], pool_simulator._period, pool_simulator._settle_rounds
+    def spy_period(config, rule, t, *state):
+        now[:] = [t]
+        return period(config, rule, t, *state)
+    def spy_settle(claims, weights, pool):
+        seen.append((now[0], weights.copy()))
+        return settle_rounds(claims, weights, pool)
+    monkeypatch.setattr(pool_simulator, "_period", spy_period)
+    monkeypatch.setattr(pool_simulator, "_settle_rounds", spy_settle)
+    simulate(config, STRESSED, 40, 3)
+    for row in sample_return_matrix(STRESSED, config.T + 7, 20, 4):
+        run_path(config, row)
+    settled = {t for t, _ in seen}
+    assert {1, 2, 3} <= settled and max(settled) > config.T, settled
+    for t, weights in seen:
+        assert np.array_equal(weights, lookup_shares(config, t)), t
+
+
+def test_the_ledger_is_read_when_the_run_starts():
+    # a config reads its ledger on each run, not when it is built: an event
+    # recorded after the config counts, as for a config built on the finished ledger
+    led = Ledger(mode="proportional")
+    led.record(0.5, {0: 1.0, 1: 2.0, 2: 1.0}, 0.0)
+    early = PoolConfig(index_source=led, **SHARE_POOL)
+    rows = sample_return_matrix(STRESSED, early.T + 7, 5, 2)
+    def run(config):
+        return simulate(config, STRESSED, 200, 2), [run_path(config, row) for row in rows]
+    before = run(early)
+    led.record(3.5, {3: 6.0, 4: 2.0}, 4.0)
+    after = run(early)
+    assert after == run(PoolConfig(index_source=led, **SHARE_POOL))
+    assert after[0] != before[0] and after[1] != before[1]
+
+
 def test_ledger_outside_index_capped_help_rejected():
     # no other regime reads a ledger, so passing one is refused, not ignored
     for regime in (ALWAYS_HELP, NO_HELP_IF_INSUFFICIENT):
@@ -860,6 +950,54 @@ def test_simulate_matches_the_exact_always_help_horizon_moments():
     config = PoolConfig(n=10, gamma=gamma, pi_ind=pi, T=T, regime=ALWAYS_HELP, policy=policy)
     res = simulate(config, params, paths, seed=1)
     assert abs(res.mean_terminal_value - m) <= 4 * math.sqrt((q - m * m) / paths)
+
+
+def always_help_log_growth_law(params, policy, T, width=2e-4, lo=-2.0, hi=2.0):
+    """The exact law of log V_T / v0 for an AlwaysHelp member with gamma pi = 0.
+
+    Then V_T = v0 prod (1 + h(Y_t)), where 1 + h(Y) = Y + help (1 - k - Y)^+ -
+    give (Y - 1 - k p)^+ is strictly increasing in Y for give and help below 1.
+    So the law of log(1 + h) on bins of `width` over [lo, hi] is one `ndtr`
+    call over the bin edges mapped back to Y, and the law of T such terms,
+    each at its bin's centre, is that law's T-th power under an FFT.  Returns
+    the grid of sums and their probabilities.
+    """
+    edges = np.linspace(lo, hi, round((hi - lo) / width) + 1)
+    u, floor, cap = np.exp(edges), 1.0 - policy.k, 1.0 + policy.k * policy.p
+    g, hf = policy.give_frac, policy.help_frac
+    y = np.where(u < floor, (u - hf * floor) / (1.0 - hf), np.where(u > cap, (u - g * cap) / (1.0 - g), u))
+    z = np.full(y.shape, -np.inf)  # edges below the floor hf (1 - k) have no Y > 0
+    z[y > 0] = (np.log(y[y > 0]) - params.mu) / params.sigma
+    pmf = np.diff(ndtr(z))
+    size = 1 << (T * (len(pmf) - 1)).bit_length()  # past the largest sum: no wrap-around
+    law = np.fft.irfft(np.fft.rfft(pmf, size) ** T, size)
+    return T * (lo + width / 2) + width * np.arange(size), law
+
+
+def test_always_help_tail_matches_its_exact_oracle():
+    # quantiles of V_T under AlwaysHelp with gamma pi = 0, from the exact law
+    # above, against 400k paths of the pool's own period rule: each lies in
+    # its distribution-free order-statistic band at z = 4
+    params, policy, T, paths = GbmParams(0.045, 0.12), CorridorPolicy(k=0.1, p=1.0), 40, 400_000
+    assert (policy.give_frac, policy.help_frac) == (0.25, 0.5)
+    sums, law = always_help_log_growth_law(params, policy, T)
+    assert law.sum() == pytest.approx(1.0, abs=1e-9)
+    levels = (0.001, 0.01, 0.05, 0.5, 0.95)
+    oracle = np.exp(sums[np.searchsorted(np.cumsum(law), levels)])
+    config = PoolConfig(n=1, gamma=0.8, pi_ind=0.0, T=T, regime=ALWAYS_HELP, policy=policy)
+    rule = pool_simulator._rule(config, config.boundaries, config.premiums, pool_simulator._member_sum, T)
+    terminal = []
+    for block in _return_blocks(params, T, paths, _path_stream(3), pool_simulator._BLOCK_PATHS):
+        for _, out in pool_simulator._trajectory(config, rule, config.initial_values, block.T.copy()):
+            pass
+        terminal.append(out[1][0])
+    terminal = np.sort(np.concatenate(terminal))
+    assert len(terminal) == paths
+    for q, want in zip(levels, oracle):
+        half = 4 * math.sqrt(paths * q * (1 - q))
+        # the order statistics of ranks floor(Nq - half) and ceil(Nq + half), 1-based
+        band = terminal[math.floor(paths * q - half) - 1], terminal[math.ceil(paths * q + half) - 1]
+        assert band[0] <= want <= band[1], (q, want, band)
 
 
 def test_index_capped_needs_an_event_before_the_first_period():
