@@ -19,20 +19,19 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "claim_settlement": ("ClaimBatch", "SettlementResult", "settle"),
     "corridor_math": (
-        "CorridorPolicy", "M1Result", "OptResult", "XiParams", "admissible_min_k",
-        "horizon_objective", "k_of_c", "m1", "m2", "m2_horizon", "maximize_m1",
-        "maximize_m2", "mp_stationary_points", "n_func", "profitability_lhs",
-        "psi1", "psi2", "xi", "xi_d1", "xi_d2",
+        "CorridorPolicy", "DpVerdict", "FixedPointResult", "M1Result", "OptResult", "XiParams",
+        "admissible_min_k", "best_response_gain", "dp_check", "fixed_point_barriers",
+        "horizon_objective", "improvement_bound", "k_of_c", "m1", "m2", "m2_horizon",
+        "maximize_m1", "maximize_m2", "mp_stationary_points", "n_func", "profitability_lhs",
+        "psi1", "psi2", "xi", "xi_d1", "xi_d2", "z_star",
     ),
     "market_model": (
         "GbmParams", "density", "density_peak", "expect_mc", "expect_quad",
         "sample_return_matrix",
     ),
     "pool_simulator": (
-        "ALWAYS_HELP", "INDEX_CAPPED_HELP", "NO_HELP_IF_INSUFFICIENT", "DpVerdict",
-        "FixedPointResult", "PoolConfig", "SimulationResult", "StepReport",
-        "best_response_gain", "dp_check", "fixed_point_barriers", "improvement_bound",
-        "run_path", "simulate", "z_star",
+        "ALWAYS_HELP", "INDEX_CAPPED_HELP", "NO_HELP_IF_INSUFFICIENT", "PoolConfig",
+        "SimulationResult", "StepReport", "run_path", "simulate",
     ),
     "redistribution_index": (
         "CheckResult", "EventRecord", "Ledger", "check_add", "check_cont", "check_fix",
@@ -47,8 +46,8 @@ __all__ = sorted(_OWNER)
 
 
 def _check_count(value, name: str, least: int = 1):
-    # a horizon, member, path or grid count: an integer >= least (numpy ints
-    # too), not a bool or 2.0
+    # a horizon, member, path or grid count, or a seed: an integer >= least
+    # (numpy ints too), not a bool or 2.0
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}")
 

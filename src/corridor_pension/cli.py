@@ -269,7 +269,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fixed_point(args) -> int:
-    from .pool_simulator import fixed_point_barriers
+    from .corridor_math import fixed_point_barriers
 
     values = _settings(args)
     params, policy = _market_policy(values)

@@ -41,6 +41,12 @@ one pass, which the admissibility scan reads on [0, 1]) and two searches.  Each
 is an `lru_cache` keyed by `_Bits`, the pickle of its inputs that keeps them for
 a miss, so inputs equal but of other type or bits (-0.0, 0.0) share no entry.
 
+The pool game's closed forms sit here too: `_threshold`, the net-return
+threshold a pool's coverage indicator collapses to, serves `z_star`, the
+common-boundary fixed point, `best_response_gain` and the engine's `run_path`,
+each checking its input once.  The engine, `pool_simulator`, takes only
+`CorridorPolicy`, `_check_k` and `_threshold` from here.
+
 All evaluation is exact up to normal-CDF accuracy; no quadrature or sampling
 happens here.
 """
@@ -51,12 +57,12 @@ import functools
 import math
 import pickle
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _EXPORTS, _check_count
-from .market_model import GbmParams, _moment_scale, density, ndtr
+from . import _EXPORTS, _check_count, _check_index
+from .market_model import GbmParams, _moment_scale, density, density_peak, ndtr
 
 __all__ = _EXPORTS["corridor_math"]
 
@@ -77,6 +83,15 @@ ZOOM_TOL = 1e-10
 TIE_TOL = 1e-6
 STATIONARY_GRID = 4001
 _BISECT_LEVELS = 5
+
+# fixed_point_barriers stops once an iterate moves k by less than
+# _FIXED_POINT_TOL, or reports no convergence after _FIXED_POINT_MAX_ITER
+# iterations; best_response_gain scans _RESPONSE_GRID own boundaries; dp_check
+# calls a schedule stationary within _DP_TOL of the best constant boundary
+_FIXED_POINT_TOL = 1e-6
+_FIXED_POINT_MAX_ITER = 100
+_RESPONSE_GRID = 201
+_DP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,6 +154,26 @@ class M1Result:
     value: float
     value_at_k_min: float
     value_at_one: float
+
+
+@dataclass(frozen=True)
+class FixedPointResult:
+    k_bar: float
+    c: float
+    iterations: int
+    converged: bool
+    cycle_flag: bool
+
+
+@dataclass(frozen=True)
+class DpVerdict:
+    stationary: bool
+    best_profile: tuple
+    best_value: float
+    best_constant_k: float
+    best_constant_value: float
+    gap: float
+    tol: float
 
 
 class _PayoffMoments:
@@ -642,3 +677,198 @@ def xi_d2(params: GbmParams, xp: XiParams, k):
     L, U = 1.0 - k, 1.0 + k
     f_lo = np.where(L > 0, density(params, np.where(L > 0, L, 1.0)), 0.0)
     return _like(k, f_lo / xp.a - density(params, U) / xp.b)
+
+
+def z_star(
+    k_vec: Sequence[float],
+    eta_vec: Sequence[float],
+    theta: float,
+    help_frac: float = 0.5,
+) -> float | np.ndarray:
+    """Net-return threshold equivalent to the aggregate coverage indicator.
+
+    The collective can cover the weighted claims of the period exactly when
+    the net return rho is at or above the returned value.  Boundaries at 1
+    never claim; agents enter the active set only while the collective can
+    still cover down to their boundary.  Clamped to [-1, 0].
+
+    `k_vec` is one boundary profile (returns a float) or a (profiles, n)
+    array of profiles over the same units and collective (returns one
+    threshold per row).
+    """
+    ks = np.asarray(k_vec, dtype=float)
+    etas = np.asarray(eta_vec, dtype=float)
+    if ks.ndim not in (1, 2) or etas.ndim != 1 or ks.shape[-1:] != etas.shape:
+        raise ValueError("k_vec and eta_vec must have equal length")
+    _check_pool(etas, theta)
+    _check_k(ks, "k_vec")
+    if not help_frac >= 0:
+        raise ValueError("invalid pool state: help_frac must be nonnegative")
+    z = _threshold(ks, etas, theta, help_frac)
+    return float(z) if ks.ndim == 1 else z
+
+
+def _check_pool(eta_vec, theta: float):
+    """Refuse a pool without one or more finite nonnegative unit counts and a finite
+    nonnegative collective, alike in z_star, the fixed point and the two bounds."""
+    etas = np.asarray(eta_vec, dtype=float)
+    if not (etas.ndim == 1 and etas.size and np.all((0.0 <= etas) & (etas < np.inf))):
+        raise ValueError("invalid pool state: unit counts must be nonempty, finite and nonnegative")
+    if not 0 <= theta < math.inf:
+        raise ValueError("invalid pool state: theta must be finite and nonnegative")
+
+
+def _threshold(ks: np.ndarray, etas: np.ndarray, theta: float, help_frac: float) -> np.ndarray:
+    # the body of `z_star` on checked arrays, one threshold per profile
+    buffer = float(theta) / float(help_frac) if help_frac > 0 else math.inf  # 2*theta by default
+    if buffer == math.inf:  # no help leg, or a buffer past the floats (as floats: no numpy warning)
+        return np.full(ks.shape[:-1], -1.0)
+    # per-boundary weighted shortfall of everyone with a tighter corridor
+    short = np.maximum(ks[..., :, None] - ks[..., None, :], 0.0) @ etas
+    active = buffer * (1.0 - ks) - short >= 0.0
+    denom = buffer + np.where(active, etas, 0.0).sum(axis=-1)
+    num = buffer + np.where(active, etas * ks, 0.0).sum(axis=-1)
+    some = denom > 0  # no buffer and nobody active: nothing is ever covered
+    # + 0.0 reports a zero threshold as 0.0, never -0.0
+    return np.where(some, np.clip(-num / np.where(some, denom, 1.0), -1.0, 0.0) + 0.0, -1.0)
+
+
+def fixed_point_barriers(
+    params: GbmParams,
+    policy: CorridorPolicy,
+    eta_vec: Sequence[float],
+    theta: float,
+    grid: int = 2001,
+) -> FixedPointResult:
+    """Iterate c <- threshold(common k), k <- best response to c, to a fixed point.
+
+    Starts at k = 1 and c = -1 (at k = 1 nobody claims, in any pool) and stops
+    when k moves by less than _FIXED_POINT_TOL.  A detected 2-cycle returns the
+    iterate with the larger gated objective and sets cycle_flag; running
+    _FIXED_POINT_MAX_ITER iterations without either returns converged = False.
+    Each best response is `k_of_c` with this `grid`; the grid's normal-CDF rows
+    that do not depend on c are computed once per market, and the pool checked once.
+    """
+    etas = np.asarray(eta_vec, dtype=float)
+    _check_pool(etas, theta)
+    def threshold(k):  # the common threshold of everyone at k
+        return float(_threshold(np.full(len(etas), k), etas, theta, policy.help_frac))
+    best_response = _searches(params, policy, grid)
+    k_prev, k_bar, c = math.inf, 1.0, -1.0  # no iterate before k = 1, whose threshold is -1
+    for it in range(1, _FIXED_POINT_MAX_ITER + 1):
+        k_next = best_response(c).k_star
+        if abs(k_next - k_bar) < _FIXED_POINT_TOL:
+            return FixedPointResult(k_next, threshold(k_next), it, True, False)
+        if abs(k_next - k_prev) < _FIXED_POINT_TOL:
+            # 2-cycle: keep whichever iterate scores higher on its own gated objective
+            _, kk, cz = max((float(_objective(params, policy, cz)(kk)), kk, cz)
+                            for kk, cz in ((k_bar, c), (k_next, threshold(k_next))))
+            return FixedPointResult(kk, cz, it, True, True)
+        k_prev, k_bar, c = k_bar, k_next, threshold(k_next)
+    return FixedPointResult(k_bar, c, _FIXED_POINT_MAX_ITER, False, False)
+
+
+def improvement_bound(
+    j: int,
+    eta_vec: Sequence[float],
+    theta: float,
+    policy: CorridorPolicy,
+    params: GbmParams,
+) -> float:
+    """Upper bound on what one agent can gain by deviating from the common barrier.
+
+    Proportional to the density sup-norm and the agent's unit share of the
+    total buffer; vanishes as the pool grows.
+    """
+    _check_index(j, len(eta_vec), "agent index")
+    _check_pool(eta_vec, theta)
+    if policy.help_frac <= 0:
+        return 0.0
+    _, f_max = density_peak(params)
+    weight = policy.help_frac * (1.0 + 2.0 * policy.alpha)
+    denom = theta / policy.help_frac + sum(eta_vec)
+    if denom <= 0:
+        return math.inf
+    return f_max * weight * eta_vec[j] / denom
+
+
+def best_response_gain(
+    params: GbmParams,
+    policy: CorridorPolicy,
+    eta_vec: Sequence[float],
+    theta: float,
+    j: int,
+    k_bar: float,
+) -> float:
+    """Empirical best-response improvement of agent j over the common barrier.
+
+    Scans _RESPONSE_GRID values of the agent's own boundary on [0, 1] while
+    everyone else stays at k_bar; the gated objective sees the threshold
+    produced by the deviated pool.
+    """
+    etas = np.asarray(eta_vec, dtype=float)
+    _check_index(j, len(etas), "agent index")
+    _check_pool(etas, theta)
+    _check_k(k_bar, "k_bar")
+    c = float(_threshold(np.full(len(etas), float(k_bar)), etas, theta, policy.help_frac))
+    own = np.linspace(0.0, 1.0, _RESPONSE_GRID)
+    profiles = np.full((_RESPONSE_GRID, len(etas)), float(k_bar))
+    profiles[:, j] = own
+    cutoffs = _threshold(profiles, etas, theta, policy.help_frac)
+    best = float(np.max(_objective(params, policy, cutoffs)(own)))
+    return best - float(_objective(params, policy, c)(k_bar))
+
+
+def dp_check(
+    params: GbmParams,
+    policy: CorridorPolicy,
+    T: int,
+    grid: int = 21,
+    gamma_pi: float = 0.0,
+    v0: float = 1.0,
+) -> DpVerdict:
+    """Best per-period boundary schedule against the best constant boundary.
+
+    Both choose from the grid on [k_min, 1], the admissible set `maximize_m2`
+    searches, and are scored by the T-period objective of `horizon_objective`,
+    reported as a terminal value (v0 plus that objective).  The objective is
+    affine in the expected account value m_t, which stays nonnegative when v0
+    and gamma_pi are (an account never loses more than it holds), so the
+    value from period t on is A_t * m_t + B_t and the best k_t does not
+    depend on m_t.  One backward pass from A_T = 1, B_T = 0 takes the argmax
+    of A_{t+1} (1 + psi1) - alpha psi2 per period (Bellman): exact on the
+    grid for any T, in O(T * grid); best_profile lists the schedule from the
+    first period to the last.  Verdict is value-based: stationary means no
+    schedule beats the best constant boundary by more than _DP_TOL, reported
+    as `tol`.
+    """
+    _check_count(T, "T")
+    _check_count(grid, "grid")
+    if not (0 <= v0 < math.inf and 0 <= gamma_pi < math.inf):
+        raise ValueError("dp_check needs finite nonnegative v0 and gamma_pi")
+    k_min = admissible_min_k(params, policy)
+    ks = np.linspace(k_min, 1.0, grid)
+    s1, s2 = _PayoffMoments(params, policy)(ks)
+    a, b, schedule = 1.0, 0.0, []
+    for _ in range(T):
+        vals = a * (1.0 + s1) - policy.alpha * s2
+        i = int(np.argmax(vals))
+        schedule.append(i)
+        b += a * gamma_pi
+        a = float(vals[i])
+    best_value = a * v0 + b
+    constant = v0 + horizon_objective([(s1, s2)] * T, policy.alpha, v0, gamma_pi)
+    c = int(np.argmax(constant))
+    best_constant_value = float(constant[c])
+    if best_value < best_constant_value:  # rounding; the constant is a candidate too
+        schedule, best_value = [c] * T, best_constant_value
+    gap = best_value - best_constant_value
+    return DpVerdict(
+        stationary=gap <= _DP_TOL,
+        best_profile=tuple(float(ks[i]) for i in reversed(schedule)),
+        best_value=best_value,
+        best_constant_k=float(ks[c]),
+        best_constant_value=best_constant_value,
+        gap=gap,
+        tol=_DP_TOL,
+    )

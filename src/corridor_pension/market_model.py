@@ -142,6 +142,7 @@ def sample_return_matrix(params: GbmParams, T: int, n_paths: int, seed: int) -> 
 
 def _path_stream(seed: int) -> np.random.SeedSequence:
     # return paths (`sample_return_matrix`, `simulate`) draw from this child
+    _check_count(seed, "seed", 0)
     return np.random.SeedSequence(seed).spawn(1)[0]
 
 
@@ -214,6 +215,7 @@ def expect_mc(
     does not cancel when the mean is large against the spread.
     """
     _check_count(n_paths, "n_paths", 2)
+    _check_count(seed, "seed", 0)
     total, count, sq_dev = 0.0, 0, 0.0
     for y in _return_blocks(params, 1, n_paths, np.random.SeedSequence(seed), _MC_CHUNK):
         v = np.asarray(fn(y[:, 0]), dtype=float)

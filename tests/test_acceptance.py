@@ -15,6 +15,10 @@ from corridor_pension.corridor_math import (
     LHS_TOL,
     CorridorPolicy,
     admissible_min_k,
+    best_response_gain,
+    dp_check,
+    fixed_point_barriers,
+    improvement_bound,
     m1,
     m2,
     m2_horizon,
@@ -25,16 +29,10 @@ from corridor_pension.corridor_math import (
     profitability_lhs,
     psi1,
     psi2,
-)
-from corridor_pension.market_model import GbmParams, expect_mc, expect_quad
-from corridor_pension.pool_simulator import (
-    _coverage_ok,
-    best_response_gain,
-    dp_check,
-    fixed_point_barriers,
-    improvement_bound,
     z_star,
 )
+from corridor_pension.market_model import GbmParams, expect_mc, expect_quad
+from corridor_pension.pool_simulator import _coverage_ok
 from corridor_pension.redistribution_index import (
     Ledger,
     check_add,

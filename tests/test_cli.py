@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from corridor_pension import CorridorPolicy, GbmParams, Ledger, PoolConfig, cli, pool_simulator, simulate
+from corridor_pension import CorridorPolicy, GbmParams, Ledger, PoolConfig, cli, corridor_math, simulate
 from corridor_pension.corridor_math import LHS_TOL, profitability_lhs
 from corridor_pension.market_model import sample_return_matrix
 from test_pool_simulator import _scalar_run_path
@@ -146,6 +146,15 @@ def test_simulate(tmp_path, capsys):
         "--paths", "200", "--seed", "11", "--out", str(tmp_path),
     )
     assert out2["mean_terminal_value"] == out["mean_terminal_value"]
+
+
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    # numpy's "expected non-negative integer" named no input
+    out_dir = tmp_path / "refused"
+    assert cli.main(["simulate", "--seed", "-1", "--paths", "10", "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: seed must be an integer >= 0\n")
+    assert not out_dir.exists()
 
 
 def test_simulate_zero_initial_value(tmp_path, capsys):
@@ -352,8 +361,8 @@ def test_each_subcommand_gives_the_same_bytes_twice_in_one_process(tmp_path, cap
 
 def test_fixed_point_nonconvergence_exit(monkeypatch, capsys):
     # this pool converges in 2 iterations; capped at 1, the search gives up
-    monkeypatch.setattr(pool_simulator, "_FIXED_POINT_MAX_ITER", 1)
-    res = pool_simulator.fixed_point_barriers(
+    monkeypatch.setattr(corridor_math, "_FIXED_POINT_MAX_ITER", 1)
+    res = corridor_math.fixed_point_barriers(
         GbmParams(0.045, 0.06), CorridorPolicy(k=0.05), [1.0] * 5, 2.0, grid=301
     )
     assert res.converged is False and res.iterations == 1

@@ -17,6 +17,7 @@ from corridor_pension.corridor_math import (
     _objective,
     _zoom,
     admissible_min_k,
+    fixed_point_barriers,
     horizon_objective,
     k_of_c,
     m1,
@@ -581,8 +582,6 @@ def test_searches_build_one_evaluator_and_call_ndtr_once_per_evaluation(monkeypa
     # its cutoffs share, and each zoom evaluation is one ndtr call; the shared
     # grid makes none, at any scalar cutoff, as its gate row is taken from L's
     # row and the column of 1 + c that the evaluator computed when built
-    from corridor_pension.pool_simulator import fixed_point_barriers
-
     ndtr_calls, built, evaluations = [0], [], []
 
     def counted_ndtr(*args, real=corridor_math.ndtr, **kw):
@@ -783,8 +782,6 @@ MEMOS = (corridor_math._admissible, corridor_math._grid_rows, corridor_math._sea
 def _study(params, policy, clear=lambda: None):
     # one market's boundary study in the order of the bench's boundary_design;
     # `clear` runs before every call
-    from corridor_pension.pool_simulator import fixed_point_barriers
-
     calls = (
         lambda: admissible_min_k(params, policy),
         lambda: mp_stationary_points(params, policy),
@@ -889,8 +886,6 @@ def test_the_memo_keeps_read_only_arrays_of_about_144_kb():
 def test_inputs_equal_in_value_but_not_in_bits_share_no_entry(cold_memo):
     # -0.0 == 0.0 and 2 == 2.0 hash alike, but each input gets its own entry,
     # and what the memo returns is bit for bit what a cold call returns
-    from corridor_pension.pool_simulator import fixed_point_barriers
-
     markets = [(GbmParams(mu, 0.1), CorridorPolicy(alpha=alpha))
                for mu, alpha in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
                                  (0.0, 2.0), (0.0, 2))]

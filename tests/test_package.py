@@ -93,20 +93,21 @@ def test_one_objective_builder_in_the_package():
     found = _sites(lambda node: isinstance(node, ast.Call)
                    and "horizon_objective" in (getattr(node.func, "id", None),
                                                getattr(node.func, "attr", None)))
-    assert found == ["corridor_math.py:_objective", "pool_simulator.py:dp_check"]
+    assert found == ["corridor_math.py:_objective", "corridor_math.py:dp_check"]
 
 
 def test_one_threshold_route_in_pool_simulator():
-    # pool_simulator takes every threshold from _threshold, on arguments its
-    # entries checked once, and calls neither checked public entry
+    # pool_simulator and the pool game's closed forms in corridor_math take
+    # every threshold from _threshold, on arguments their entries checked
+    # once, and call neither checked public entry
     def calls(name):
         return lambda node: isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
     found = _sites(calls("z_star")) + _sites(calls("n_func"))
-    assert [site for site in found if site.startswith("pool_simulator.py:")] == []
+    assert [site for site in found if site.startswith(("corridor_math.py:", "pool_simulator.py:"))] == []
     assert sorted(set(_sites(calls("_threshold")))) == [
-        "pool_simulator.py:best_response_gain", "pool_simulator.py:fixed_point_barriers",
-        "pool_simulator.py:run_path", "pool_simulator.py:z_star"]
+        "corridor_math.py:best_response_gain", "corridor_math.py:fixed_point_barriers",
+        "corridor_math.py:z_star", "pool_simulator.py:run_path"]
 
 
 def test_one_ledger_reader_in_pool_simulator():
@@ -172,10 +173,30 @@ def test_numeric_modules_import_no_ledger_code_on_load():
                      "redistribution_index": ["fractions"]}
 
 
+def test_each_numeric_layer_imports_only_the_layers_below_on_load():
+    # market_model, then corridor_math (every closed form and boundary search),
+    # then the pool engine: on load each imports, of the package, its __init__
+    # and the modules before it alone, and pool_simulator takes just the policy,
+    # the [0, 1] rule and the threshold of run_path's z_star column from
+    # corridor_math, so no boundary search loads the engine
+    below = {}
+    for name in ("market_model", "corridor_math", "pool_simulator"):
+        path = Path(corridor_pension.__file__).parent / f"{name}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {module.rpartition(".")[2] for module in _imported_on_load(tree.body)}
+        below[name] = sorted(imported & {*SUBMODULES, "cli"})
+    assert below == {"market_model": [], "corridor_math": ["market_model"],
+                     "pool_simulator": ["corridor_math", "market_model"]}
+    taken = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "corridor_math" for alias in node.names]
+    assert sorted(taken) == ["CorridorPolicy", "_check_k", "_threshold"]
+
+
 def test_numeric_subcommands_load_no_ledger_code(tmp_path):
-    # in a fresh interpreter, neither importing the pool engines, nor the
-    # best-response bounds, nor running a numeric subcommand loads the ledger
-    # layer; settling a claim batch does
+    # in a fresh interpreter, neither the boundary searches, nor the pool
+    # game's closed forms, nor the subcommands that run them load the pool
+    # engine or the ledger layer; simulate loads the engine alone, and
+    # settling a claim batch loads the ledger layer
     (tmp_path / "batch.json").write_text('{"claims": [4, 6], "indices": [0.5, 0.5], "pool": 5}')
     argvs = [
         ["profitability", "--grid", "101"],
@@ -187,15 +208,22 @@ def test_numeric_subcommands_load_no_ledger_code(tmp_path):
     code = (
         "import contextlib, io, sys\n"
         "def loaded():\n"
-        "    return sorted(n for n in ('corridor_pension.redistribution_index',\n"
+        "    return sorted(n for n in ('corridor_pension.pool_simulator',\n"
+        "                              'corridor_pension.redistribution_index',\n"
         "                              'corridor_pension.claim_settlement', 'fractions', 'decimal')\n"
         "                  if n in sys.modules)\n"
-        "import corridor_pension.pool_simulator\n"
+        "import corridor_pension as cp\n"
+        "params, policy, eta = cp.GbmParams(0.045, 0.06), cp.CorridorPolicy(alpha=4.0), [1.0, 2.0]\n"
+        "cp.admissible_min_k(params, policy)\n"
+        "cp.mp_stationary_points(params, policy)\n"
+        "cp.maximize_m2(params, policy, grid=101)\n"
+        "cp.maximize_m2(params, policy, grid=101, T=20)\n"
         "print(loaded())\n"
-        "from corridor_pension import CorridorPolicy, GbmParams, best_response_gain, improvement_bound\n"
-        "params, policy = GbmParams(0.045, 0.06), CorridorPolicy(alpha=4.0)\n"
-        "improvement_bound(0, [1.0, 2.0], 0.2, policy, params)\n"
-        "best_response_gain(params, policy, [1.0, 2.0], 0.2, 0, 0.1)\n"
+        "cp.fixed_point_barriers(params, policy, eta, 0.2, grid=101)\n"
+        "cp.best_response_gain(params, policy, eta, 0.2, 0, 0.1)\n"
+        "cp.improvement_bound(0, eta, 0.2, policy, params)\n"
+        "cp.dp_check(params, policy, 3)\n"
+        "cp.z_star([0.1, 0.2], eta, 0.2)\n"
         "print(loaded())\n"
         "from corridor_pension import cli\n"
         f"for argv in {argvs!r}:\n"
@@ -206,7 +234,8 @@ def test_numeric_subcommands_load_no_ledger_code(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
-    *numeric, after_settle = proc.stdout.splitlines()
-    assert numeric == ["[]"] * 6
-    assert after_settle == str(["corridor_pension.claim_settlement",
+    *closed_forms, after_simulate, after_settle = proc.stdout.splitlines()
+    assert closed_forms == ["[]"] * 5
+    assert after_simulate == str(["corridor_pension.pool_simulator"])
+    assert after_settle == str(["corridor_pension.claim_settlement", "corridor_pension.pool_simulator",
                                 "corridor_pension.redistribution_index", "decimal", "fractions"])

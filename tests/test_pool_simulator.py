@@ -15,13 +15,18 @@ from corridor_pension.corridor_math import (
     CorridorPolicy,
     _PayoffMoments,
     admissible_min_k,
+    best_response_gain,
+    dp_check,
+    fixed_point_barriers,
     horizon_objective,
+    improvement_bound,
     k_of_c,
     m2_horizon,
     maximize_m2,
     n_func,
     psi1,
     psi2,
+    z_star,
 )
 from corridor_pension.market_model import GbmParams, density_peak
 from corridor_pension.pool_simulator import (
@@ -33,13 +38,8 @@ from corridor_pension.pool_simulator import (
     StepReport,
     _coverage_ok,
     _settle_rounds,
-    best_response_gain,
-    dp_check,
-    fixed_point_barriers,
-    improvement_bound,
     run_path,
     simulate,
-    z_star,
 )
 from corridor_pension import corridor_math, pool_simulator
 from corridor_pension.claim_settlement import ClaimBatch, settle
@@ -230,6 +230,9 @@ COUNT_ENTRY_POINTS = {
     "sample_return_matrix.T": (lambda T: sample_return_matrix(A, T, 3, 1), 1),
     "sample_return_matrix.n_paths": (lambda n_paths: sample_return_matrix(A, 3, n_paths, 1), 1),
     "expect_mc.n_paths": (lambda n_paths: expect_mc(A, lambda y: y, n_paths, 1), 2),
+    "simulate.seed": (lambda seed: simulate(base_config(), A, 2, seed), 0),
+    "sample_return_matrix.seed": (lambda seed: sample_return_matrix(A, 3, 2, seed), 0),
+    "expect_mc.seed": (lambda seed: expect_mc(A, lambda y: y, 2, seed), 0),
 }
 
 
@@ -1227,10 +1230,10 @@ def _fixed_point_by_k_of_c(params, policy, eta, theta):
     # the fixed point written out with one public `k_of_c` search per iteration,
     # each computing every normal-CDF row of its grid: the oracle for the
     # iteration that computes the rows of L and U once per call
-    n, tol = len(eta), pool_simulator._FIXED_POINT_TOL
+    n, tol = len(eta), corridor_math._FIXED_POINT_TOL
     k_min = admissible_min_k(params, policy)
     k_bar, history = 1.0, [1.0]
-    for it in range(1, pool_simulator._FIXED_POINT_MAX_ITER + 1):
+    for it in range(1, corridor_math._FIXED_POINT_MAX_ITER + 1):
         c = z_star([k_bar] * n, eta, theta, policy.help_frac)
         k_next = k_of_c(params, policy, c, k_min=k_min).k_star
         if abs(k_next - k_bar) < tol:
@@ -1245,7 +1248,7 @@ def _fixed_point_by_k_of_c(params, policy, eta, theta):
         history.append(k_next)
         k_bar = k_next
     return (k_bar, z_star([k_bar] * n, eta, theta, policy.help_frac),
-            pool_simulator._FIXED_POINT_MAX_ITER, False, False)
+            corridor_math._FIXED_POINT_MAX_ITER, False, False)
 
 
 @pytest.mark.parametrize("params, policy, iterations, cycle", [
@@ -1266,7 +1269,7 @@ def test_fixed_point_is_the_loop_of_k_of_c_searches(params, policy, iterations, 
 def test_fixed_point_without_convergence_reports_the_threshold_of_k_bar(monkeypatch):
     # stopped after one iteration, k_bar = 0 comes with its own threshold, not
     # with the cutoff -1 of the search that found it
-    monkeypatch.setattr(pool_simulator, "_FIXED_POINT_MAX_ITER", 1)
+    monkeypatch.setattr(corridor_math, "_FIXED_POINT_MAX_ITER", 1)
     policy, eta, theta = CorridorPolicy(alpha=4.0), [1.0] * 10, 0.2
     res = fixed_point_barriers(A, policy, eta, theta)
     assert (res.k_bar, res.iterations, res.converged) == (0.0, 1, False)
@@ -1342,8 +1345,8 @@ def test_threshold_callers_check_their_arguments_once(monkeypatch):
     pol, eta, theta = CorridorPolicy(alpha=4.0), [1.0] * 10, 0.2  # a 2-cycle
     cfg = base_config(k_vec=(0.05, 0.1, 0.2), T=6)
     calls = {"_check_pool": 0, "_check_k": 0}
-    for module, name in ((pool_simulator, "_check_pool"), (pool_simulator, "_check_k"),
-                         (corridor_math, "_check_k")):
+    for module, name in ((corridor_math, "_check_pool"), (corridor_math, "_check_k"),
+                         (pool_simulator, "_check_k")):
         def counted(*args, name=name, check=getattr(module, name)):
             calls[name] += 1
             return check(*args)
