@@ -23,8 +23,6 @@ from .redistribution_index import _close, _finite
 
 __all__ = _EXPORTS["claim_settlement"]
 
-_INDEX_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ClaimBatch:
@@ -47,7 +45,7 @@ class ClaimBatch:
             raise ValueError("claims, indices and pool_shares must be finite numbers")
         if min(*claims, *indices, pool_shares) < 0:
             raise ValueError("claims, indices and pool_shares must be nonnegative")
-        if not _close(sum(indices), 1, _INDEX_SUM_TOL):
+        if not _close(sum(indices), 1):
             raise ValueError("indices must sum to 1 over claimants")
         object.__setattr__(self, "claims", claims)
         object.__setattr__(self, "indices", indices)

@@ -106,13 +106,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _number(val, where, kind=float):
-    # JSON booleans, lists and objects are invalid input, not numbers, and an
-    # integer setting refuses a fraction (or inf, nan) instead of truncating it
-    if isinstance(val, bool) or not isinstance(val, (int, float, str)) or (
+    # JSON booleans, lists and objects are invalid input, not numbers, an
+    # integer setting refuses a fraction (or inf, nan) instead of truncating
+    # it, and a string must read as a number of the setting's kind
+    if not isinstance(val, bool) and isinstance(val, (int, float, str)) and not (
         kind is int and isinstance(val, float) and not val.is_integer()
     ):
-        raise ValueError(f"bad value {val!r} for {where}")
-    return kind(val)
+        try:
+            return kind(val)
+        except ValueError:
+            pass
+    raise ValueError(f"bad value {val!r} for {where}")
 
 
 def _settings(args) -> dict:
@@ -159,8 +163,19 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
-def _emit(obj):
-    print(json.dumps(obj, indent=2, default=str))
+def _emit(obj, path: Path | None = None):
+    # the JSON summary on stdout, and the same text in the file at path
+    text = json.dumps(obj, indent=2, default=str)
+    print(text)
+    if path is not None:
+        path.write_text(text)
+
+
+def _write_curves(path: Path, header, ks, columns, admissible):
+    # one row per k: k to 10 digits, each column's float to 17 and the admissible flag
+    rows = [[f"{k:.10g}", *(f"{v:.17g}" for v in vals), int(ok)]
+            for k, *vals, ok in zip(*(x.tolist() for x in (ks, *columns, admissible)))]
+    _write_csv(path, header, rows)
 
 
 def cmd_profitability(args) -> int:
@@ -173,9 +188,7 @@ def cmd_profitability(args) -> int:
     ks = _search_grid(params, policy, 0.0, values["grid"])  # the grid rule of the searches
     lhs = profitability_lhs(params, policy, ks)
     out = _out_dir(values)
-    rows = [[f"{k:.10g}", f"{v:.17g}", int(v <= LHS_TOL)]
-            for k, v in zip(ks.tolist(), lhs.tolist())]
-    _write_csv(out / "profitability.csv", ["k", "lhs", "admissible"], rows)
+    _write_curves(out / "profitability.csv", ["k", "lhs", "admissible"], ks, [lhs], lhs <= LHS_TOL)
     k_min = admissible_min_k(params, policy)
     stationary = mp_stationary_points(params, policy)
     _emit(
@@ -211,11 +224,7 @@ def cmd_optimize(args) -> int:
         columns.append(n_func(params, policy, c, ks))
     admissible = profitability_lhs(params, policy, ks) <= LHS_TOL
     out = _out_dir(values)
-    rows = [
-        [f"{k:.10g}", *(f"{v:.17g}" for v in vals), int(ok)]
-        for k, *vals, ok in zip(*(x.tolist() for x in (ks, *columns, admissible)))
-    ]
-    _write_csv(out / "optimize_curves.csv", header, rows)
+    _write_curves(out / "optimize_curves.csv", header, ks, columns, admissible)
 
     summary = {
         "k_star": res.k_star,
@@ -233,9 +242,7 @@ def cmd_optimize(args) -> int:
             "value": gated.value,
             "tie_flag": gated.tie_flag,
         }
-    with open(out / "optimize.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-    _emit(summary)
+    _emit(summary, out / "optimize.json")
     return 0
 
 
@@ -262,9 +269,7 @@ def cmd_simulate(args) -> int:
         [[int(v) if isinstance(v, int) else f"{v:.12g}" for v in r.values()] for r in rows],
     )
     summary = {**asdict(result), "seed": seed, "csv": str(out / "steps.csv")}
-    with open(out / "simulate.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-    _emit(summary)
+    _emit(summary, out / "simulate.json")
     return 0
 
 
@@ -359,7 +364,7 @@ def cmd_index(args) -> int:
         a = _parse_kv(args.a, "--a") or None
         shares = ledger.record(args.t, contributions, args.c_pre, a=a)
         path.write_text(ledger.to_json())
-        _emit({"shares": {str(k): v for k, v in shares.items()}, "events": len(ledger.events)})
+        _emit({"shares": {str(k): float(v) for k, v in shares.items()}, "events": len(ledger.events)})
         return 0
 
     ledger = _load_ledger(args.ledger)
@@ -388,16 +393,14 @@ def cmd_index(args) -> int:
         "mon": check_mon(ledger),
         "lin": check_lin(ledger),
     }
+    if args.new_id is not None:
+        join_event = 0 if args.join_event is None else args.join_event
+        results["add"] = check_add(ledger, join_event, args.new_id, args.amount)
     report = {
         name: {"ok": r.ok, "witness": list(r.witness) if r.witness else None}
         for name, r in results.items()
     }
-    if args.new_id is not None:
-        join_event = 0 if args.join_event is None else args.join_event
-        add = check_add(ledger, join_event, args.new_id, args.amount)
-        report["add"] = {"ok": add.ok, "witness": list(add.witness) if add.witness else None}
-    else:
-        report["add"] = {"ok": None, "witness": None, "note": "pass --new-id/--amount to run"}
+    report.setdefault("add", {"ok": None, "witness": None, "note": "pass --new-id/--amount to run"})
     _emit(report)
     return 0
 

@@ -19,8 +19,8 @@ evaluates, in closed form over lognormal partial moments:
 
 Every one of them is a moment of one piecewise-affine payoff of the gross
 return, evaluated by `_PayoffMoments`: built once per search for its market,
-policy, cutoff and moment orders, then called on arrays of k, each call at
-most one normal-CDF evaluation over all its edges and orders.  Each one of a boundary
+policy, cutoff and return, then called on arrays of k, each call at most one
+normal-CDF evaluation over all its edges and orders.  Each one of a boundary
 takes k as an argument, a scalar (returning a float) or an array (returning
 an array); none reads the k field of `CorridorPolicy`, the boundary a pool
 runs.
@@ -183,18 +183,17 @@ class _PayoffMoments:
     zero elsewhere, with L = 1 - k, U = 1 + k*p and the gate G = clip(1 + c,
     0, L); c = -1 (no gate) leaves out G and the empty piece (0, G].  Built
     once per search for its market, policy, cutoff c (an array of c
-    broadcasts with k), return and orders (2: the mean, second reads 0.0); each
-    call's interval masses are differences of E[Y^n; Y <= e] = E[Y^n] P(Y <= e)
-    under the order-n tilt, one ndtr call for all inner edges e and orders n.
-    A scalar cutoff's gate row is no call's: G is L where L < 1 + c, and
-    elsewhere the constant 1 + c, whose column is computed once at build; so a
-    call given the rows of L and U (`lu`) makes no ndtr call unless c is an
-    array.
+    broadcasts with k) and return; with no return it computes orders 0 and 1
+    only (the mean, second reads 0.0).  Each call's interval masses are
+    differences of E[Y^n; Y <= e] = E[Y^n] P(Y <= e) under the order-n tilt,
+    one ndtr call for all inner edges e and orders n.  A scalar cutoff's gate
+    row is no call's: G is L where L < 1 + c, and elsewhere the constant 1 + c,
+    whose column is computed once at build; so a call given the rows of L and
+    U (`lu`) makes no ndtr call unless c is an array.
     """
 
-    def __init__(self, params: GbmParams, policy: CorridorPolicy, c=-1.0, with_return=True,
-                 orders: int = 3):
-        self.params, self.orders = params, orders
+    def __init__(self, params: GbmParams, policy: CorridorPolicy, c=-1.0, with_return=True):
+        self.params, self.orders = params, 3 if with_return else 2
         self.r = r = 1.0 if with_return else 0.0
         self.gate = None if np.isscalar(c) and c == -1.0 else np.maximum(np.add(1.0, c), 0.0)
         g = self.gate is not None  # the piece (0, G] comes first
@@ -203,8 +202,8 @@ class _PayoffMoments:
         # per piece, its edge row 1 + side*k (G before the gate, L, U, U) and constant fracs*row - r
         self.side = np.array([-1.0] * g + [-1.0, policy.p, policy.p])[:, None]
         self.fracs = np.array([0.0] * g + [policy.help_frac, 0.0, policy.give_frac])[:, None]
-        self.shift = (np.arange(orders) * params.sigma)[:, None, None]
-        self.scale = np.array([_moment_scale(params, n) for n in range(orders)])[:, None, None]
+        self.shift = (np.arange(self.orders) * params.sigma)[:, None, None]
+        self.scale = np.array([_moment_scale(params, n) for n in range(self.orders)])[:, None, None]
         # the CDF column of a scalar gate 1 + c, the row of G = min(1 + c, L)
         # wherever L >= 1 + c; None for no gate or a gate per k
         self.gate_cdf = None
@@ -310,7 +309,7 @@ def profitability_lhs(params: GbmParams, policy: CorridorPolicy, k):
     admissible iff this is <= 0 (the collective does not lose in expectation).
     """
     _check_k(k)
-    return _like(k, _PayoffMoments(params, policy, with_return=False, orders=2)(k)[0])
+    return _like(k, _PayoffMoments(params, policy, with_return=False)(k)[0])
 
 
 class _Bits(bytes):
@@ -360,7 +359,7 @@ def admissible_min_k(params: GbmParams, policy: CorridorPolicy) -> float:
 def _admissible(market: _Bits) -> float:
     # `admissible_min_k` of the market (params, policy); the scan reads orders
     # 0 and 1 of the L/U rows of its grid, np.linspace(0, 1, 2001), in the memo
-    mean = _PayoffMoments(*market.value, with_return=False, orders=2)  # E[t(Y)]
+    mean = _PayoffMoments(*market.value, with_return=False)  # E[t(Y)]
 
     def admissible(k, lu=None):
         return mean(k, lu)[0] <= LHS_TOL
@@ -378,9 +377,8 @@ def m1(params: GbmParams, policy: CorridorPolicy, k):
 
 
 def m2(params: GbmParams, policy: CorridorPolicy, k):
-    """Mean-minus-weighted-second-moment objective at boundary k."""
-    _check_k(k)
-    return _like(k, _objective(params, policy)(k))
+    """Mean-minus-weighted-second-moment objective at boundary k: `m2_horizon` over one period."""
+    return m2_horizon(params, policy, k, 1)
 
 
 def horizon_objective(
@@ -659,9 +657,7 @@ def k_of_c(
 
 def xi(params: GbmParams, xp: XiParams, k):
     """E[rho + (1/a)(-rho-k)+ - (1/b)(rho-k)+] with symmetric boundaries."""
-    _check_k(k)
-    pol = CorridorPolicy(give_frac=1.0 / xp.b, help_frac=1.0 / xp.a)
-    return _like(k, _PayoffMoments(params, pol, orders=2)(k)[0])
+    return psi1(params, CorridorPolicy(give_frac=1.0 / xp.b, help_frac=1.0 / xp.a), k)
 
 
 def xi_d1(params: GbmParams, xp: XiParams, k):
@@ -708,14 +704,16 @@ def z_star(
     return float(z) if ks.ndim == 1 else z
 
 
-def _check_pool(eta_vec, theta: float):
-    """Refuse a pool without one or more finite nonnegative unit counts and a finite
-    nonnegative collective, alike in z_star, the fixed point and the two bounds."""
+def _check_pool(eta_vec, theta: float) -> np.ndarray:
+    """The unit counts as a float array; refuses a pool without one or more finite nonnegative
+    unit counts and a finite nonnegative collective, alike in z_star, the fixed point and the
+    two bounds."""
     etas = np.asarray(eta_vec, dtype=float)
     if not (etas.ndim == 1 and etas.size and np.all((0.0 <= etas) & (etas < np.inf))):
         raise ValueError("invalid pool state: unit counts must be nonempty, finite and nonnegative")
     if not 0 <= theta < math.inf:
         raise ValueError("invalid pool state: theta must be finite and nonnegative")
+    return etas
 
 
 def _threshold(ks: np.ndarray, etas: np.ndarray, theta: float, help_frac: float) -> np.ndarray:
@@ -749,8 +747,7 @@ def fixed_point_barriers(
     Each best response is `k_of_c` with this `grid`; the grid's normal-CDF rows
     that do not depend on c are computed once per market, and the pool checked once.
     """
-    etas = np.asarray(eta_vec, dtype=float)
-    _check_pool(etas, theta)
+    etas = _check_pool(eta_vec, theta)
     def threshold(k):  # the common threshold of everyone at k
         return float(_threshold(np.full(len(etas), k), etas, theta, policy.help_frac))
     best_response = _searches(params, policy, grid)
@@ -806,9 +803,8 @@ def best_response_gain(
     everyone else stays at k_bar; the gated objective sees the threshold
     produced by the deviated pool.
     """
-    etas = np.asarray(eta_vec, dtype=float)
-    _check_index(j, len(etas), "agent index")
-    _check_pool(etas, theta)
+    _check_index(j, len(eta_vec), "agent index")
+    etas = _check_pool(eta_vec, theta)
     _check_k(k_bar, "k_bar")
     c = float(_threshold(np.full(len(etas), float(k_bar)), etas, theta, policy.help_frac))
     own = np.linspace(0.0, 1.0, _RESPONSE_GRID)

@@ -291,12 +291,11 @@ def check_cont(ledger: Ledger) -> CheckResult:
 
 def check_fix(ledger: Ledger) -> CheckResult:
     """Pure revaluation events (no contributions) must leave relative shares alone."""
-    for n, ev in enumerate(ledger.events):
-        if n == 0 or any(v > 0 for v in ev.contributions.values()):
+    for prev, ev in zip(ledger.events, ledger.events[1:]):
+        if any(v > 0 for v in ev.contributions.values()):
             continue
-        before = ledger.events[n - 1].shares_after
         for j in ev.shares_after:
-            if not _close(before.get(j, 0), ev.shares_after[j]):
+            if not _close(prev.shares_after.get(j, 0), ev.shares_after[j]):
                 return CheckResult(False, "fix", (ev.t, j))
     return CheckResult(True, "fix")
 
@@ -328,7 +327,6 @@ def _replay_with_extra(ledger: Ledger, join_index: int, new_id, amount) -> Ledge
     # rebuild the history with one extra contributor; later pot values follow the
     # original inter-event growth factors, so the counterfactual stays market-consistent
     twin = Ledger(mode=ledger.mode, norm=ledger.norm, default_a=ledger.default_a)
-    c_post_twin = 0
     for n, ev in enumerate(ledger.events):
         if n == 0:
             c_pre = ev.c_pre
@@ -336,12 +334,11 @@ def _replay_with_extra(ledger: Ledger, join_index: int, new_id, amount) -> Ledge
             prev = ledger.events[n - 1]
             if prev.c_post <= 0:
                 raise ValueError("cannot replay through a wiped-out pot")
-            c_pre = c_post_twin * (ev.c_pre / prev.c_post)
+            c_pre = twin.events[-1].c_post * (ev.c_pre / prev.c_post)
         contributions = dict(ev.contributions)
         if n == join_index:
             contributions[new_id] = contributions.get(new_id, 0) + amount
         twin.record(ev.t, contributions, c_pre, a=dict(ev.a) if ev.a else None)
-        c_post_twin = c_pre + sum(contributions.values())
     return twin
 
 
@@ -357,13 +354,11 @@ def check_add(ledger: Ledger, join_index: int, new_id, amount) -> CheckResult:
     if amount <= 0:
         raise ValueError("amount must be positive")
     twin = _replay_with_extra(ledger, join_index, new_id, amount)
-    for n, ev in enumerate(ledger.events):
-        tw = twin.events[n]
-        incumbents = [j for j in ev.shares_after]
-        subtotal = sum(tw.shares_after.get(j, 0) for j in incumbents)
+    for ev, tw in zip(ledger.events, twin.events):
+        subtotal = sum(tw.shares_after.get(j, 0) for j in ev.shares_after)
         if subtotal <= 0:
             continue
-        for j in incumbents:
+        for j in ev.shares_after:
             want = ev.shares_after[j]
             got = tw.shares_after.get(j, 0) / subtotal
             if not _close(want, got):
@@ -377,16 +372,13 @@ def check_lin(ledger: Ledger) -> CheckResult:
     At each event the increment d^j (net of any interest accrual) must satisfy
     d^j * J^l = d^l * J^j for contributing pairs; witness on first failure.
     """
-    for n, ev in enumerate(ledger.events):
-        if n == 0:
-            continue
-        prev = ledger.events[n - 1].indices_after
+    for prev, ev in zip(ledger.events, ledger.events[1:]):
         contributors = [j for j, v in ev.contributions.items() if v > 0]
         if len(contributors) < 2:
             continue
         inc = {}
         for j in contributors:
-            accrued = prev.get(j, 0)
+            accrued = prev.indices_after.get(j, 0)
             if ev.a is not None:
                 accrued = accrued * (1 + ev.a.get(j, 0))
             inc[j] = ev.indices_after[j] - accrued

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import asdict
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -451,6 +452,35 @@ def test_index_update_show_check(tmp_path, capsys):
     assert out["mon"]["ok"] is False
     assert out["mon"]["witness"] == [2, ["1", "2"]]
     assert out["add"]["ok"] is True
+
+
+def test_index_update_prints_the_float_shares_of_an_exact_ledger(tmp_path, capsys):
+    # a revaluation keeps a Fraction ledger's shares exact; update printed them
+    # as strings ("15/31"), show as numbers
+    led = tmp_path / "led.json"
+    ledger = Ledger()
+    ledger.record(F(1), {"1": F(15), "2": F(16)}, F(0))
+    led.write_text(ledger.to_json())
+    code, out = run(capsys, "index", "update", str(led), "--t", "2", "--c-pre", "40")
+    assert (code, out) == (0, {"shares": {"1": 15 / 31, "2": 16 / 31}, "events": 2})
+    assert run(capsys, "index", "show", str(led))[1]["shares"] == out["shares"]
+
+
+def test_a_value_that_is_no_number_names_its_setting(tmp_path, capsys):
+    # the message was Python's own "could not convert string to float: 'x'"
+    cfg = tmp_path / "cfg.json"
+    for argv, config, message in (
+        (["fixed-point", "--eta", "1,x"], None, "bad value 'x' for eta"),
+        (["profitability"], {"market": {"mu": "abc"}}, "bad value 'abc' for mu"),
+        (["simulate"], {"seed": "7.5"}, "bad value '7.5' for seed"),
+    ):
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "refused")]
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+    assert not (tmp_path / "refused").exists()
 
 
 def test_index_check_add_needs_both_flags(tmp_path, capsys):

@@ -338,7 +338,7 @@ def test_closed_forms_are_the_floats_of_cum_moment_per_edge(mu, sigma, give, hel
     for cut in (-1.0, c, cs):
         for got, want in zip(_PayoffMoments(params, pol, cut)(k), ref(cut)):
             assert _same(got, want)
-    mean = _PayoffMoments(params, pol, with_return=False, orders=2)(k)[0]
+    mean = _PayoffMoments(params, pol, with_return=False)(k)[0]
     assert _same(mean, ref(with_return=False)[0])
     gated, ungated = ref(c), ref()
     assert _same(n_func(params, pol, c, k), gated[0] - alpha * gated[1])
@@ -463,8 +463,8 @@ def test_scalar_gate_row_is_the_per_edge_row(mu, sigma, give, helpf, p, c, lo, n
     assert 1.0 - ks[-1] == 1.0 + c
     lu = _PayoffMoments(params, pol).rows(ks)[0]
     for with_return, orders in ((True, 3), (False, 2)):
-        scalar = _PayoffMoments(params, pol, c, with_return, orders)
-        per_edge = _PayoffMoments(params, pol, np.full(ks.shape, c), with_return, orders)
+        scalar = _PayoffMoments(params, pol, c, with_return)
+        per_edge = _PayoffMoments(params, pol, np.full(ks.shape, c), with_return)
         assert scalar.gate_cdf is not None and per_edge.gate_cdf is None
         want = per_edge(ks)
         for got in (scalar(ks), scalar(ks, lu[:orders])):
@@ -827,8 +827,8 @@ def test_a_study_scans_admissibility_and_the_rows_once(monkeypatch, cold_memo):
         return real(*args, **kw)
 
     class Counted(corridor_math._PayoffMoments):
-        def __init__(self, params, policy, c=-1.0, with_return=True, orders=3):
-            super().__init__(params, policy, c, with_return, orders)
+        def __init__(self, params, policy, c=-1.0, with_return=True):
+            super().__init__(params, policy, c, with_return)
             built.append((c, with_return))
 
         def rows(self, k):

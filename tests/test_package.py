@@ -96,6 +96,27 @@ def test_one_objective_builder_in_the_package():
     assert found == ["corridor_math.py:_objective", "corridor_math.py:dp_check"]
 
 
+def test_one_payoff_evaluator_per_closed_form():
+    # m2 and xi are the identities m2_horizon(T = 1) and psi1 at p = 1, so
+    # neither builds an evaluator or an objective of its own
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    assert _sites(calls("_PayoffMoments")) == [
+        f"corridor_math.py:{owner}" for owner in sorted((
+            "psi1", "psi2", "profitability_lhs", "_admissible", "_objective", "_grid_rows",
+            "dp_check"))]
+    assert sorted(set(_sites(calls("_objective")))) == [
+        f"corridor_math.py:{owner}" for owner in sorted((
+            "m2_horizon", "n_func", "_search", "fixed_point_barriers", "best_response_gain"))]
+
+
+def test_one_json_writer_in_the_cli():
+    # every JSON summary is printed, and written to a file, by cli._emit
+    found = _sites(lambda node: isinstance(node, ast.Call)
+                   and ast.unparse(node.func) in ("json.dump", "json.dumps"))
+    assert [site for site in found if site.startswith("cli.py:")] == ["cli.py:_emit"]
+
+
 def test_one_threshold_route_in_pool_simulator():
     # pool_simulator and the pool game's closed forms in corridor_math take
     # every threshold from _threshold, on arguments their entries checked
