@@ -114,7 +114,7 @@ def _number(val, where, kind=float):
     ):
         try:
             return kind(val)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):  # Fraction("1/0") is the latter
             pass
     raise ValueError(f"bad value {val!r} for {where}")
 
@@ -334,7 +334,7 @@ def _load_ledger(path: str) -> Ledger:
         raise ValueError(f"cannot load ledger {path}: {exc}")
 
 
-def _parse_kv(pairs, what):
+def _parse_kv(pairs, what, kind=float):
     out = {}
     for item in pairs or []:
         key, eq, val = item.partition("=")
@@ -343,13 +343,15 @@ def _parse_kv(pairs, what):
         if key in out:  # else the last entry would silently replace the first
             raise ValueError(f"{what} names member {key!r} twice")
         try:
-            out[key] = float(val)
-        except ValueError:
+            out[key] = kind(val)
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad number in {what}: {item!r}")
     return out
 
 
 def cmd_index(args) -> int:
+    from fractions import Fraction
+
     from .redistribution_index import Ledger, check_add, check_cont, check_fix, check_lin, check_mon
 
     if args.verb == "update":
@@ -360,9 +362,15 @@ def cmd_index(args) -> int:
                 raise ValueError(f"--mode {args.mode} disagrees with the {ledger.mode} ledger")
         else:
             ledger = Ledger(mode=args.mode or "proportional")
-        contributions = _parse_kv(args.contribution, "--contribution")
-        a = _parse_kv(args.a, "--a") or None
-        shares = ledger.record(args.t, contributions, args.c_pre, a=a)
+        # a ledger whose shares are exact takes the event's numbers as exact
+        # rationals ("0.1" is 1/10), so it stays exact; any other takes floats
+        exact = ledger.events and all(isinstance(s, Fraction) for s in ledger.shares.values())
+        kind = Fraction if exact else float
+        t, c_pre = (None if val is None else _number(val, flag, kind)
+                    for val, flag in ((args.t, "--t"), (args.c_pre, "--c-pre")))
+        contributions = _parse_kv(args.contribution, "--contribution", kind)
+        a = _parse_kv(args.a, "--a", kind) or None
+        shares = ledger.record(t, contributions, c_pre, a=a)
         path.write_text(ledger.to_json())
         _emit({"shares": {str(k): float(v) for k, v in shares.items()}, "events": len(ledger.events)})
         return 0
@@ -453,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("ledger", help="ledger JSON file")
         sp.set_defaults(fn=cmd_index)
     update.add_argument("--mode", choices=["proportional", "monotone"])
-    update.add_argument("--t", type=float, help="event time")
-    update.add_argument("--c-pre", dest="c_pre", type=float, help="pot value before contributions")
+    update.add_argument("--t", help="event time")
+    update.add_argument("--c-pre", dest="c_pre", help="pot value before contributions")
     update.add_argument("--contribution", action="append", metavar="ID=AMT")
     update.add_argument("--a", action="append", metavar="ID=RATE", help="interest factors")
     check.add_argument("--new-id", dest="new_id", help="fresh contributor for the add check")

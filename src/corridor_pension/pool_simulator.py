@@ -378,9 +378,9 @@ def _pool_kernel(config: PoolConfig, blocks, n_paths: int) -> SimulationResult:
         hi = lo + len(block)
         path_rv, path_support = rv[lo:hi], support[lo:hi]  # views the periods add into
 
-        # period-major, so each period's returns are contiguous (no copy for
-        # the blocks of `simulate`'s pipeline, which are stored that way)
-        for (_, v, _, _), out in _trajectory(config, rule, v0, np.ascontiguousarray(block.T)):
+        # the blocks are stored period-major, so block.T is a view whose rows,
+        # one period's returns each, are contiguous
+        for (_, v, _, _), out in _trajectory(config, rule, v0, block.T):
             _, v_next, _, _, _, _, _, failed, added = out
             shortfall_steps += int(np.count_nonzero(failed))
             if added is not None:
@@ -439,17 +439,19 @@ def simulate(
     Deterministic for a fixed seed: the returns are those of
     `sample_return_matrix(params, config.T, n_paths, seed)`, drawn and
     consumed a block of paths at a time, so memory does not grow with
-    T * n_paths.  With more than one block, one helper thread draws the next
-    block of that same stream while the current block runs, so the results
-    are the same floats; the thread is joined before this returns or raises.
+    T * n_paths.  Each block comes period-major from the draw, so the kernel
+    runs on its transpose, a view.  With more than one block, one helper
+    thread draws the next block of that same stream while the current block
+    runs, so the results are the same floats, and at most two blocks and the
+    draw's chunk buffer are held; the thread is joined before this returns
+    or raises.
     A member whose previous value is 0 adds 0 to the realized variation, the
     limit of its term.
     """
     _check_count(n_paths, "n_paths")
     blocks = _return_blocks(params, config.T, n_paths, _path_stream(seed), _BLOCK_PATHS)
     if n_paths > _BLOCK_PATHS:
-        # each block is stored period-major on the helper thread, off the kernel's path
-        blocks = _one_ahead(np.asfortranarray(b) for b in blocks)
+        blocks = _one_ahead(blocks)
     try:
         return _pool_kernel(config, blocks, n_paths)
     finally:

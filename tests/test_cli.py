@@ -6,6 +6,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from fractions import Fraction as F
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -464,6 +465,31 @@ def test_index_update_prints_the_float_shares_of_an_exact_ledger(tmp_path, capsy
     code, out = run(capsys, "index", "update", str(led), "--t", "2", "--c-pre", "40")
     assert (code, out) == (0, {"shares": {"1": 15 / 31, "2": 16 / 31}, "events": 2})
     assert run(capsys, "index", "show", str(led))[1]["shares"] == out["shares"]
+
+
+@pytest.mark.parametrize("mode, flags, a", [
+    ("proportional", [], None),
+    ("monotone", ["--a", "1=0.1", "--a", "3=1/3"], {"1": F(1, 10), "3": F(1, 3)}),
+])
+def test_index_update_keeps_an_exact_ledger_exact(mode, flags, a, tmp_path, capsys):
+    # the flags were read as floats, so the file held 2.0, 62.0 and 31.0 after
+    # this update and every later share was a float
+    led = tmp_path / "led.json"
+    ledger = Ledger(mode=mode)
+    ledger.record(F(1), {"1": F(15), "2": F(16)}, F(0))
+    led.write_text(ledger.to_json())
+    code, out = run(capsys, "index", "update", str(led), "--t", "2", "--c-pre", "62",
+                    "--contribution", "3=31", *flags)
+    assert code == 0
+    ledger.record(F(2), {"3": F(31)}, F(62), a=a)
+    updated = Ledger.from_json(led.read_text())
+    ev = updated.events[-1]
+    numbers = [ev.t, ev.c_pre, *ev.contributions.values(), *ev.indices_after.values(),
+               *ev.shares_after.values(), *(ev.a or {}).values()]
+    assert all(isinstance(x, Rational) for x in numbers), numbers  # an unnamed member's a is 0
+    assert updated.shares == ledger.shares
+    assert led.read_text() == ledger.to_json()
+    assert out["shares"] == {j: float(s) for j, s in ledger.shares.items()}
 
 
 def test_a_value_that_is_no_number_names_its_setting(tmp_path, capsys):

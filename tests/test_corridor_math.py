@@ -33,6 +33,7 @@ from corridor_pension.corridor_math import (
     xi,
     xi_d1,
     xi_d2,
+    z_star,
 )
 from corridor_pension import corridor_math
 from corridor_pension.market_model import GbmParams, expect_quad
@@ -987,3 +988,90 @@ def test_the_bisection_takes_five_levels_a_call_with_the_results_of_one(monkeypa
     assert calls == [-(-n // 5) for n in levels]
     assert sum(k > 0 for k, _ in out) >= 120 and sum(len(s) == 2 for _, s in out) >= 80
     assert min(levels) == 0 and 9 in levels and max(levels) == 28
+
+
+def test_z_star_edges():
+    # empty buffer: threshold at the tightest boundary
+    assert z_star([0.3, 0.5], [1.0, 1.0], 0.0) == pytest.approx(-0.3)
+    # nobody ever claims
+    assert z_star([1.0, 1.0], [1.0, 1.0], 0.5) == -1.0
+    # single agent closed form: -(2*theta + eta*k) / (2*theta + eta)
+    assert z_star([0.2], [1.0], 0.1) == pytest.approx(-(0.2 + 0.2) / (0.2 + 1.0))
+    # no help leg at all
+    assert z_star([0.2], [1.0], 0.1, help_frac=0.0) == -1.0
+    # a buffer theta / help_frac past the floats covers everything; both gave NaN
+    assert z_star([0.2], [1.0], 0.1, help_frac=5e-324) == -1.0
+    assert z_star([0.2, 0.5], [1.0, 1.0], 1e308) == -1.0
+    assert z_star([0.2, 0.5], [1.0, 1.0], np.float64(1e308)) == -1.0  # numpy would warn
+    assert z_star([0.2], [1.0], 0.1, help_frac=np.float64(5e-324)) == -1.0
+    # huge buffer covers everything down to the boundary
+    assert z_star([0.2], [1.0], 1e6) == pytest.approx(-1.0, abs=1e-5)
+    with pytest.raises(ValueError):
+        z_star([0.2], [1.0, 1.0], 0.1)
+    with pytest.raises(ValueError):
+        z_star([1.2], [1.0], 0.1)
+    with pytest.raises(ValueError):
+        z_star([0.2], [1.0], -0.1)
+    for ks, etas, theta in (([0.2], [1.0], math.nan), ([0.2], [1.0], math.inf),
+                            ([0.2, 0.3], [1.0, math.nan], 0.1), ([math.nan], [1.0], 0.1)):
+        with pytest.raises(ValueError):
+            z_star(ks, etas, theta)
+    with pytest.raises(ValueError):
+        z_star([0.2], [1.0], 0.1, help_frac=math.nan)
+    with pytest.raises(ValueError):
+        z_star([0.2], [1.0], 0.1, help_frac=-0.1)
+    with pytest.raises(ValueError, match=r"k_vec must be in \[0, 1\]"):
+        z_star([1.5], [1.0], 0.0)
+    # a pool with no members has no threshold, and so no fixed point: both
+    # returned a cutoff of -1.0, the fixed point with converged=True
+    with pytest.raises(ValueError, match="unit counts"):
+        z_star([], [], 0.2)
+    with pytest.raises(ValueError, match="unit counts"):
+        fixed_point_barriers(A, CorridorPolicy(alpha=4.0), [], 0.2)
+
+
+def test_z_star_active_set_drops_wide_boundaries():
+    # with a small buffer the wide-boundary agent is out of reach and inactive
+    tight = z_star([0.1, 0.9], [1.0, 1.0], 0.05)
+    only_tight = z_star([0.1], [1.0], 0.05)
+    assert tight == pytest.approx(only_tight)
+
+
+def _z_star_loop(ks, etas, theta, help_frac):
+    # the one-profile threshold written out member by member, as the reference
+    # for the array form; only the order of its sums differs
+    if help_frac <= 0:
+        return -1.0
+    buffer = theta / help_frac
+    active = [
+        i for i, k in enumerate(ks)
+        if buffer * (1.0 - k) - sum(e * max(k - kj, 0.0) for kj, e in zip(ks, etas)) >= 0.0
+    ]
+    denom = buffer + sum(etas[i] for i in active)
+    if denom <= 0:
+        return -1.0
+    return min(0.0, max(-1.0, -(buffer + sum(etas[i] * ks[i] for i in active)) / denom))
+
+
+def test_z_star_over_profiles_matches_row_calls():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 8, 9, 30):
+        etas = rng.uniform(0.0, 3.0, n)
+        profiles = rng.uniform(0.0, 1.0, (40, n))
+        profiles[:3] = 0.0
+        profiles[3:6] = 1.0
+        profiles[6:12] = rng.choice([0.0, 0.1, 0.5, 1.0], (6, n))
+        for theta, help_frac in ((0.0, 0.5), (1.3, 0.5), (0.4, 1.0), (2.0, 0.0)):
+            batched = z_star(profiles, etas, theta, help_frac)
+            assert batched.shape == (40,)
+            rows = [z_star(row, etas, theta, help_frac) for row in profiles]
+            assert all(type(z) is float for z in rows)
+            assert batched.tolist() == rows
+            loop = [_z_star_loop(row.tolist(), etas.tolist(), theta, help_frac) for row in profiles]
+            assert np.max(np.abs(batched - loop)) <= 1e-15
+    # an empty buffer with a member at k = 0 gives threshold 0.0, never -0.0
+    assert math.copysign(1.0, z_star([0.0, 0.5], [1.0, 1.0], 0.0)) == 1.0
+    with pytest.raises(ValueError):
+        z_star(np.zeros((2, 2, 2)), [1.0, 1.0], 0.1)
+    with pytest.raises(ValueError):
+        z_star(np.zeros((3, 2)), [1.0, 1.0, 1.0], 0.1)

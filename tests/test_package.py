@@ -79,6 +79,19 @@ def test_one_random_generator_in_the_package():
     assert found == ["market_model.py:_return_blocks"]
 
 
+def test_returns_are_laid_out_once_in_the_draw_loop():
+    # _return_blocks writes each block period-major, the layout the pool kernel
+    # runs on, so no other site copies an array into another memory order
+    def layout_copy(node):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return name in ("asfortranarray", "ascontiguousarray") or any(
+            kw.arg == "order" for kw in node.keywords)
+    assert _sites(lambda node: isinstance(node, ast.Call) and layout_copy(node)) == [
+        "market_model.py:_return_blocks"]
+    pool_simulator = Path(corridor_pension.__file__).parent / "pool_simulator.py"
+    assert "asfortranarray" not in pool_simulator.read_text()
+
+
 def test_one_scipy_special_loader_in_the_package():
     # market_model._load_ndtr is the one route to scipy.special; every other
     # module takes ndtr and ndtri from market_model

@@ -41,9 +41,11 @@ from corridor_pension.pool_simulator import (
     run_path,
     simulate,
 )
-from corridor_pension import corridor_math, pool_simulator
+from corridor_pension import corridor_math, market_model, pool_simulator
 from corridor_pension.claim_settlement import ClaimBatch, settle
-from corridor_pension.market_model import _path_stream, _return_blocks, expect_mc, ndtr, sample_return_matrix
+from corridor_pension.market_model import (
+    _path_stream, _return_blocks, expect_mc, expect_quad, ndtr, sample_return_matrix,
+)
 from corridor_pension.redistribution_index import Ledger, index_for_pool
 
 A = GbmParams(0.045, 0.06)
@@ -299,93 +301,6 @@ def test_simulate_refuses_a_market_that_leaves_the_floats(mu, T, match):
             simulate(cfg, GbmParams(mu, 0.1), 10, 0)
 
 
-def test_z_star_edges():
-    # empty buffer: threshold at the tightest boundary
-    assert z_star([0.3, 0.5], [1.0, 1.0], 0.0) == pytest.approx(-0.3)
-    # nobody ever claims
-    assert z_star([1.0, 1.0], [1.0, 1.0], 0.5) == -1.0
-    # single agent closed form: -(2*theta + eta*k) / (2*theta + eta)
-    assert z_star([0.2], [1.0], 0.1) == pytest.approx(-(0.2 + 0.2) / (0.2 + 1.0))
-    # no help leg at all
-    assert z_star([0.2], [1.0], 0.1, help_frac=0.0) == -1.0
-    # a buffer theta / help_frac past the floats covers everything; both gave NaN
-    assert z_star([0.2], [1.0], 0.1, help_frac=5e-324) == -1.0
-    assert z_star([0.2, 0.5], [1.0, 1.0], 1e308) == -1.0
-    assert z_star([0.2, 0.5], [1.0, 1.0], np.float64(1e308)) == -1.0  # numpy would warn
-    assert z_star([0.2], [1.0], 0.1, help_frac=np.float64(5e-324)) == -1.0
-    # huge buffer covers everything down to the boundary
-    assert z_star([0.2], [1.0], 1e6) == pytest.approx(-1.0, abs=1e-5)
-    with pytest.raises(ValueError):
-        z_star([0.2], [1.0, 1.0], 0.1)
-    with pytest.raises(ValueError):
-        z_star([1.2], [1.0], 0.1)
-    with pytest.raises(ValueError):
-        z_star([0.2], [1.0], -0.1)
-    for ks, etas, theta in (([0.2], [1.0], math.nan), ([0.2], [1.0], math.inf),
-                            ([0.2, 0.3], [1.0, math.nan], 0.1), ([math.nan], [1.0], 0.1)):
-        with pytest.raises(ValueError):
-            z_star(ks, etas, theta)
-    with pytest.raises(ValueError):
-        z_star([0.2], [1.0], 0.1, help_frac=math.nan)
-    with pytest.raises(ValueError):
-        z_star([0.2], [1.0], 0.1, help_frac=-0.1)
-    with pytest.raises(ValueError, match=r"k_vec must be in \[0, 1\]"):
-        z_star([1.5], [1.0], 0.0)
-    # a pool with no members has no threshold, and so no fixed point: both
-    # returned a cutoff of -1.0, the fixed point with converged=True
-    with pytest.raises(ValueError, match="unit counts"):
-        z_star([], [], 0.2)
-    with pytest.raises(ValueError, match="unit counts"):
-        fixed_point_barriers(A, CorridorPolicy(alpha=4.0), [], 0.2)
-
-
-def test_z_star_active_set_drops_wide_boundaries():
-    # with a small buffer the wide-boundary agent is out of reach and inactive
-    tight = z_star([0.1, 0.9], [1.0, 1.0], 0.05)
-    only_tight = z_star([0.1], [1.0], 0.05)
-    assert tight == pytest.approx(only_tight)
-
-
-def _z_star_loop(ks, etas, theta, help_frac):
-    # the one-profile threshold written out member by member, as the reference
-    # for the array form; only the order of its sums differs
-    if help_frac <= 0:
-        return -1.0
-    buffer = theta / help_frac
-    active = [
-        i for i, k in enumerate(ks)
-        if buffer * (1.0 - k) - sum(e * max(k - kj, 0.0) for kj, e in zip(ks, etas)) >= 0.0
-    ]
-    denom = buffer + sum(etas[i] for i in active)
-    if denom <= 0:
-        return -1.0
-    return min(0.0, max(-1.0, -(buffer + sum(etas[i] * ks[i] for i in active)) / denom))
-
-
-def test_z_star_over_profiles_matches_row_calls():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 7, 8, 9, 30):
-        etas = rng.uniform(0.0, 3.0, n)
-        profiles = rng.uniform(0.0, 1.0, (40, n))
-        profiles[:3] = 0.0
-        profiles[3:6] = 1.0
-        profiles[6:12] = rng.choice([0.0, 0.1, 0.5, 1.0], (6, n))
-        for theta, help_frac in ((0.0, 0.5), (1.3, 0.5), (0.4, 1.0), (2.0, 0.0)):
-            batched = z_star(profiles, etas, theta, help_frac)
-            assert batched.shape == (40,)
-            rows = [z_star(row, etas, theta, help_frac) for row in profiles]
-            assert all(type(z) is float for z in rows)
-            assert batched.tolist() == rows
-            loop = [_z_star_loop(row.tolist(), etas.tolist(), theta, help_frac) for row in profiles]
-            assert np.max(np.abs(batched - loop)) <= 1e-15
-    # an empty buffer with a member at k = 0 gives threshold 0.0, never -0.0
-    assert math.copysign(1.0, z_star([0.0, 0.5], [1.0, 1.0], 0.0)) == 1.0
-    with pytest.raises(ValueError):
-        z_star(np.zeros((2, 2, 2)), [1.0, 1.0], 0.1)
-    with pytest.raises(ValueError):
-        z_star(np.zeros((3, 2)), [1.0, 1.0, 1.0], 0.1)
-
-
 @given(
     n=st.integers(1, 6),
     theta=st.floats(0.0, 3.0),
@@ -633,11 +548,30 @@ def test_simulate_does_not_depend_on_the_block_size(config, monkeypatch):
     assert whole.shortfall_freq > 0
 
 
-def test_return_blocks_concatenate_to_the_matrix():
-    for n_paths in (1, BLOCK, 2 * BLOCK + 3):
-        blocks = list(_return_blocks(STRESSED, 5, n_paths, _path_stream(8), BLOCK))
-        assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
-        assert np.array_equal(np.concatenate(blocks), sample_return_matrix(STRESSED, 5, n_paths, 8))
+def test_return_blocks_concatenate_to_the_matrix(monkeypatch):
+    # a block's uniforms are drawn _DRAW_DOUBLES // T paths (at least one) at a
+    # time, and the block is stored period-major; path counts at the chunk and
+    # block edges, chunks of 3 and 2 paths, and T past the chunk's budget (one
+    # path a chunk)
+    def drawn_at_once(T, n_paths):
+        # the stream's uniforms in one array, through ndtri and exp(mu + sigma z)
+        u = np.random.default_rng(_path_stream(8)).random((n_paths, T))
+        return np.exp(market_model.ndtri(u) * STRESSED.sigma + STRESSED.mu)
+
+    for T, doubles in ((5, None), (5, 15), (1, 2), (40, 39), (market_model._DRAW_DOUBLES + 1, None)):
+        if doubles is not None:
+            monkeypatch.setattr(market_model, "_DRAW_DOUBLES", doubles)
+        chunk = max(market_model._DRAW_DOUBLES // T, 1)
+        counts = {1, chunk - 1, chunk, chunk + 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3} - {0}
+        for n_paths in sorted(counts):
+            blocks = list(_return_blocks(STRESSED, T, n_paths, _path_stream(8), BLOCK))
+            assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+            assert all(b.flags.f_contiguous and b.T.flags.c_contiguous for b in blocks)
+            whole = sample_return_matrix(STRESSED, T, n_paths, 8)
+            assert whole.flags.f_contiguous
+            assert np.array_equal(np.concatenate(blocks), whole), (T, doubles, n_paths)
+            assert np.array_equal(whole, drawn_at_once(T, n_paths)), (T, doubles, n_paths)
+        monkeypatch.undo()
 
 
 def test_return_blocks_need_a_seed_sequence():
@@ -808,10 +742,11 @@ def test_simulate_memory_stays_flat_in_the_path_count():
         finally:
             tracemalloc.stop()
     # drawing every return at once took 122 MiB at 200k paths; the pipeline
-    # reads 13.62-13.63 (9.25-10.53 at 20k) however its thread interleaves
-    # with the kernel, alone or in this file's run (numpy 2.4), and one that
-    # keeps a finished block alive, or draws two blocks ahead, 15.1
-    assert peaks[200_000] < 14, peaks
+    # reads 11.37-11.38 (7.00-8.29 at 20k) however its thread interleaves
+    # with the kernel, alone or in this file's run (numpy 2.4).  It read
+    # 13.62-13.63 while the draw also held a path-major copy of each block,
+    # and one that keeps a finished block alive, or draws two blocks ahead, 15.1
+    assert peaks[200_000] < 12, peaks
     assert peaks[200_000] - peaks[20_000] < 8, peaks
 
 
@@ -941,18 +876,37 @@ def test_simulate_matches_the_exact_always_help_horizon_moments():
     # under AlwaysHelp every claim is paid, so each member's value follows
     # V_t = V_{t-1} (1 + g_t) + gamma pi exactly, with E[g] = psi1 and
     # E[g^2] = psi2: E[V_T] is v0 plus horizon_objective at alpha 0, and
-    # E[V_T^2] follows q <- q (1 + 2 psi1 + psi2) + 2 gamma pi m (1 + psi1) + (gamma pi)^2
+    # E[V_T^2] follows q <- q (1 + 2 psi1 + psi2) + 2 gamma pi m (1 + psi1) + (gamma pi)^2.
+    # A period adds (V_t - V_{t-1} - gamma pi)^2 / V_{t-1} = V_{t-1} g^2 to the
+    # realized variation R, so with s_j = E[g^j]: E[R] gains m s2, E[R^2] gains
+    # 2 E[V R] s2 + q s4, and E[V R] <- E[V R] (1 + s1) + q (s2 + s3) + gamma pi (E[R] + m s2)
     params, policy = GbmParams(0.045, 0.12), CorridorPolicy(k=0.1, alpha=2.0)
     T, gamma, pi, v0, paths = 40, 0.8, 0.1, 1.0, 100_000
     s1, s2, gp = psi1(params, policy, policy.k), psi2(params, policy, policy.k), gamma * pi
-    m, q = v0, v0 * v0
+    floor, cap = 1.0 - policy.k, 1.0 + policy.k * policy.p
+
+    def g(y):  # the return net of the corridor's transfers, per unit of value
+        return (y - 1.0 + policy.help_frac * np.maximum(floor - y, 0.0)
+                - policy.give_frac * np.maximum(y - cap, 0.0))
+
+    s3, s4 = (expect_quad(params, lambda y, j=j: g(y) ** j, (floor, cap)) for j in (3, 4))
+    assert expect_quad(params, lambda y: g(y) ** 2, (floor, cap)) == pytest.approx(s2, rel=1e-9)
+    m, q, r, r2, vr = v0, v0 * v0, 0.0, 0.0, 0.0
     for _ in range(T):
-        m, q = m * (1 + s1) + gp, q * (1 + 2 * s1 + s2) + 2 * gp * m * (1 + s1) + gp * gp
+        m, q, r, r2, vr = (
+            m * (1 + s1) + gp,
+            q * (1 + 2 * s1 + s2) + 2 * gp * m * (1 + s1) + gp * gp,
+            r + m * s2,
+            r2 + 2 * vr * s2 + q * s4,
+            vr * (1 + s1) + q * (s2 + s3) + gp * (r + m * s2),
+        )
     assert m == pytest.approx(v0 + horizon_objective([(s1, s2)] * T, 0.0, v0, gp), rel=1e-12)
     # the members are alike, so a path's member mean is each member's V_T
     config = PoolConfig(n=10, gamma=gamma, pi_ind=pi, T=T, regime=ALWAYS_HELP, policy=policy)
     res = simulate(config, params, paths, seed=1)
     assert abs(res.mean_terminal_value - m) <= 4 * math.sqrt((q - m * m) / paths)
+    # and each member's R, which is the path's mean over members
+    assert abs(res.realized_variation - r) <= 4 * math.sqrt((r2 - r * r) / paths)
 
 
 def always_help_log_growth_law(params, policy, T, width=2e-4, lo=-2.0, hi=2.0):
