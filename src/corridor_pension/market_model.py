@@ -77,9 +77,8 @@ _Z_CUT = 10.0
 # absolute error target of expect_quad; paths expect_mc draws at a time
 _QUAD_EPSABS = 1e-13
 _MC_CHUNK = 1_000_000
-# uniforms `_return_blocks` draws at a time: 256 KiB, within L2.  Running ndtri
-# and exp on each such chunk too, five numpy calls a chunk on the helper thread,
-# made a 100k-path `simulate` about 4% slower than the same calls once a block
+# uniforms `_return_blocks` draws at a time, 256 KiB; ndtri and exp run once a block,
+# as five numpy calls a chunk on the helper thread made `simulate` about 4% slower
 _DRAW_DOUBLES = 32_768
 
 
@@ -158,15 +157,14 @@ def _return_blocks(params: GbmParams, T: int, n_paths: int, seq, rows: int):
 
     The one draw loop.  Each block is a (paths, T) array stored period-major
     (Fortran order), so its transpose, the (T, paths) layout of the pool
-    kernel, is a view.  The stream fills paths one after the other, so the
-    uniforms are drawn into one buffer of _DRAW_DOUBLES // T paths (at least
-    one), which stays in cache, and copied from it into their rows of the
-    block; ndtri and exp(mu + sigma z) then run in place on the whole block,
-    one contiguous array.  Normals are inverse-CDF draws and every double
-    takes one draw of the stream, so neither the buffer nor the blocks change
-    a float: the blocks concatenate to the one block of `rows = n_paths` bit
-    for bit.  `simulate` advances this generator on a helper thread, so it
-    calls no public function of the package.
+    kernel, is a view.  The stream fills one path after another, so the
+    uniforms are drawn into a buffer of _DRAW_DOUBLES // T paths (at least
+    one) and copied into their rows of the block; ndtri and exp(mu + sigma z)
+    then run in place on the block.  Normals are inverse-CDF draws and every
+    double takes one draw of the stream, so the blocks concatenate to the one
+    block of `rows = n_paths` bit for bit.  `simulate` advances this
+    generator on a helper thread, so it calls no public function of the
+    package.
     """
     if not isinstance(seq, np.random.SeedSequence):
         raise TypeError("seq must be a numpy SeedSequence")
