@@ -478,7 +478,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # invalid input, from the CLI or the library
+    except (ValueError, OverflowError) as exc:  # invalid input, or an exact index past the floats
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

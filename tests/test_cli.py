@@ -492,6 +492,21 @@ def test_index_update_keeps_an_exact_ledger_exact(mode, flags, a, tmp_path, caps
     assert out["shares"] == {j: float(s) for j, s in ledger.shares.items()}
 
 
+def test_an_exact_index_past_the_floats_exits_2_on_show(tmp_path, capsys):
+    # the exact update a float ledger refuses as an overflow is recorded, but
+    # its index has no float to print: show raised OverflowError, a traceback
+    led = tmp_path / "led.json"
+    ledger = Ledger()
+    ledger.record(F(0), {"1": F(100)}, F(0))
+    led.write_text(ledger.to_json())
+    code, out = run(capsys, "index", "update", str(led), "--t", "1", "--c-pre", "1e-300",
+                    "--contribution", "2=1e300")
+    assert (code, out) == (0, {"shares": {"1": 0.0, "2": 1.0}, "events": 2})
+    assert cli.main(["index", "show", str(led)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "float" in captured.err
+
+
 def test_a_value_that_is_no_number_names_its_setting(tmp_path, capsys):
     # the message was Python's own "could not convert string to float: 'x'"
     cfg = tmp_path / "cfg.json"
